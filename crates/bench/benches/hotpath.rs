@@ -1,5 +1,4 @@
-//! Hot-path micro-benchmarks backing `BENCH_hotpath.json`: the indexed
-//! free list against the linear oracle it replaced, and prepared
+//! Hot-path micro-benchmarks backing `BENCH_hotpath.json`: prepared
 //! (analysis-reuse) pipeline runs against from-scratch runs for
 //! arch-only variants.
 //!
@@ -13,81 +12,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mcds_core::{Pipeline, SchedulerKind};
-use mcds_fballoc::{FreeList, LinearFreeList};
 use mcds_model::{ArchParams, Words};
 use mcds_workloads::table1::table1_experiments;
 use std::hint::black_box;
-
-/// Carves a checkerboard of `holes` equally-spaced free gaps into a
-/// list, returning it fragmented — the shape that makes a linear
-/// first-fit scan crawl.
-fn checkerboard_indexed(holes: u64, gap: u64) -> FreeList {
-    let cap = holes * gap * 2;
-    let mut fl = FreeList::new(Words::new(cap));
-    for i in 0..holes {
-        assert!(fl.take_at(i * gap * 2 + gap, Words::new(gap)));
-    }
-    fl
-}
-
-fn checkerboard_linear(holes: u64, gap: u64) -> LinearFreeList {
-    let cap = holes * gap * 2;
-    let mut fl = LinearFreeList::new(Words::new(cap));
-    for i in 0..holes {
-        assert!(fl.take_at(i * gap * 2 + gap, Words::new(gap)));
-    }
-    fl
-}
-
-/// How many first-fit requests each fragmentation event is followed by
-/// — the allocator's real shape: one stage boundary frees a few
-/// blocks, then a burst of per-object allocations scans the hole list.
-const BURST: u32 = 8;
-
-/// Allocation-heavy probe over a fragmented list, expressed as a
-/// *reversible* sequence so every iteration starts from the same
-/// checkerboard without cloning the list:
-///
-/// 1. free the allocated stripe just below the topmost holes, merging
-///    three gaps into the only block that can satisfy a two-gap
-///    request — at the far end of a lower-first scan;
-/// 2. [`BURST`] times: first-fit a two-gap request (the measured scan:
-///    every smaller hole is probed and rejected on the linear list,
-///    one bucket lookup on the indexed one), then free it back;
-/// 3. re-carve the stripe from step 1.
-fn bench_free_list(c: &mut Criterion) {
-    let mut group = c.benchmark_group("hotpath/free-list");
-    for holes in [64u64, 512, 2048] {
-        let gap = 8;
-        // Stripe layout: hole at even stripes, allocated at odd; the
-        // merge stripe is the last allocated one *between* two holes.
-        let merge_at = (2 * holes - 3) * gap;
-        let two_gap_at = (2 * holes - 4) * gap;
-        group.bench_function(BenchmarkId::new("indexed", holes), |b| {
-            let mut fl = checkerboard_indexed(holes, gap);
-            b.iter(|| {
-                fl.insert(merge_at, Words::new(gap));
-                for _ in 0..BURST {
-                    black_box(fl.take_first_fit(Words::new(gap * 2), false));
-                    fl.insert(two_gap_at, Words::new(gap * 2));
-                }
-                assert!(fl.take_at(merge_at, Words::new(gap)));
-            });
-        });
-        group.bench_function(BenchmarkId::new("linear", holes), |b| {
-            let mut fl = checkerboard_linear(holes, gap);
-            b.iter(|| {
-                fl.insert(merge_at, Words::new(gap));
-                for _ in 0..BURST {
-                    black_box(fl.take_first_fit(Words::new(gap * 2), false));
-                    fl.insert(two_gap_at, Words::new(gap * 2));
-                }
-                assert!(fl.take_at(merge_at, Words::new(gap)));
-            });
-        });
-    }
-    group.finish();
-}
 
 /// Arch-only variants of one workload structure: a from-scratch run
 /// re-derives the whole analysis (lifetimes, footprints, RF-ladder
@@ -119,5 +46,5 @@ fn bench_analysis_reuse(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_free_list, bench_analysis_reuse);
+criterion_group!(benches, bench_analysis_reuse);
 criterion_main!(benches);

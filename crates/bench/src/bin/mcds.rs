@@ -1483,23 +1483,13 @@ fn overload(args: &[String]) -> Result<(), McdsError> {
     Ok(())
 }
 
-/// One hot-path evidence report: the indexed free list against the
-/// linear first-fit oracle it replaced, and warm (analysis-reuse)
-/// arch-only variant runs against from-scratch runs. Absolute
-/// nanoseconds are machine-dependent; the regression gate in
-/// [`check_hotpath`] therefore compares *speedup ratios* only.
+/// One hot-path evidence report: warm (analysis-reuse) arch-only
+/// variant runs against from-scratch runs. Absolute nanoseconds are
+/// machine-dependent; the regression gate in [`check_hotpath`]
+/// therefore compares *speedup ratios* only.
 #[derive(serde::Serialize, serde::Deserialize)]
 struct HotpathReport {
-    free_list: Vec<FreeListProbe>,
     analysis_reuse: Vec<AnalysisProbe>,
-}
-
-#[derive(serde::Serialize, serde::Deserialize)]
-struct FreeListProbe {
-    holes: u64,
-    linear_ns: f64,
-    indexed_ns: f64,
-    speedup: f64,
 }
 
 #[derive(serde::Serialize, serde::Deserialize)]
@@ -1553,56 +1543,6 @@ fn paired_min_ns(
     (best_a, best_b)
 }
 
-/// The reversible checkerboard probe from `benches/hotpath.rs`: merge
-/// three gaps at the far end of the scan, then a burst of first-fit
-/// two-gap requests only the merged block satisfies (each freed back),
-/// then undo the merge. The burst mirrors the allocator's real shape —
-/// one stage boundary frees a few blocks, then every object of the
-/// next stage scans the hole list.
-fn free_list_probe(repeats: u32, holes: u64) -> FreeListProbe {
-    use mcds_fballoc::{FreeList, LinearFreeList};
-    let gap = 8u64;
-    let cap = holes * gap * 2;
-    let merge_at = (2 * holes - 3) * gap;
-    let two_gap_at = (2 * holes - 4) * gap;
-    let iters = 2048u32;
-    let burst = 8u32;
-
-    let mut indexed = FreeList::new(Words::new(cap));
-    let mut linear = LinearFreeList::new(Words::new(cap));
-    for i in 0..holes {
-        assert!(indexed.take_at(i * gap * 2 + gap, Words::new(gap)));
-        assert!(linear.take_at(i * gap * 2 + gap, Words::new(gap)));
-    }
-    let (linear_ns, indexed_ns) = paired_min_ns(
-        repeats,
-        iters,
-        iters,
-        || {
-            linear.insert(merge_at, Words::new(gap));
-            for _ in 0..burst {
-                std::hint::black_box(linear.take_first_fit(Words::new(gap * 2), false));
-                linear.insert(two_gap_at, Words::new(gap * 2));
-            }
-            assert!(linear.take_at(merge_at, Words::new(gap)));
-        },
-        || {
-            indexed.insert(merge_at, Words::new(gap));
-            for _ in 0..burst {
-                std::hint::black_box(indexed.take_first_fit(Words::new(gap * 2), false));
-                indexed.insert(two_gap_at, Words::new(gap * 2));
-            }
-            assert!(indexed.take_at(merge_at, Words::new(gap)));
-        },
-    );
-    FreeListProbe {
-        holes,
-        linear_ns,
-        indexed_ns,
-        speedup: linear_ns / indexed_ns,
-    }
-}
-
 /// Arch-only cache-miss latency: the same workload structure scheduled
 /// at a new Frame Buffer size, from scratch versus over an analysis
 /// warmed by the largest paper architecture (whose RF-ladder rungs are
@@ -1654,18 +1594,6 @@ fn analysis_probe(repeats: u32, name: &str, fb_kw: u64, warm_kw: u64) -> Analysi
 /// stable across machines.
 fn check_hotpath(current: &HotpathReport, baseline: &HotpathReport) -> Result<(), McdsError> {
     let mut failures = Vec::new();
-    for base in &baseline.free_list {
-        let Some(cur) = current.free_list.iter().find(|p| p.holes == base.holes) else {
-            failures.push(format!("free-list probe {} holes missing", base.holes));
-            continue;
-        };
-        if cur.speedup < base.speedup * 0.9 {
-            failures.push(format!(
-                "free-list {} holes: speedup {:.2}x regressed >10% below baseline {:.2}x",
-                base.holes, cur.speedup, base.speedup
-            ));
-        }
-    }
     for base in &baseline.analysis_reuse {
         let Some(cur) = current
             .analysis_reuse
@@ -1695,16 +1623,6 @@ fn check_hotpath(current: &HotpathReport, baseline: &HotpathReport) -> Result<()
 fn hotpath(args: &[String]) -> Result<(), McdsError> {
     let repeats: u32 = parsed_opt(args, "--repeats")?.unwrap_or(5);
     let report = HotpathReport {
-        // Sizes where the scan asymptotics dominate the bucket-index
-        // constant factor; at a few hundred holes the two lists trade
-        // blows (the linear Vec scan is cache-friendly), and tiny
-        // lists favor the linear scan outright — `benches/hotpath.rs`
-        // keeps the small sizes for the full picture, the regression
-        // gate only pins the ratios that are stable.
-        free_list: [2048u64, 8192]
-            .into_iter()
-            .map(|holes| free_list_probe(repeats, holes))
-            .collect(),
         analysis_reuse: ["E1", "E3", "MPEG"]
             .into_iter()
             .map(|name| analysis_probe(repeats, name, 2, 8))

@@ -178,17 +178,6 @@ pub enum Event {
         /// Free-list state hash after the release.
         free_hash: u64,
     },
-    /// A live allocation grew in place.
-    FbExtend {
-        /// FB set index.
-        set: u8,
-        /// Instance label.
-        label: String,
-        /// The added `(start, len)` range.
-        added: (u64, u64),
-        /// Free-list state hash after the growth.
-        free_hash: u64,
-    },
     /// The allocation walk completed and was validated.
     AllocationChecked {
         /// Peak occupancy of set 0 in words.
@@ -846,15 +835,6 @@ pub fn render_explain(events: &[Event]) -> String {
                     out,
                     "  fb set{set}: free {label} {}",
                     fmt_segments(segments)
-                );
-            }
-            Event::FbExtend {
-                set, label, added, ..
-            } => {
-                let _ = writeln!(
-                    out,
-                    "  fb set{set}: extend {label} {}",
-                    fmt_segments(&[*added])
                 );
             }
             Event::AllocationChecked {

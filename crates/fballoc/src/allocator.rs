@@ -10,21 +10,6 @@ use crate::stats::AllocStats;
 use crate::trace::{TraceEvent, TraceKind};
 use crate::AllocError;
 
-/// Which free block a contiguous allocation picks.
-///
-/// The paper chooses first-fit "as FB is not a large memory and as data
-/// and result sizes are similar"; best-fit exists for the ablation that
-/// tests that argument.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum FitPolicy {
-    /// Take the first block (in direction order) that fits — the
-    /// paper's choice.
-    #[default]
-    FirstFit,
-    /// Take the smallest block that fits.
-    BestFit,
-}
-
 /// Growth direction of an allocation request.
 ///
 /// The paper places long-lived objects (shared data, kernel input data,
@@ -118,14 +103,12 @@ impl Allocation {
 ///
 /// Produced by [`FbAllocator::checkpoint`] and consumed by
 /// [`FbAllocator::rollback`]. Restoring a checkpoint is bit-identical
-/// to never having mutated: the indexed free list (address-ordered
-/// block map, size buckets, occupancy mask), the live-allocation
-/// table, the handle counter, the statistics, and the trace length are
-/// all rewound. The fit policy is construction-time configuration and
-/// is not part of the snapshot.
+/// to never having mutated: the free list, the live-allocation table,
+/// the handle counter, the statistics, and the trace length are all
+/// rewound.
 ///
-/// Checkpoints are cheap clones of the allocator's small indexed
-/// structures (the FB holds kilobytes, not gigabytes), and `rollback`
+/// Checkpoints are cheap clones of the allocator's small structures
+/// (the FB holds kilobytes, not gigabytes), and `rollback`
 /// is a plain O(1) move of those structures back into place — the
 /// what-if discipline search schedulers need when exploring many
 /// retention branches against one allocator.
@@ -163,7 +146,6 @@ pub struct FbAllocator {
     next_handle: u64,
     stats: AllocStats,
     trace: Option<Vec<TraceEvent>>,
-    policy: FitPolicy,
 }
 
 impl FbAllocator {
@@ -176,22 +158,7 @@ impl FbAllocator {
             next_handle: 0,
             stats: AllocStats::default(),
             trace: None,
-            policy: FitPolicy::FirstFit,
         }
-    }
-
-    /// An allocator with an explicit block-selection policy.
-    #[must_use]
-    pub fn with_policy(capacity: Words, policy: FitPolicy) -> Self {
-        let mut a = FbAllocator::new(capacity);
-        a.policy = policy;
-        a
-    }
-
-    /// The block-selection policy in use.
-    #[must_use]
-    pub fn policy(&self) -> FitPolicy {
-        self.policy
     }
 
     /// Like [`new`](Self::new), but records a [`TraceEvent`] per
@@ -314,11 +281,7 @@ impl FbAllocator {
             return Err(AllocError::ZeroSize);
         }
         let from_upper = matches!(direction, Direction::FromUpper);
-        let taken = match self.policy {
-            FitPolicy::FirstFit => self.free.take_first_fit(size, from_upper),
-            FitPolicy::BestFit => self.free.take_best_fit(size, from_upper),
-        };
-        let Some(start) = taken else {
+        let Some(start) = self.free.take_first_fit(size, from_upper) else {
             self.stats.record_failure();
             return Err(AllocError::NoContiguousBlock {
                 requested: size,
@@ -425,77 +388,6 @@ impl FbAllocator {
             remaining -= piece;
         }
         Ok(self.commit(label.into(), segments, Some(direction)))
-    }
-
-    /// Grows a live allocation in place by `extra` words, extending its
-    /// highest segment upwards (the adjacent addresses must be free) —
-    /// the incremental variant of re-allocating a batched object when
-    /// the reuse factor rises.
-    ///
-    /// Returns the added segment.
-    ///
-    /// # Errors
-    ///
-    /// [`AllocError::ZeroSize`] for empty requests;
-    /// [`AllocError::UnknownHandle`] if `handle` is not live;
-    /// [`AllocError::OutOfBounds`] if growth would pass the set end;
-    /// [`AllocError::RangeNotFree`] if another object occupies the
-    /// adjacent range (nothing is changed in that case).
-    pub fn extend_handle(
-        &mut self,
-        handle: AllocHandle,
-        extra: Words,
-    ) -> Result<Segment, AllocError> {
-        if extra.is_zero() {
-            return Err(AllocError::ZeroSize);
-        }
-        let Some(alloc) = self.live.get(&handle) else {
-            return Err(AllocError::UnknownHandle);
-        };
-        let Some(top) = alloc.segments.last() else {
-            // Every commit stores at least one segment; an empty live
-            // allocation means the table is corrupt.
-            debug_assert!(false, "live allocation has no segments");
-            return Err(AllocError::Corrupted("live allocation has no segments"));
-        };
-        let label = alloc.label.clone();
-        let start = top.end();
-        if start + extra.get() > self.capacity().get() {
-            return Err(AllocError::OutOfBounds {
-                start,
-                size: extra,
-                capacity: self.capacity(),
-            });
-        }
-        if !self.free.take_at(start, extra) {
-            return Err(AllocError::RangeNotFree { start, size: extra });
-        }
-        let added = Segment { start, len: extra };
-        let last = self
-            .live
-            .get_mut(&handle)
-            .and_then(|a| a.segments.last_mut());
-        let Some(last) = last else {
-            // The handle resolved moments ago; losing it between the
-            // two lookups means the table is corrupt. Give the carved
-            // range back so state stays consistent.
-            debug_assert!(false, "live table lost a handle mid-extend");
-            self.free.insert(start, extra);
-            return Err(AllocError::Corrupted("live table lost a handle mid-extend"));
-        };
-        last.len += extra;
-        let segments = vec![added];
-        self.stats.record_extend(extra, self.used());
-        if let Some(trace) = &mut self.trace {
-            trace.push(TraceEvent::new(
-                TraceKind::Extend,
-                label,
-                segments,
-                None,
-                self.free.state_hash(),
-            ));
-        }
-        Ok(added)
     }
 
     /// Frees an allocation, returning its space to the free list with
@@ -725,107 +617,6 @@ mod tests {
     }
 
     #[test]
-    fn best_fit_prefers_tightest_hole() {
-        let mut fb = FbAllocator::with_policy(Words::new(100), FitPolicy::BestFit);
-        assert_eq!(fb.policy(), FitPolicy::BestFit);
-        // Holes: [0,10) free, [10,40) pinned, [40,48) free, [48,90) pinned, [90,100) free.
-        let _p1 = fb.alloc_at("p1", 10, Words::new(30)).expect("free");
-        let _p2 = fb.alloc_at("p2", 48, Words::new(42)).expect("free");
-        // 8 words: best fit is the [40,48) hole, regardless of direction.
-        let a = fb
-            .alloc("a", Words::new(8), Direction::FromLower)
-            .expect("fits");
-        assert_eq!(a.start(), 40);
-        // First-fit from lower would have used [0,10).
-        let mut ff = FbAllocator::new(Words::new(100));
-        let _p1 = ff.alloc_at("p1", 10, Words::new(30)).expect("free");
-        let _p2 = ff.alloc_at("p2", 48, Words::new(42)).expect("free");
-        let b = ff
-            .alloc("b", Words::new(8), Direction::FromLower)
-            .expect("fits");
-        assert_eq!(b.start(), 0);
-    }
-
-    #[test]
-    fn best_fit_tie_break_follows_direction() {
-        // Two equal 10-word holes at [0,10) and [90,100).
-        let mut fb = FbAllocator::with_policy(Words::new(100), FitPolicy::BestFit);
-        let _pin = fb.alloc_at("pin", 10, Words::new(80)).expect("free");
-        let hi = fb
-            .alloc("hi", Words::new(4), Direction::FromUpper)
-            .expect("fits");
-        assert_eq!(hi.start(), 96, "equal holes: upper direction wins the tie");
-        // Holes now 10w at [0,10) and 6w at [90,96): best fit is the 6w one.
-        let lo = fb
-            .alloc("lo", Words::new(4), Direction::FromLower)
-            .expect("fits");
-        assert_eq!(lo.start(), 90);
-    }
-
-    #[test]
-    fn extend_grows_in_place() {
-        let mut fb = FbAllocator::with_trace(Words::new(100));
-        let a = fb
-            .alloc("buf", Words::new(10), Direction::FromLower)
-            .expect("fits");
-        let added = fb.extend_handle(a.handle(), Words::new(5)).expect("free");
-        assert_eq!(
-            added,
-            Segment {
-                start: 10,
-                len: Words::new(5)
-            }
-        );
-        let live = fb.allocation(a.handle()).expect("live");
-        assert_eq!(live.size(), Words::new(15));
-        assert_eq!(live.segments().len(), 1, "stays contiguous");
-        assert_eq!(fb.used(), Words::new(15));
-        // Blocking the adjacent range makes a further extend fail
-        // without changing anything.
-        let _pin = fb.alloc_at("pin", 15, Words::new(5)).expect("free");
-        let err = fb.extend_handle(a.handle(), Words::new(5)).unwrap_err();
-        assert!(matches!(err, AllocError::RangeNotFree { start: 15, .. }));
-        assert_eq!(
-            fb.allocation(a.handle()).expect("live").size(),
-            Words::new(15)
-        );
-        // Freeing returns the merged range in one piece.
-        fb.free_handle(a.handle()).expect("live");
-        assert_eq!(fb.used(), Words::new(5));
-        let trace = fb.trace().expect("tracing enabled");
-        assert_eq!(trace[1].kind(), TraceKind::Extend);
-        assert_eq!(trace[1].label(), "buf");
-        assert_eq!(trace[1].free_hash(), {
-            // Hash recorded mid-trace matches an independent replay.
-            let mut fl = crate::FreeList::new(Words::new(100));
-            assert!(fl.take_at(0, Words::new(15)));
-            fl.state_hash()
-        });
-    }
-
-    #[test]
-    fn extend_edge_cases() {
-        let mut fb = FbAllocator::new(Words::new(10));
-        let a = fb
-            .alloc("a", Words::new(8), Direction::FromLower)
-            .expect("fits");
-        assert_eq!(
-            fb.extend_handle(a.handle(), Words::ZERO).unwrap_err(),
-            AllocError::ZeroSize
-        );
-        assert!(matches!(
-            fb.extend_handle(a.handle(), Words::new(5)).unwrap_err(),
-            AllocError::OutOfBounds { .. }
-        ));
-        fb.free(a).expect("live");
-        let stale = AllocHandle(0);
-        assert_eq!(
-            fb.extend_handle(stale, Words::new(1)).unwrap_err(),
-            AllocError::UnknownHandle
-        );
-    }
-
-    #[test]
     fn trace_events_carry_direction_and_hash() {
         let mut fb = FbAllocator::with_trace(Words::new(64));
         let a = fb
@@ -855,12 +646,11 @@ mod tests {
         let stats = *fb.stats();
         assert_eq!(cp.free_list_hash(), hash);
         // Mutate heavily: allocs in both directions, a pinned carve, a
-        // split, an extend, and a free of the pre-checkpoint block.
-        let a = fb
+        // split, and a free of the pre-checkpoint block.
+        let _ = fb
             .alloc("a", Words::new(7), Direction::FromLower)
             .expect("fits");
         let _ = fb.alloc_at("pin", 40, Words::new(9)).expect("free");
-        fb.extend_handle(a.handle(), Words::new(3)).expect("free");
         fb.free_handle(keep.handle()).expect("live");
         let _ = fb
             .alloc_split("wide", Words::new(30), Direction::FromUpper)

@@ -53,11 +53,9 @@ mod regularity;
 mod stats;
 mod trace;
 
-pub use allocator::{
-    AllocHandle, Allocation, Checkpoint, Direction, FbAllocator, FitPolicy, Segment,
-};
+pub use allocator::{AllocHandle, Allocation, Checkpoint, Direction, FbAllocator, Segment};
 pub use error::AllocError;
-pub use free_list::{FreeList, LinearFreeList};
+pub use free_list::FreeList;
 pub use regularity::PlacementMemory;
 pub use stats::AllocStats;
 pub use trace::{render_map, render_map_at, render_peak_map, TraceEvent, TraceKind};

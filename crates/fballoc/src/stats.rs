@@ -72,11 +72,6 @@ impl AllocStats {
         self.peak_used = self.peak_used.max(used_after);
     }
 
-    pub(crate) fn record_extend(&mut self, extra: Words, used_after: Words) {
-        self.words_allocated += extra;
-        self.peak_used = self.peak_used.max(used_after);
-    }
-
     pub(crate) fn record_free(&mut self, size: Words) {
         self.frees += 1;
         self.words_freed += size;

@@ -5,17 +5,13 @@ use serde::{Deserialize, Serialize};
 
 use crate::allocator::{Direction, Segment};
 
-/// Whether a trace event records an allocation, a release, or an
-/// in-place growth of a live allocation.
+/// Whether a trace event records an allocation or a release.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum TraceKind {
     /// Space was claimed.
     Alloc,
     /// Space was released back to the free list.
     Free,
-    /// A live allocation grew in place; the event's segments are the
-    /// *added* range only.
-    Extend,
 }
 
 /// One allocator action, labelled with the object it concerned.
@@ -45,7 +41,7 @@ impl TraceEvent {
         }
     }
 
-    /// Alloc, free, or extend.
+    /// Alloc or free.
     #[must_use]
     pub fn kind(&self) -> TraceKind {
         self.kind
@@ -126,7 +122,7 @@ pub fn render_map_at(events: &[TraceEvent], capacity: Words, rows: usize, upto: 
             for w in seg.start..seg.end() {
                 let w = usize::try_from(w).expect("address fits usize");
                 owner[w] = match ev.kind() {
-                    TraceKind::Alloc | TraceKind::Extend => Some(ev.label()),
+                    TraceKind::Alloc => Some(ev.label()),
                     TraceKind::Free => None,
                 };
             }
@@ -148,7 +144,7 @@ pub fn render_peak_map(events: &[TraceEvent], capacity: Words, rows: usize) -> S
             .map(|s| i64::try_from(s.len.get()).expect("segment fits i64"))
             .sum();
         match ev.kind() {
-            TraceKind::Alloc | TraceKind::Extend => occupied += words,
+            TraceKind::Alloc => occupied += words,
             TraceKind::Free => occupied -= words,
         }
         if occupied > best.1 {

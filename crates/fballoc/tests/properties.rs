@@ -3,7 +3,7 @@
 use std::collections::HashMap;
 
 use mcds_fballoc::{
-    AllocError, Allocation, Direction, FbAllocator, FreeList, LinearFreeList, TraceEvent, TraceKind,
+    AllocError, Allocation, Direction, FbAllocator, FreeList, TraceEvent, TraceKind,
 };
 use mcds_model::Words;
 use proptest::prelude::*;
@@ -14,7 +14,6 @@ enum Action {
     Alloc { size: u64, upper: bool },
     AllocSplit { size: u64, upper: bool },
     AllocAt { start: u64, size: u64 },
-    ExtendNewest { extra: u64 },
     FreeOldest,
     FreeNewest,
 }
@@ -24,14 +23,12 @@ fn action_strategy(cap: u64) -> impl Strategy<Value = Action> {
         (1..=cap / 2, any::<bool>()).prop_map(|(size, upper)| Action::Alloc { size, upper }),
         (1..=cap / 2, any::<bool>()).prop_map(|(size, upper)| Action::AllocSplit { size, upper }),
         (0..cap, 1..=cap / 4).prop_map(|(start, size)| Action::AllocAt { start, size }),
-        (1..=cap / 8).prop_map(|extra| Action::ExtendNewest { extra }),
         Just(Action::FreeOldest),
         Just(Action::FreeNewest),
     ]
 }
 
-/// Applies one action to `fb`, keeping `live` in sync (extends refresh
-/// the stored copy so its segments stay accurate).
+/// Applies one action to `fb`, keeping `live` in sync.
 fn apply(fb: &mut FbAllocator, live: &mut Vec<Allocation>, i: usize, action: Action) {
     match action {
         Action::Alloc { size, upper } => {
@@ -66,20 +63,6 @@ fn apply(fb: &mut FbAllocator, live: &mut Vec<Allocation>, i: usize, action: Act
                 live.push(a);
             }
         }
-        Action::ExtendNewest { extra } => {
-            if let Some(last) = live.last_mut() {
-                match fb.extend_handle(last.handle(), Words::new(extra)) {
-                    Ok(_) => {
-                        *last = fb
-                            .allocation(last.handle())
-                            .expect("still live after extend")
-                            .clone();
-                    }
-                    Err(AllocError::RangeNotFree { .. } | AllocError::OutOfBounds { .. }) => {}
-                    Err(e) => prop_assert!(false, "unexpected extend error: {e}"),
-                }
-            }
-        }
         Action::FreeOldest => {
             if !live.is_empty() {
                 let a = live.remove(0);
@@ -99,8 +82,8 @@ fn apply(fb: &mut FbAllocator, live: &mut Vec<Allocation>, i: usize, action: Act
 ///
 /// * an `Alloc`'s segments carve out of free space — so no two live
 ///   blocks ever overlap;
-/// * every `Free`/`Extend` names a previously allocated, still-live
-///   label, and a `Free` returns exactly the words the object held;
+/// * every `Free` names a previously allocated, still-live label and
+///   returns exactly the words the object held;
 /// * the `free_hash` recorded on every event equals the hash recomputed
 ///   from the shadow list after applying it.
 fn verify_replay(events: &[TraceEvent], capacity: Words) {
@@ -125,18 +108,6 @@ fn verify_replay(events: &[TraceEvent], capacity: Words) {
                     );
                 }
                 live_words.insert(ev.label().to_owned(), words);
-            }
-            TraceKind::Extend => {
-                let held = live_words.get_mut(ev.label());
-                prop_assert!(held.is_some(), "extend of never-allocated {}", ev.label());
-                for seg in ev.segments() {
-                    prop_assert!(
-                        shadow.take_at(seg.start, seg.len),
-                        "extend {} overlaps a live block",
-                        ev.label()
-                    );
-                }
-                *held.expect("checked above") += words;
             }
             TraceKind::Free => {
                 let held = live_words.remove(ev.label());
@@ -186,38 +157,6 @@ fn assert_allocators_identical(a: &FbAllocator, b: &FbAllocator) {
         v
     };
     assert_eq!(layout(a), layout(b), "live segment layout diverged");
-}
-
-/// Mirrors allocator trace events from `cursor` onwards onto a linear
-/// free-list oracle, then checks the allocator's indexed free list
-/// still hashes identically to the oracle. Returns the new cursor.
-fn mirror_onto_linear(fb: &FbAllocator, linear: &mut LinearFreeList, cursor: usize) -> usize {
-    let events = fb.trace().expect("tracing enabled");
-    for ev in &events[cursor..] {
-        match ev.kind() {
-            TraceKind::Alloc | TraceKind::Extend => {
-                for seg in ev.segments() {
-                    assert!(
-                        linear.take_at(seg.start, seg.len),
-                        "oracle could not carve {}..{}",
-                        seg.start,
-                        seg.end()
-                    );
-                }
-            }
-            TraceKind::Free => {
-                for seg in ev.segments() {
-                    linear.insert(seg.start, seg.len);
-                }
-            }
-        }
-    }
-    assert_eq!(
-        fb.free_list_hash(),
-        linear.state_hash(),
-        "indexed free list diverged from the linear oracle"
-    );
-    events.len()
 }
 
 /// Checks that no two live allocations overlap and that accounting adds
@@ -271,7 +210,7 @@ proptest! {
             apply(&mut fb, &mut live, i, action);
         }
         // Free the survivors too so the stream exercises every live
-        // object's full alloc→(extend)*→free cycle.
+        // object's full alloc→free cycle.
         for a in live.drain(..) {
             fb.free(a).expect("was live");
         }
@@ -279,7 +218,7 @@ proptest! {
         verify_replay(&events, Words::new(cap));
     }
 
-    /// Checkpoint → arbitrary alloc/free/extend interleavings →
+    /// Checkpoint → arbitrary alloc/free interleavings →
     /// rollback must be bit-identical to never having mutated: every
     /// observable is restored, and the rolled-back allocator then
     /// behaves step-for-step like a clone that never saw the branch.
@@ -315,49 +254,6 @@ proptest! {
             apply(&mut oracle, &mut oracle_live, 2000 + i, action);
             assert_allocators_identical(&fb, &oracle);
         }
-    }
-
-    /// Differential form of the round-trip: the allocator's indexed
-    /// free list is mirrored (via its trace) onto the retained
-    /// [`LinearFreeList`] oracle. Checkpointing the allocator while
-    /// cloning the oracle, mutating, then rolling one back and
-    /// restoring the other must leave the pair in lockstep — same
-    /// `state_hash` after every subsequent step.
-    #[test]
-    fn rollback_keeps_lockstep_with_the_linear_oracle(
-        cap in 16u64..256,
-        prefix in prop::collection::vec(action_strategy(64), 0..24),
-        branch in prop::collection::vec(action_strategy(64), 1..32),
-        suffix in prop::collection::vec(action_strategy(64), 0..24),
-    ) {
-        let mut fb = FbAllocator::with_trace(Words::new(cap));
-        let mut linear = LinearFreeList::new(Words::new(cap));
-        let mut live: Vec<Allocation> = Vec::new();
-        let mut cursor = 0;
-        for (i, action) in prefix.into_iter().enumerate() {
-            apply(&mut fb, &mut live, i, action);
-            cursor = mirror_onto_linear(&fb, &mut linear, cursor);
-        }
-        let cp = fb.checkpoint();
-        let linear_cp = linear.clone();
-        let live_cp = live.clone();
-        for (i, action) in branch.into_iter().enumerate() {
-            apply(&mut fb, &mut live, 1000 + i, action);
-            cursor = mirror_onto_linear(&fb, &mut linear, cursor);
-        }
-        fb.rollback(cp);
-        linear = linear_cp;
-        live = live_cp;
-        // Rollback also rewound the trace, so the mirror cursor moves
-        // back with it.
-        cursor = fb.trace().expect("tracing survives rollback").len();
-        prop_assert_eq!(fb.free_list_hash(), linear.state_hash());
-        for (i, action) in suffix.into_iter().enumerate() {
-            apply(&mut fb, &mut live, 2000 + i, action);
-            cursor = mirror_onto_linear(&fb, &mut linear, cursor);
-        }
-        let _ = cursor;
-        check_invariants(&fb, &live);
     }
 
     #[test]
