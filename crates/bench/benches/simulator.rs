@@ -16,16 +16,15 @@ fn pipeline_schedule(stages: usize) -> OpSchedule {
     let mut b = OpScheduleBuilder::new();
     for s in 0..stages {
         let set = if s % 2 == 0 { FbSet::Set0 } else { FbSet::Set1 };
-        let ctx = b.load_context(format!("ctx{s}"), 128, &[]);
-        let load = b.load_data(format!("load{s}"), set, Words::new(256), &[]);
+        let ctx = b.load_context(128, &[]);
+        let load = b.load_data(set, Words::new(256), &[]);
         let comp = b.compute(
-            format!("comp{s}"),
             KernelId::new((s % 8) as u32),
             set,
             Cycles::new(300),
             &[ctx, load],
         );
-        b.store_data(format!("store{s}"), set, Words::new(128), &[comp]);
+        b.store_data(set, Words::new(128), &[comp]);
     }
     b.build().expect("valid schedule")
 }

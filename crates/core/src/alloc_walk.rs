@@ -7,8 +7,6 @@
 //! — the properties §6 of the paper reports on ("for all examples no
 //! data or result has to be split into several parts").
 
-use std::collections::{HashMap, HashSet};
-
 use mcds_fballoc::{
     render_peak_map, AllocError, AllocHandle, Direction, FbAllocator, PlacementMemory,
 };
@@ -199,12 +197,18 @@ impl<'a> AllocationWalk<'a> {
     ) -> Result<(AllocationReport, Vec<PlacementRecord>), AllocError> {
         let total_rounds = self.app.iterations().div_ceil(self.rf);
         let rounds = rounds.min(total_rounds);
-        let mut state = WalkState::new(self.capacity, traced, record, self.observer);
+        let objects = self.app.data().len();
+        let mut state = WalkState::new(self.capacity, objects, traced, record, self.observer);
+        let mut bufs = StageBuffers {
+            held: Vec::new(),
+            placed: vec![false; objects],
+            steps: Vec::new(),
+        };
 
         for round in 0..rounds {
             let iters = self.rf.min(self.app.iterations() - round * self.rf);
             for cluster in self.sched.clusters() {
-                self.walk_stage(&mut state, round, cluster.id(), iters)?;
+                self.walk_stage(&mut state, &mut bufs, round, cluster.id(), iters)?;
             }
         }
 
@@ -215,6 +219,7 @@ impl<'a> AllocationWalk<'a> {
     fn walk_stage(
         &self,
         state: &mut WalkState<'_>,
+        bufs: &mut StageBuffers,
         round: u64,
         c: ClusterId,
         iters: u64,
@@ -223,6 +228,12 @@ impl<'a> AllocationWalk<'a> {
         let set = self.sched.fb_set(c);
         let si = set.index();
         let replacement = self.model == FootprintModel::Replacement;
+        // A retained `d` whose last reader comes after `c` stays resident.
+        let kept_past_c = |d: DataId| {
+            self.retention
+                .release_after(d, set)
+                .is_some_and(|rel| rel > c)
+        };
 
         // The previous same-set stage's stores have been drained by now.
         state.drain_pending(si)?;
@@ -230,16 +241,17 @@ impl<'a> AllocationWalk<'a> {
         // (a) Shared data held by this cluster, farthest consumer first
         //     ("For v = last cluster down to c+2 do
         //       allocated_shared_data(c,v,RF)").
-        let mut done: HashSet<DataId> = HashSet::new();
-        let mut held: Vec<_> = self
-            .retention
-            .candidates()
-            .iter()
-            .filter(|cand| cand.holder() == c && cand.kind() == RetainedKind::SharedData)
-            .collect();
-        held.sort_by_key(|cand| std::cmp::Reverse(cand.last()));
-        for cand in held {
-            let d = cand.data();
+        bufs.placed.fill(false);
+        bufs.held.clear();
+        bufs.held.extend(
+            self.retention
+                .candidates()
+                .iter()
+                .filter(|cand| cand.holder() == c && cand.kind() == RetainedKind::SharedData)
+                .map(|cand| (cand.last(), cand.data())),
+        );
+        bufs.held.sort_by_key(|&(last, _)| std::cmp::Reverse(last));
+        for &(_, d) in &bufs.held {
             state.alloc_instances(
                 self.app,
                 si,
@@ -248,7 +260,7 @@ impl<'a> AllocationWalk<'a> {
                 Direction::FromUpper,
                 PlacementRole::SharedData,
             )?;
-            done.insert(d);
+            bufs.placed[d.index()] = true;
         }
 
         // (b) Remaining kernel input data, last kernel first
@@ -256,7 +268,9 @@ impl<'a> AllocationWalk<'a> {
         //       allocate_kernel_data(c,k,RF)").
         for &k in self.sched.cluster(c).kernels().iter().rev() {
             for &d in self.app.kernel(k).inputs() {
-                if !self.lifetimes.loads(c).contains(&d) || !done.insert(d) {
+                if !self.lifetimes.loads(c).contains(&d)
+                    || std::mem::replace(&mut bufs.placed[d.index()], true)
+                {
                     continue;
                 }
                 if self.retention.skips_load(c, d) || state.is_live(si, d) {
@@ -276,36 +290,40 @@ impl<'a> AllocationWalk<'a> {
         }
 
         // (c) Execute: iteration-major kernel sweep, allocating results
-        //     and releasing dead objects.
-        for slot in 0..iters {
-            for (pos, &k) in self.sched.cluster(c).kernels().iter().enumerate() {
-                let kernel = self.app.kernel(k);
-                for &d in kernel.outputs() {
-                    let shared_result =
-                        self.retention.interval(d, set).is_some_and(|(h, _)| h == c);
-                    let (dir, role) = if shared_result {
-                        (Direction::FromUpper, PlacementRole::SharedResult)
-                    } else if self.lifetimes.stores(c).contains(&d) {
-                        (Direction::FromLower, PlacementRole::FinalResult)
-                    } else {
-                        (Direction::FromLower, PlacementRole::Intermediate)
-                    };
-                    state.alloc_instance(self.app, si, d, slot, dir, role)?;
-                }
-                if replacement {
-                    for &d in kernel.inputs() {
-                        if self.lifetimes.last_use_in(c, d) != Some(pos) {
-                            continue;
-                        }
-                        if self
-                            .retention
-                            .release_after(d, set)
-                            .is_some_and(|rel| rel > c)
-                        {
-                            continue; // retained for a later cluster
-                        }
-                        state.free_instance(si, d, slot)?;
+        //     and releasing dead objects. Which branch places an output
+        //     and which inputs die after a kernel do not depend on the
+        //     iteration slot, so they are decided once for the stage.
+        bufs.steps.clear();
+        for (pos, &k) in self.sched.cluster(c).kernels().iter().enumerate() {
+            let kernel = self.app.kernel(k);
+            for &d in kernel.outputs() {
+                let shared_result = self.retention.interval(d, set).is_some_and(|(h, _)| h == c);
+                let (dir, role) = if shared_result {
+                    (Direction::FromUpper, PlacementRole::SharedResult)
+                } else if self.lifetimes.stores(c).contains(&d) {
+                    (Direction::FromLower, PlacementRole::FinalResult)
+                } else {
+                    (Direction::FromLower, PlacementRole::Intermediate)
+                };
+                bufs.steps.push(Step::Alloc(d, dir, role));
+            }
+            if replacement {
+                for &d in kernel.inputs() {
+                    // Released after its last reader, unless retained
+                    // for a later cluster.
+                    if self.lifetimes.last_use_in(c, d) == Some(pos) && !kept_past_c(d) {
+                        bufs.steps.push(Step::Release(d));
                     }
+                }
+            }
+        }
+        for slot in 0..iters {
+            for &step in &bufs.steps {
+                match step {
+                    Step::Alloc(d, dir, role) => {
+                        state.alloc_instance(self.app, si, d, slot, dir, role)?;
+                    }
+                    Step::Release(d) => state.free_instance(si, d, slot)?,
                 }
             }
         }
@@ -316,11 +334,7 @@ impl<'a> AllocationWalk<'a> {
         //     released; retained objects whose last consumer was `c`
         //     are released too.
         for &d in self.lifetimes.stores(c) {
-            if self
-                .retention
-                .release_after(d, set)
-                .is_some_and(|rel| rel > c)
-            {
+            if kept_past_c(d) {
                 continue; // retained result stays resident
             }
             state.make_pending(si, d, iters);
@@ -328,11 +342,7 @@ impl<'a> AllocationWalk<'a> {
         if !replacement {
             // Basic model: inputs and locals die at stage end.
             for &d in self.lifetimes.loads(c) {
-                if self
-                    .retention
-                    .release_after(d, set)
-                    .is_some_and(|rel| rel > c)
-                {
+                if kept_past_c(d) {
                     continue;
                 }
                 state.free_all_instances(si, d, iters)?;
@@ -341,21 +351,38 @@ impl<'a> AllocationWalk<'a> {
                 state.free_all_instances(si, d, iters)?;
             }
         }
-        // Retained objects released after their last consumer.
-        let expired: Vec<(usize, DataId)> = self
-            .retention
-            .candidates()
-            .iter()
-            .filter(|cand| cand.last() == c)
-            .map(|cand| (cand.set().index(), cand.data()))
-            .collect();
-        for (owner_si, d) in expired {
-            // The retained copy lives on the candidate's set, which for
-            // a cross-set candidate differs from this cluster's set.
-            state.free_all_instances(owner_si, d, iters)?;
+        // Retained objects released after their last consumer. The
+        // retained copy lives on the candidate's set, which for a
+        // cross-set candidate differs from this cluster's set.
+        for cand in self.retention.candidates() {
+            if cand.last() == c {
+                state.free_all_instances(cand.set().index(), cand.data(), iters)?;
+            }
         }
         Ok(())
     }
+}
+
+/// One per-slot action of a stage's execute sweep: allocate a kernel
+/// output under its Figure 4 branch, or release an input after its
+/// last reader.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    Alloc(DataId, Direction, PlacementRole),
+    Release(DataId),
+}
+
+/// Buffers one stage fills and the next reuses, so a walk allocates
+/// them once.
+struct StageBuffers {
+    /// `(last consumer, object)` of the shared data the stage's
+    /// cluster holds.
+    held: Vec<(ClusterId, DataId)>,
+    /// Per object: already placed (or skipped) by this stage's input
+    /// phase.
+    placed: Vec<bool>,
+    /// The execute sweep's actions, in kernel order.
+    steps: Vec<Step>,
 }
 
 fn set_u8(si: usize) -> u8 {
@@ -369,17 +396,32 @@ struct WalkState<'a> {
     /// (round, cluster) of the stage being walked.
     at: (u64, ClusterId),
     record: bool,
+    /// Whether allocations get their `name#slot` label: only an
+    /// attached sink (alloc/free events) or a traced walk (occupancy
+    /// maps) ever reads one.
+    labelled: bool,
     placements: Vec<PlacementRecord>,
-    /// Live instances keyed by (set index, object, iteration slot) — a
+    /// Number of data objects: (set, object) pairs index the two
+    /// tables below as `set * objects + object`.
+    objects: usize,
+    /// Live instance handles per (set, object), by iteration slot — a
     /// table retained on both sets has an independent copy per set.
-    live: HashMap<(usize, DataId, u64), AllocHandle>,
+    live: Vec<Vec<Option<AllocHandle>>>,
+    /// Live instance count per (set, object).
+    live_count: Vec<u32>,
     pending: [Vec<AllocHandle>; 2],
     splits: u64,
     observer: Observer<'a>,
 }
 
 impl<'a> WalkState<'a> {
-    fn new(capacity: Words, traced: bool, record: bool, observer: Observer<'a>) -> Self {
+    fn new(
+        capacity: Words,
+        objects: usize,
+        traced: bool,
+        record: bool,
+        observer: Observer<'a>,
+    ) -> Self {
         let mk = || {
             if traced {
                 FbAllocator::with_trace(capacity)
@@ -398,8 +440,11 @@ impl<'a> WalkState<'a> {
             mems: [PlacementMemory::new(), PlacementMemory::new()],
             at: (0, ClusterId::new(0)),
             record,
+            labelled: traced || observer.active(),
             placements: Vec::new(),
-            live: HashMap::new(),
+            objects,
+            live: vec![Vec::new(); 2 * objects],
+            live_count: vec![0; 2 * objects],
             pending: [Vec::new(), Vec::new()],
             splits: 0,
             observer,
@@ -407,7 +452,29 @@ impl<'a> WalkState<'a> {
     }
 
     fn is_live(&self, si: usize, d: DataId) -> bool {
-        self.live.keys().any(|&(s, id, _)| s == si && id == d)
+        self.live_count[si * self.objects + d.index()] > 0
+    }
+
+    fn insert_live(&mut self, si: usize, d: DataId, slot: u64, handle: AllocHandle) {
+        let i = si * self.objects + d.index();
+        let slot = usize::try_from(slot).expect("slot fits usize");
+        let slots = &mut self.live[i];
+        if slots.len() <= slot {
+            slots.resize(slot + 1, None);
+        }
+        let prev = slots[slot].replace(handle);
+        debug_assert!(prev.is_none(), "instance double-allocated");
+        if prev.is_none() {
+            self.live_count[i] += 1;
+        }
+    }
+
+    fn take_live(&mut self, si: usize, d: DataId, slot: u64) -> Option<AllocHandle> {
+        let i = si * self.objects + d.index();
+        let slot = usize::try_from(slot).expect("slot fits usize");
+        let handle = self.live[i].get_mut(slot)?.take()?;
+        self.live_count[i] -= 1;
+        Some(handle)
     }
 
     fn drain_pending(&mut self, si: usize) -> Result<(), AllocError> {
@@ -471,7 +538,11 @@ impl<'a> WalkState<'a> {
         role: PlacementRole,
     ) -> Result<(), AllocError> {
         let size = app.size_of(d);
-        let label = format!("{}#{}", app.data_object(d).name(), slot);
+        let label = if self.labelled {
+            format!("{}#{}", app.data_object(d).name(), slot)
+        } else {
+            String::new()
+        };
         // Fault seam: a plan attached to the observer can force this
         // allocation to fail transiently or report simulated
         // corruption. `Injected` is never cached upstream.
@@ -526,13 +597,12 @@ impl<'a> WalkState<'a> {
                 role,
             });
         }
-        let prev = self.live.insert((si, d, slot), alloc.handle());
-        debug_assert!(prev.is_none(), "instance double-allocated");
+        self.insert_live(si, d, slot, alloc.handle());
         Ok(())
     }
 
     fn free_instance(&mut self, si: usize, d: DataId, slot: u64) -> Result<(), AllocError> {
-        if let Some(handle) = self.live.remove(&(si, d, slot)) {
+        if let Some(handle) = self.take_live(si, d, slot) {
             self.free_traced(si, handle)?;
         }
         Ok(())
@@ -540,6 +610,9 @@ impl<'a> WalkState<'a> {
 
     fn free_all_instances(&mut self, si: usize, d: DataId, iters: u64) -> Result<(), AllocError> {
         for slot in 0..iters {
+            if !self.is_live(si, d) {
+                break;
+            }
             self.free_instance(si, d, slot)?;
         }
         Ok(())
@@ -547,7 +620,10 @@ impl<'a> WalkState<'a> {
 
     fn make_pending(&mut self, si: usize, d: DataId, iters: u64) {
         for slot in 0..iters {
-            if let Some(handle) = self.live.remove(&(si, d, slot)) {
+            if !self.is_live(si, d) {
+                break;
+            }
+            if let Some(handle) = self.take_live(si, d, slot) {
                 self.pending[si].push(handle);
             }
         }

@@ -1,6 +1,6 @@
 //! Lowering a stage sequence to the simulator's op level.
 
-use mcds_model::{Application, ClusterSchedule, Cycles};
+use mcds_model::{Application, ClusterSchedule, Cycles, FbSet, Words};
 use mcds_sim::{OpId, OpSchedule, OpScheduleBuilder, SimError};
 
 use crate::StagePlan;
@@ -40,45 +40,48 @@ pub fn emit_ops(
     // the other set, and store(s-1) drains while computes(s) runs — the
     // paper's double buffering ("data from one set is used for current
     // computation, while the other set stores results … and loads data").
-    let mut deferred_store: Option<(String, mcds_model::FbSet, mcds_model::Words, OpId)> = None;
+    let mut deferred_store: Option<(FbSet, Words, OpId)> = None;
     for stage in stages {
         let c = stage.cluster();
         let set = sched.fb_set(c);
-        let tag = format!("r{}/{}", stage.round(), c);
 
-        let mut first_deps: Vec<OpId> = Vec::with_capacity(2);
+        // The stage's transfers the first kernel waits for: at most a
+        // context load and a data load.
+        let mut first_deps = [OpId::new(0); 2];
+        let mut first_len = 0;
         if stage.context_words() > 0 {
-            first_deps.push(b.load_context(format!("{tag} contexts"), stage.context_words(), &[]));
+            first_deps[first_len] = b.load_context(stage.context_words(), &[]);
+            first_len += 1;
         }
         if !stage.load_words().is_zero() {
-            first_deps.push(b.load_data(format!("{tag} data"), set, stage.load_words(), &[]));
+            first_deps[first_len] = b.load_data(set, stage.load_words(), &[]);
+            first_len += 1;
         }
-        if let Some((label, s_set, words, dep)) = deferred_store.take() {
-            b.store_data(label, s_set, words, &[dep]);
+        if let Some((s_set, words, dep)) = deferred_store.take() {
+            b.store_data(s_set, words, &[dep]);
         }
 
         let mut prev: Option<OpId> = None;
         for &k in sched.cluster(c).kernels() {
-            let kernel = app.kernel(k);
-            let cycles = kernel.exec_cycles() * stage.iters();
+            let cycles = app.kernel(k).exec_cycles() * stage.iters();
             if cycles.is_zero() {
                 continue;
             }
-            let deps: Vec<OpId> = match prev {
-                None => first_deps.clone(),
-                Some(p) => vec![p],
+            let deps = match &prev {
+                None => &first_deps[..first_len],
+                Some(p) => std::slice::from_ref(p),
             };
-            prev = Some(b.compute(format!("{tag} {}", kernel.name()), k, set, cycles, &deps));
+            prev = Some(b.compute(k, set, cycles, deps));
         }
 
         if !stage.store_words().is_zero() {
             if let Some(dep) = prev {
-                deferred_store = Some((format!("{tag} results"), set, stage.store_words(), dep));
+                deferred_store = Some((set, stage.store_words(), dep));
             }
         }
     }
-    if let Some((label, s_set, words, dep)) = deferred_store.take() {
-        b.store_data(label, s_set, words, &[dep]);
+    if let Some((s_set, words, dep)) = deferred_store.take() {
+        b.store_data(s_set, words, &[dep]);
     }
     b.build()
 }
@@ -190,7 +193,7 @@ mod tests {
         let compute_c1 = ops
             .ops()
             .iter()
-            .position(|o| o.label().contains("k1"))
+            .position(|o| matches!(o.kind(), OpKind::Compute { kernel, .. } if kernel.index() == 1))
             .expect("cluster 1 computes");
         let s = spans[store];
         let k = spans[compute_c1];

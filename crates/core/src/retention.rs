@@ -107,6 +107,18 @@ impl RetentionSet {
         self.skip_store.contains(&(c, d))
     }
 
+    /// The `(cluster, data)` loads this set skips, sorted. With
+    /// [`sorted_skipped_stores`](Self::sorted_skipped_stores), all that
+    /// [`build_stages`](crate::build_stages) reads of the set.
+    pub(crate) fn sorted_skipped_loads(&self) -> Vec<(ClusterId, DataId)> {
+        sorted_pairs(&self.skip_load)
+    }
+
+    /// The `(cluster, data)` stores this set skips, sorted.
+    pub(crate) fn sorted_skipped_stores(&self) -> Vec<(ClusterId, DataId)> {
+        sorted_pairs(&self.skip_store)
+    }
+
     /// Is `d` retained on any set?
     #[must_use]
     pub fn is_retained(&self, d: DataId) -> bool {
@@ -174,6 +186,12 @@ impl RetentionSet {
     pub fn avoided_per_iter(&self) -> Words {
         self.chosen.iter().map(Candidate::avoided_per_iter).sum()
     }
+}
+
+fn sorted_pairs(pairs: &HashSet<(ClusterId, DataId)>) -> Vec<(ClusterId, DataId)> {
+    let mut sorted: Vec<_> = pairs.iter().copied().collect();
+    sorted.sort_unstable();
+    sorted
 }
 
 /// Greedy selection: walk `candidates` in ranking order, keep each one

@@ -5,7 +5,7 @@ use std::sync::Arc;
 use mcds_csched::ContextScheduler;
 use mcds_model::{Application, ArchParams, ClusterSchedule, Words};
 use mcds_sim::{SimReport, Simulator};
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 use mcds_search::{
     search_retention, PruneReason, SearchConfig, SearchEvent, SearchItem, SearchOutcome,
@@ -15,13 +15,13 @@ use crate::emit::emit_ops;
 use crate::plan::build_stages;
 use crate::retention::rank_candidates;
 use crate::{
-    all_fit, canonical_value_hash, cluster_peak, first_unfit, select_greedy, select_greedy_with,
-    AllocationWalk, Candidate, Event, FootprintModel, LadderEval, Lifetimes, Observer,
-    RetentionRanking, RetentionSet, ScheduleAnalysis, ScheduleError, SchedulePlan,
+    all_fit, cluster_peak, first_unfit, select_greedy, select_greedy_with, AllocationWalk,
+    Candidate, Event, FootprintModel, LadderEval, LadderKey, Lifetimes, Observer, RetentionRanking,
+    RetentionSet, ScheduleAnalysis, ScheduleError, SchedulePlan,
 };
 
 /// How context loads are planned per stage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 #[non_exhaustive]
 pub enum ContextPolicy {
     /// Every cluster activation reloads its contexts — the model of the
@@ -663,9 +663,10 @@ fn plan_common(
 }
 
 /// One rung of the RF ladder: context plan, stages, ops, simulated
-/// makespan — memoized on the owning [`ScheduleAnalysis`] under
-/// [`ladder_eval_key`], so the greedy and search planners (and arch-only
-/// sweep variants) share evaluations of identical retentions.
+/// makespan — memoized on the owning [`ScheduleAnalysis`] under its
+/// [`LadderKey`], so the greedy and search planners (and arch-only
+/// sweep variants) share evaluations of retentions that skip the same
+/// transfers.
 #[allow(clippy::too_many_arguments)]
 fn eval_rung(
     app: &Application,
@@ -681,7 +682,7 @@ fn eval_rung(
     retention: &RetentionSet,
 ) -> Result<Arc<LadderEval>, ScheduleError> {
     analysis.ladder_eval(
-        ladder_eval_key(rf, retention, config, arch),
+        LadderKey::new(rf, retention, config, arch),
         || -> Result<LadderEval, ScheduleError> {
             let rounds = app.iterations().div_ceil(rf);
             let stage_clusters: Vec<usize> = (0..rounds).flat_map(|_| 0..sched.len()).collect();
@@ -1052,32 +1053,6 @@ fn select_search(
     (set, outcome)
 }
 
-/// The memo key of one RF-ladder rung: a canonical hash over every
-/// input of the (stages, ops, makespan) triple beyond the workload
-/// structure the owning [`ScheduleAnalysis`] is keyed by. The Frame
-/// Buffer capacity is deliberately absent — stage building, op
-/// emission, and the cycle simulation never read it (only the retention
-/// *selection* does, and the selected set is hashed by value here) —
-/// which is exactly what lets arch-only variants share rungs.
-fn ladder_eval_key(
-    rf: u64,
-    retention: &RetentionSet,
-    config: &SchedulerConfig,
-    arch: &ArchParams,
-) -> u64 {
-    let tree = Value::Seq(vec![
-        Value::Str("ladder".to_owned()),
-        Value::UInt(rf),
-        retention.to_value(),
-        config.context_policy.to_value(),
-        Value::UInt(u64::from(arch.cm_context_words())),
-        Value::UInt(arch.data_cycles_per_word()),
-        Value::UInt(arch.context_cycles_per_word()),
-        Value::UInt(arch.kernel_setup_cycles()),
-    ]);
-    canonical_value_hash(&tree)
-}
-
 fn id_u32(id: impl Into<usize>) -> u32 {
     u32::try_from(id.into()).expect("id fits u32")
 }
@@ -1192,7 +1167,7 @@ pub fn evaluate_observed(
         simulator.run_observed(ops, |i, start, finish| {
             observer.emit(|| Event::SimOp {
                 index: i,
-                kind: ops.ops()[i].label().to_owned(),
+                kind: ops.ops()[i].kind().to_string(),
                 start: start.get(),
                 finish: finish.get(),
             });
@@ -1237,8 +1212,8 @@ pub fn evaluate_with_analysis(
     if cfg!(feature = "sim-op-events") && observer.active() {
         return evaluate_observed(plan, arch, observer);
     }
-    let key = ladder_eval_key(plan.rf(), plan.retention(), config, arch);
-    let Some(eval) = analysis.ladder_hit(key) else {
+    let key = LadderKey::new(plan.rf(), plan.retention(), config, arch);
+    let Some(eval) = analysis.ladder_hit(&key) else {
         return evaluate_observed(plan, arch, observer);
     };
     let report = eval.report.clone();
@@ -1279,6 +1254,94 @@ mod tests {
 
     fn arch(fb: u64) -> ArchParams {
         ArchParams::m1_with_fb(Words::new(fb))
+    }
+
+    #[test]
+    fn evaluate_with_analysis_replays_the_chosen_rung() {
+        let (app, sched) = shared_app(16);
+        let (config, arch) = (SchedulerConfig::default(), arch(4096));
+        let analysis = ScheduleAnalysis::new(&app, &sched);
+        let plan = CdsScheduler::new()
+            .plan_with_analysis(&app, &sched, &arch, &analysis)
+            .expect("fits");
+        assert!(!plan.retention().is_empty());
+        let key = LadderKey::new(plan.rf(), plan.retention(), &config, &arch);
+        assert!(analysis.ladder_hit(&key).is_some(), "planning memoized it");
+        let fresh = evaluate(&plan, &arch).expect("runs");
+        let replayed = evaluate_with_analysis(&plan, &arch, &config, &analysis, Observer::none())
+            .expect("runs");
+        assert_eq!(replayed, fresh);
+
+        // A replay never looks at the plan's ops: the same rung with no
+        // ops still reports the memoized simulation.
+        let hollow = SchedulePlan::new(
+            plan.scheduler().to_owned(),
+            plan.rf(),
+            plan.stages().to_vec(),
+            plan.retention().clone(),
+            mcds_sim::OpScheduleBuilder::new().build().expect("empty"),
+            plan.allocation().clone(),
+        );
+        assert_eq!(
+            evaluate(&hollow, &arch).expect("runs").total(),
+            Cycles::ZERO
+        );
+        let replayed = evaluate_with_analysis(&hollow, &arch, &config, &analysis, Observer::none())
+            .expect("runs");
+        assert_eq!(replayed, fresh);
+    }
+
+    /// With `sim-op-events`, an observed evaluation narrates every op:
+    /// one event per op, in op order, its kind rendered by `OpKind`'s
+    /// `Display` and its span the simulated timeline's.
+    #[cfg(feature = "sim-op-events")]
+    #[test]
+    fn sim_op_events_narrate_every_op() {
+        use crate::VecSink;
+
+        let (app, sched) = shared_app(8);
+        let (config, arch) = (SchedulerConfig::default(), arch(4096));
+        let analysis = ScheduleAnalysis::new(&app, &sched);
+        let plan = CdsScheduler::new()
+            .plan_with_analysis(&app, &sched, &arch, &analysis)
+            .expect("fits");
+        let report = evaluate(&plan, &arch).expect("runs");
+        let sink = VecSink::new();
+        let observed = evaluate_with_analysis(
+            &plan,
+            &arch,
+            &config,
+            &analysis,
+            Observer::new(Some(&sink), None),
+        )
+        .expect("runs");
+        assert_eq!(observed, report);
+
+        let events: Vec<(usize, String, u64, u64)> = sink
+            .events()
+            .into_iter()
+            .filter_map(|event| match event {
+                Event::SimOp {
+                    index,
+                    kind,
+                    start,
+                    finish,
+                } => Some((index, kind, start, finish)),
+                _ => None,
+            })
+            .collect();
+        let ops = plan.ops().ops();
+        let spans = report.timeline().spans();
+        assert_eq!(events.len(), ops.len());
+        for (i, (index, kind, start, finish)) in events.into_iter().enumerate() {
+            assert_eq!(index, i);
+            assert_eq!(kind, ops[i].kind().to_string());
+            assert_eq!(spans[i].op.index(), i);
+            assert_eq!(
+                (start, finish),
+                (spans[i].start.get(), spans[i].finish.get())
+            );
+        }
     }
 
     #[test]

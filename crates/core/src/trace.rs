@@ -194,7 +194,9 @@ pub enum Event {
     SimOp {
         /// Index in the op schedule.
         index: usize,
-        /// Op kind and label, rendered.
+        /// The op's kind and resources, rendered by
+        /// [`OpKind`](mcds_sim::OpKind)'s `Display` (e.g.
+        /// `load set0 120w`, `compute k3 set1 400cy`).
         kind: String,
         /// Start cycle.
         start: u64,

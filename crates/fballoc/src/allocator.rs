@@ -1,7 +1,5 @@
 //! The Frame Buffer allocator: two-ended first-fit with splitting.
 
-use std::collections::HashMap;
-
 use mcds_model::Words;
 use serde::{Deserialize, Serialize};
 
@@ -44,16 +42,41 @@ impl Segment {
 }
 
 /// Opaque handle naming a live allocation.
+///
+/// It carries the allocation's serial number (its rank in allocation
+/// order) and the live-table slot it occupies. Slots are reused once
+/// freed, but serials never are, so a stale handle never names the
+/// slot's next occupant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-pub struct AllocHandle(u64);
+pub struct AllocHandle {
+    serial: u64,
+    slot: u32,
+}
+
+/// An allocation's address ranges: the one segment of a contiguous
+/// allocation inline, the pieces of a split one on the heap.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Segments {
+    One(Segment),
+    Split(Vec<Segment>),
+}
+
+impl Segments {
+    fn as_slice(&self) -> &[Segment] {
+        match self {
+            Segments::One(segment) => std::slice::from_ref(segment),
+            Segments::Split(segments) => segments,
+        }
+    }
+}
 
 /// A completed allocation: one segment normally, several if the object
 /// had to be split.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Allocation {
     handle: AllocHandle,
     label: String,
-    segments: Vec<Segment>,
+    segments: Segments,
 }
 
 impl Allocation {
@@ -63,7 +86,8 @@ impl Allocation {
         self.handle
     }
 
-    /// The label given at allocation time (e.g. `"r13"`).
+    /// The label given at allocation time (e.g. `"r13"`; empty when
+    /// the caller had no one to show it to).
     #[must_use]
     pub fn label(&self) -> &str {
         &self.label
@@ -72,19 +96,19 @@ impl Allocation {
     /// The segments, in ascending address order.
     #[must_use]
     pub fn segments(&self) -> &[Segment] {
-        &self.segments
+        self.segments.as_slice()
     }
 
     /// Total allocated size.
     #[must_use]
     pub fn size(&self) -> Words {
-        self.segments.iter().map(|s| s.len).sum()
+        self.segments().iter().map(|s| s.len).sum()
     }
 
     /// `true` if the object had to be split across multiple free blocks.
     #[must_use]
     pub fn is_split(&self) -> bool {
-        self.segments.len() > 1
+        matches!(self.segments, Segments::Split(_))
     }
 
     /// Start address — meaningful for contiguous allocations.
@@ -95,7 +119,7 @@ impl Allocation {
     /// allocations produced by [`FbAllocator`]).
     #[must_use]
     pub fn start(&self) -> u64 {
-        self.segments.first().expect("non-empty allocation").start
+        self.segments().first().expect("non-empty allocation").start
     }
 }
 
@@ -103,9 +127,9 @@ impl Allocation {
 ///
 /// Produced by [`FbAllocator::checkpoint`] and consumed by
 /// [`FbAllocator::rollback`]. Restoring a checkpoint is bit-identical
-/// to never having mutated: the free list, the live-allocation table,
-/// the handle counter, the statistics, and the trace length are all
-/// rewound.
+/// to never having mutated: the free list, the live-allocation table
+/// and its vacant slots, the serial counter, the statistics, and the
+/// trace length are all rewound.
 ///
 /// Checkpoints are cheap clones of the allocator's small structures
 /// (the FB holds kilobytes, not gigabytes), and `rollback`
@@ -115,8 +139,9 @@ impl Allocation {
 #[derive(Debug, Clone)]
 pub struct Checkpoint {
     free: FreeList,
-    live: HashMap<AllocHandle, Allocation>,
-    next_handle: u64,
+    live: Vec<Option<Allocation>>,
+    vacant: Vec<u32>,
+    next_serial: u64,
     stats: AllocStats,
     /// Trace length at snapshot time (`None` when tracing is off) so a
     /// rollback also drops events recorded by the rolled-back branch.
@@ -142,8 +167,12 @@ impl Checkpoint {
 #[derive(Debug, Clone)]
 pub struct FbAllocator {
     free: FreeList,
-    live: HashMap<AllocHandle, Allocation>,
-    next_handle: u64,
+    /// Live allocations by [`AllocHandle`] slot. A freed slot goes on
+    /// `vacant` and the next allocation reuses it, so the table never
+    /// grows past the most allocations live at once.
+    live: Vec<Option<Allocation>>,
+    vacant: Vec<u32>,
+    next_serial: u64,
     stats: AllocStats,
     trace: Option<Vec<TraceEvent>>,
 }
@@ -154,8 +183,9 @@ impl FbAllocator {
     pub fn new(capacity: Words) -> Self {
         FbAllocator {
             free: FreeList::new(capacity),
-            live: HashMap::new(),
-            next_handle: 0,
+            live: Vec::new(),
+            vacant: Vec::new(),
+            next_serial: 0,
             stats: AllocStats::default(),
             trace: None,
         }
@@ -208,13 +238,16 @@ impl FbAllocator {
 
     /// Live allocations in no particular order.
     pub fn live(&self) -> impl Iterator<Item = &Allocation> + '_ {
-        self.live.values()
+        self.live.iter().flatten()
     }
 
     /// The live allocation named by `handle`, if any.
     #[must_use]
     pub fn allocation(&self, handle: AllocHandle) -> Option<&Allocation> {
-        self.live.get(&handle)
+        self.live
+            .get(handle.slot as usize)?
+            .as_ref()
+            .filter(|a| a.handle == handle)
     }
 
     /// [`FreeList::state_hash`] of the current free-block structure —
@@ -230,13 +263,14 @@ impl FbAllocator {
     /// [`rollback`](Self::rollback) any number of times (it is
     /// `Clone`); each rollback restores the allocator bit-identically
     /// to this moment — free-list layout and hash, live allocations,
-    /// handle counter, statistics, and trace length.
+    /// future handles, statistics, and trace length.
     #[must_use]
     pub fn checkpoint(&self) -> Checkpoint {
         Checkpoint {
             free: self.free.clone(),
             live: self.live.clone(),
-            next_handle: self.next_handle,
+            vacant: self.vacant.clone(),
+            next_serial: self.next_serial,
             stats: self.stats,
             trace_len: self.trace.as_ref().map(Vec::len),
         }
@@ -254,7 +288,8 @@ impl FbAllocator {
     pub fn rollback(&mut self, checkpoint: Checkpoint) {
         self.free = checkpoint.free;
         self.live = checkpoint.live;
-        self.next_handle = checkpoint.next_handle;
+        self.vacant = checkpoint.vacant;
+        self.next_serial = checkpoint.next_serial;
         self.stats = checkpoint.stats;
         match (&mut self.trace, checkpoint.trace_len) {
             (Some(trace), Some(len)) => trace.truncate(len),
@@ -290,7 +325,7 @@ impl FbAllocator {
         };
         Ok(self.commit(
             label.into(),
-            vec![Segment { start, len: size }],
+            Segments::One(Segment { start, len: size }),
             Some(direction),
         ))
     }
@@ -323,7 +358,11 @@ impl FbAllocator {
         if !self.free.take_at(start, size) {
             return Err(AllocError::RangeNotFree { start, size });
         }
-        Ok(self.commit(label.into(), vec![Segment { start, len: size }], None))
+        Ok(self.commit(
+            label.into(),
+            Segments::One(Segment { start, len: size }),
+            None,
+        ))
     }
 
     /// Allocation that may split the object across several free blocks —
@@ -356,7 +395,7 @@ impl FbAllocator {
         if let Some(start) = self.free.take_first_fit(size, from_upper) {
             return Ok(self.commit(
                 label.into(),
-                vec![Segment { start, len: size }],
+                Segments::One(Segment { start, len: size }),
                 Some(direction),
             ));
         }
@@ -387,7 +426,9 @@ impl FbAllocator {
             segments.push(Segment { start, len: piece });
             remaining -= piece;
         }
-        Ok(self.commit(label.into(), segments, Some(direction)))
+        // The request fit no single block, so it took at least two.
+        segments.sort_by_key(|s| s.start);
+        Ok(self.commit(label.into(), Segments::Split(segments), Some(direction)))
     }
 
     /// Frees an allocation, returning its space to the free list with
@@ -407,9 +448,15 @@ impl FbAllocator {
     ///
     /// [`AllocError::UnknownHandle`] if the handle is not live.
     pub fn free_handle(&mut self, handle: AllocHandle) -> Result<(), AllocError> {
-        let Some(alloc) = self.live.remove(&handle) else {
+        let Some(alloc) = self
+            .live
+            .get_mut(handle.slot as usize)
+            .filter(|entry| entry.as_ref().is_some_and(|a| a.handle == handle))
+            .and_then(Option::take)
+        else {
             return Err(AllocError::UnknownHandle);
         };
+        self.vacant.push(handle.slot);
         for seg in alloc.segments() {
             self.free.insert(seg.start, seg.len);
         }
@@ -429,12 +476,18 @@ impl FbAllocator {
     fn commit(
         &mut self,
         label: String,
-        mut segments: Vec<Segment>,
+        segments: Segments,
         direction: Option<Direction>,
     ) -> Allocation {
-        segments.sort_by_key(|s| s.start);
-        let handle = AllocHandle(self.next_handle);
-        self.next_handle += 1;
+        let slot = self.vacant.pop().unwrap_or_else(|| {
+            self.live.push(None);
+            u32::try_from(self.live.len() - 1).expect("live allocations fit u32 slots")
+        });
+        let handle = AllocHandle {
+            serial: self.next_serial,
+            slot,
+        };
+        self.next_serial += 1;
         let alloc = Allocation {
             handle,
             label,
@@ -453,7 +506,7 @@ impl FbAllocator {
                 self.free.state_hash(),
             ));
         }
-        self.live.insert(handle, alloc.clone());
+        self.live[slot as usize] = Some(alloc.clone());
         alloc
     }
 }
@@ -570,6 +623,29 @@ mod tests {
     }
 
     #[test]
+    fn stale_handle_never_frees_the_slots_next_occupant() {
+        let mut fb = FbAllocator::new(Words::new(10));
+        let a = fb
+            .alloc("a", Words::new(5), Direction::FromUpper)
+            .expect("fits");
+        let stale = a.handle();
+        fb.free(a).expect("live");
+        let b = fb
+            .alloc("b", Words::new(4), Direction::FromUpper)
+            .expect("fits");
+        assert_ne!(b.handle(), stale, "serials are never reused");
+        assert!(fb.allocation(stale).is_none());
+        assert_eq!(
+            fb.free_handle(stale).unwrap_err(),
+            AllocError::UnknownHandle
+        );
+        assert_eq!(fb.allocation(b.handle()).map(Allocation::label), Some("b"));
+        assert_eq!(fb.live().count(), 1);
+        fb.free(b).expect("still live");
+        assert_eq!(fb.free_space(), Words::new(10));
+    }
+
+    #[test]
     fn split_allocation_spans_holes() {
         let mut fb = FbAllocator::new(Words::new(30));
         // Pin the middle so the two 10-word ends are separate holes.
@@ -664,7 +740,7 @@ mod tests {
         assert_eq!(live.len(), 1);
         assert_eq!(live[0].label(), "keep");
         assert_eq!(live[0].segments(), keep.segments());
-        // Handle counter rewound: the next alloc reuses the handle the
+        // Handles rewound: the next alloc reuses the handle the
         // rolled-back branch consumed, twice in a row from the same
         // (cloned) checkpoint.
         let first = fb

@@ -185,7 +185,8 @@ impl FreeList {
     }
 
     /// Removes `[start, start+len)` from block `idx`, possibly leaving
-    /// one or two remainder blocks.
+    /// one or two remainder blocks. The block is rewritten in place, so
+    /// only a removal or a split shifts the list.
     fn carve(&mut self, idx: usize, start: u64, len: u64) {
         let block = self.blocks[idx];
         debug_assert!(block.start <= start && start + len <= block.end());
@@ -197,12 +198,16 @@ impl FreeList {
             start: start + len,
             len: block.end() - (start + len),
         };
-        self.blocks.remove(idx);
-        if high.len > 0 {
-            self.blocks.insert(idx, high);
-        }
-        if low.len > 0 {
-            self.blocks.insert(idx, low);
+        match (low.len > 0, high.len > 0) {
+            (true, true) => {
+                self.blocks[idx] = low;
+                self.blocks.insert(idx + 1, high);
+            }
+            (true, false) => self.blocks[idx] = low,
+            (false, true) => self.blocks[idx] = high,
+            (false, false) => {
+                self.blocks.remove(idx);
+            }
         }
         self.debug_check();
     }
@@ -246,17 +251,21 @@ impl FreeList {
                 next.end()
             );
         }
-        let mut new = Block { start, len };
-        // Coalesce with the following block.
-        if idx < self.blocks.len() && self.blocks[idx].start == end {
-            new.len += self.blocks[idx].len;
-            self.blocks.remove(idx);
-        }
-        // Coalesce with the preceding block.
-        if idx > 0 && self.blocks[idx - 1].end() == start {
-            self.blocks[idx - 1].len += new.len;
-        } else {
-            self.blocks.insert(idx, new);
+        // Coalesce with the preceding and the following block, in place
+        // where possible.
+        let joins_prev = idx > 0 && self.blocks[idx - 1].end() == start;
+        let joins_next = idx < self.blocks.len() && self.blocks[idx].start == end;
+        match (joins_prev, joins_next) {
+            (true, true) => {
+                self.blocks[idx - 1].len += len + self.blocks[idx].len;
+                self.blocks.remove(idx);
+            }
+            (true, false) => self.blocks[idx - 1].len += len,
+            (false, true) => {
+                self.blocks[idx].start = start;
+                self.blocks[idx].len += len;
+            }
+            (false, false) => self.blocks.insert(idx, Block { start, len }),
         }
         self.debug_check();
     }

@@ -185,7 +185,8 @@ impl Arena {
             self.trail.push((idx, set, cp));
             return true;
         }
-        match self.sets[set].alloc(format!("c{idx}"), item.size, Direction::FromUpper) {
+        // Unlabelled: these allocators are never traced or shown.
+        match self.sets[set].alloc(String::new(), item.size, Direction::FromUpper) {
             Ok(_) => {
                 self.trail.push((idx, set, cp));
                 true

@@ -40,8 +40,8 @@ pub fn op_duration(params: &ArchParams, kind: &OpKind) -> Cycles {
 ///
 /// # fn main() -> Result<(), mcds_sim::SimError> {
 /// let mut b = OpScheduleBuilder::new();
-/// let l = b.load_data("l", FbSet::Set0, Words::new(100), &[]);
-/// b.compute("k", KernelId::new(0), FbSet::Set0, Cycles::new(50), &[l]);
+/// let l = b.load_data(FbSet::Set0, Words::new(100), &[]);
+/// b.compute(KernelId::new(0), FbSet::Set0, Cycles::new(50), &[l]);
 /// let arch = ArchParams::m1().to_builder().kernel_setup_cycles(0).build();
 /// assert_eq!(critical_path(&arch, &b.build()?), Cycles::new(150));
 /// # Ok(())
@@ -51,8 +51,8 @@ pub fn op_duration(params: &ArchParams, kind: &OpKind) -> Cycles {
 pub fn critical_path(params: &ArchParams, schedule: &OpSchedule) -> Cycles {
     let mut finish: Vec<Cycles> = Vec::with_capacity(schedule.len());
     for op in schedule.ops() {
-        let start = op
-            .deps()
+        let start = schedule
+            .deps_of(op)
             .iter()
             .map(|d| finish[d.index()])
             .max()
@@ -109,9 +109,9 @@ mod tests {
     #[test]
     fn critical_path_of_chain() {
         let mut b = OpScheduleBuilder::new();
-        let l = b.load_data("l", FbSet::Set0, Words::new(10), &[]);
-        let k = b.compute("k", KernelId::new(0), FbSet::Set0, Cycles::new(20), &[l]);
-        b.store_data("s", FbSet::Set0, Words::new(5), &[k]);
+        let l = b.load_data(FbSet::Set0, Words::new(10), &[]);
+        let k = b.compute(KernelId::new(0), FbSet::Set0, Cycles::new(20), &[l]);
+        b.store_data(FbSet::Set0, Words::new(5), &[k]);
         let s = b.build().expect("valid");
         assert_eq!(critical_path(&arch(), &s), Cycles::new(35));
     }
@@ -119,9 +119,9 @@ mod tests {
     #[test]
     fn critical_path_takes_longest_branch() {
         let mut b = OpScheduleBuilder::new();
-        let a = b.load_data("a", FbSet::Set0, Words::new(100), &[]);
-        let c = b.load_data("c", FbSet::Set1, Words::new(10), &[]);
-        b.compute("k", KernelId::new(0), FbSet::Set0, Cycles::new(5), &[a, c]);
+        let a = b.load_data(FbSet::Set0, Words::new(100), &[]);
+        let c = b.load_data(FbSet::Set1, Words::new(10), &[]);
+        b.compute(KernelId::new(0), FbSet::Set0, Cycles::new(5), &[a, c]);
         let s = b.build().expect("valid");
         assert_eq!(critical_path(&arch(), &s), Cycles::new(105));
     }
@@ -129,9 +129,9 @@ mod tests {
     #[test]
     fn resource_bound_is_max_of_lanes() {
         let mut b = OpScheduleBuilder::new();
-        b.load_data("a", FbSet::Set0, Words::new(100), &[]);
-        b.load_context("c", 50, &[]);
-        b.compute("k", KernelId::new(0), FbSet::Set1, Cycles::new(60), &[]);
+        b.load_data(FbSet::Set0, Words::new(100), &[]);
+        b.load_context(50, &[]);
+        b.compute(KernelId::new(0), FbSet::Set1, Cycles::new(60), &[]);
         let s = b.build().expect("valid");
         assert_eq!(resource_bound(&arch(), &s), Cycles::new(150));
     }
@@ -142,15 +142,9 @@ mod tests {
         let mut prev = None;
         for i in 0..10u32 {
             let set = if i % 2 == 0 { FbSet::Set0 } else { FbSet::Set1 };
-            let l = b.load_data(format!("l{i}"), set, Words::new(64), &[]);
+            let l = b.load_data(set, Words::new(64), &[]);
             let deps: Vec<_> = prev.into_iter().chain([l]).collect();
-            prev = Some(b.compute(
-                format!("k{i}"),
-                KernelId::new(i),
-                set,
-                Cycles::new(80),
-                &deps,
-            ));
+            prev = Some(b.compute(KernelId::new(i), set, Cycles::new(80), &deps));
         }
         let s = b.build().expect("valid");
         let report = Simulator::new(arch()).run(&s).expect("runs");
@@ -162,16 +156,16 @@ mod tests {
     fn bottleneck_attribution() {
         // DMA-bound: huge transfer, tiny compute.
         let mut b = OpScheduleBuilder::new();
-        b.load_data("l", FbSet::Set0, Words::new(1000), &[]);
-        b.compute("k", KernelId::new(0), FbSet::Set1, Cycles::new(10), &[]);
+        b.load_data(FbSet::Set0, Words::new(1000), &[]);
+        b.compute(KernelId::new(0), FbSet::Set1, Cycles::new(10), &[]);
         let s = b.build().expect("valid");
         let report = Simulator::new(arch()).run(&s).expect("runs");
         assert_eq!(bottleneck(&report, 0.9), Bottleneck::Dma);
 
         // Compute-bound.
         let mut b = OpScheduleBuilder::new();
-        b.load_data("l", FbSet::Set0, Words::new(10), &[]);
-        b.compute("k", KernelId::new(0), FbSet::Set1, Cycles::new(1000), &[]);
+        b.load_data(FbSet::Set0, Words::new(10), &[]);
+        b.compute(KernelId::new(0), FbSet::Set1, Cycles::new(1000), &[]);
         let s = b.build().expect("valid");
         let report = Simulator::new(arch()).run(&s).expect("runs");
         assert_eq!(bottleneck(&report, 0.9), Bottleneck::RcArray);
@@ -181,14 +175,8 @@ mod tests {
         let mut prev: Option<crate::OpId> = None;
         for i in 0..4u32 {
             let deps: Vec<_> = prev.into_iter().collect();
-            let l = b.load_data(format!("l{i}"), FbSet::Set0, Words::new(100), &deps);
-            prev = Some(b.compute(
-                format!("k{i}"),
-                KernelId::new(i),
-                FbSet::Set0,
-                Cycles::new(100),
-                &[l],
-            ));
+            let l = b.load_data(FbSet::Set0, Words::new(100), &deps);
+            prev = Some(b.compute(KernelId::new(i), FbSet::Set0, Cycles::new(100), &[l]));
         }
         let s = b.build().expect("valid");
         let report = Simulator::new(arch()).run(&s).expect("runs");

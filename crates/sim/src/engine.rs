@@ -78,8 +78,8 @@ impl Simulator {
         let mut rc_busy_total = Cycles::ZERO;
 
         for (i, op) in schedule.ops().iter().enumerate() {
-            let mut start = op
-                .deps()
+            let mut start = schedule
+                .deps_of(op)
                 .iter()
                 .map(|d| finish[d.index()])
                 .max()
@@ -171,9 +171,9 @@ mod tests {
     #[test]
     fn serial_chain() {
         let mut b = OpScheduleBuilder::new();
-        let l = b.load_data("l", FbSet::Set0, Words::new(100), &[]);
-        let k = b.compute("k", KernelId::new(0), FbSet::Set0, Cycles::new(50), &[l]);
-        b.store_data("s", FbSet::Set0, Words::new(30), &[k]);
+        let l = b.load_data(FbSet::Set0, Words::new(100), &[]);
+        let k = b.compute(KernelId::new(0), FbSet::Set0, Cycles::new(50), &[l]);
+        b.store_data(FbSet::Set0, Words::new(30), &[k]);
         let report = Simulator::new(zero_setup())
             .run(&b.build().expect("valid"))
             .expect("runs");
@@ -185,10 +185,10 @@ mod tests {
     #[test]
     fn compute_overlaps_transfer_on_other_set() {
         let mut b = OpScheduleBuilder::new();
-        let l0 = b.load_data("l0", FbSet::Set0, Words::new(10), &[]);
+        let l0 = b.load_data(FbSet::Set0, Words::new(10), &[]);
         // Compute on set 0 while loading set 1: overlap allowed.
-        b.compute("k", KernelId::new(0), FbSet::Set0, Cycles::new(100), &[l0]);
-        b.load_data("l1", FbSet::Set1, Words::new(100), &[l0]);
+        b.compute(KernelId::new(0), FbSet::Set0, Cycles::new(100), &[l0]);
+        b.load_data(FbSet::Set1, Words::new(100), &[l0]);
         let report = Simulator::new(zero_setup())
             .run(&b.build().expect("valid"))
             .expect("runs");
@@ -199,10 +199,10 @@ mod tests {
     #[test]
     fn compute_excludes_transfer_on_same_set() {
         let mut b = OpScheduleBuilder::new();
-        let l0 = b.load_data("l0", FbSet::Set0, Words::new(10), &[]);
-        b.compute("k", KernelId::new(0), FbSet::Set0, Cycles::new(100), &[l0]);
+        let l0 = b.load_data(FbSet::Set0, Words::new(10), &[]);
+        b.compute(KernelId::new(0), FbSet::Set0, Cycles::new(100), &[l0]);
         // No dependency on the compute, but same set: must serialize.
-        b.load_data("l0b", FbSet::Set0, Words::new(100), &[l0]);
+        b.load_data(FbSet::Set0, Words::new(100), &[l0]);
         let report = Simulator::new(zero_setup())
             .run(&b.build().expect("valid"))
             .expect("runs");
@@ -212,8 +212,8 @@ mod tests {
     #[test]
     fn context_load_overlaps_any_compute() {
         let mut b = OpScheduleBuilder::new();
-        b.compute("k", KernelId::new(0), FbSet::Set0, Cycles::new(100), &[]);
-        b.load_context("c", 100, &[]);
+        b.compute(KernelId::new(0), FbSet::Set0, Cycles::new(100), &[]);
+        b.load_context(100, &[]);
         let report = Simulator::new(zero_setup())
             .run(&b.build().expect("valid"))
             .expect("runs");
@@ -223,8 +223,8 @@ mod tests {
     #[test]
     fn dma_serializes_data_and_contexts() {
         let mut b = OpScheduleBuilder::new();
-        b.load_data("l", FbSet::Set0, Words::new(60), &[]);
-        b.load_context("c", 40, &[]);
+        b.load_data(FbSet::Set0, Words::new(60), &[]);
+        b.load_context(40, &[]);
         let report = Simulator::new(zero_setup())
             .run(&b.build().expect("valid"))
             .expect("runs");
@@ -235,8 +235,8 @@ mod tests {
     #[test]
     fn rc_array_serializes_computes() {
         let mut b = OpScheduleBuilder::new();
-        b.compute("k0", KernelId::new(0), FbSet::Set0, Cycles::new(50), &[]);
-        b.compute("k1", KernelId::new(1), FbSet::Set1, Cycles::new(50), &[]);
+        b.compute(KernelId::new(0), FbSet::Set0, Cycles::new(50), &[]);
+        b.compute(KernelId::new(1), FbSet::Set1, Cycles::new(50), &[]);
         let report = Simulator::new(zero_setup())
             .run(&b.build().expect("valid"))
             .expect("runs");
@@ -247,8 +247,8 @@ mod tests {
     fn kernel_setup_overhead_applies_per_compute() {
         let params = ArchParamsBuilder::new().kernel_setup_cycles(7).build();
         let mut b = OpScheduleBuilder::new();
-        b.compute("k0", KernelId::new(0), FbSet::Set0, Cycles::new(10), &[]);
-        b.compute("k1", KernelId::new(1), FbSet::Set0, Cycles::new(10), &[]);
+        b.compute(KernelId::new(0), FbSet::Set0, Cycles::new(10), &[]);
+        b.compute(KernelId::new(1), FbSet::Set0, Cycles::new(10), &[]);
         let report = Simulator::new(params)
             .run(&b.build().expect("valid"))
             .expect("runs");
@@ -263,8 +263,8 @@ mod tests {
             .kernel_setup_cycles(0)
             .build();
         let mut b = OpScheduleBuilder::new();
-        b.load_data("l", FbSet::Set0, Words::new(10), &[]);
-        b.load_context("c", 5, &[]);
+        b.load_data(FbSet::Set0, Words::new(10), &[]);
+        b.load_context(5, &[]);
         let report = Simulator::new(params)
             .run(&b.build().expect("valid"))
             .expect("runs");
@@ -282,8 +282,8 @@ mod tests {
     #[test]
     fn observed_run_reports_every_op_span() {
         let mut b = OpScheduleBuilder::new();
-        let l = b.load_data("l", FbSet::Set0, Words::new(100), &[]);
-        b.compute("k", KernelId::new(0), FbSet::Set0, Cycles::new(50), &[l]);
+        let l = b.load_data(FbSet::Set0, Words::new(100), &[]);
+        b.compute(KernelId::new(0), FbSet::Set0, Cycles::new(50), &[l]);
         let schedule = b.build().expect("valid");
         let mut seen = Vec::new();
         let report = Simulator::new(zero_setup())
@@ -302,8 +302,8 @@ mod tests {
     #[test]
     fn dependencies_delay_start() {
         let mut b = OpScheduleBuilder::new();
-        let l = b.load_data("l", FbSet::Set1, Words::new(100), &[]);
-        let k = b.compute("k", KernelId::new(0), FbSet::Set0, Cycles::new(10), &[l]);
+        let l = b.load_data(FbSet::Set1, Words::new(100), &[]);
+        let k = b.compute(KernelId::new(0), FbSet::Set0, Cycles::new(10), &[l]);
         let report = Simulator::new(zero_setup())
             .run(&b.build().expect("valid"))
             .expect("runs");

@@ -7,6 +7,11 @@
 //! model, producing a cycle-accurate [`Timeline`] and a [`SimReport`]
 //! with transfer and occupancy metrics.
 //!
+//! An op is only its [`OpKind`] and its dependencies: ops carry no
+//! labels, because planners build thousands of them per plan and
+//! nothing on the planning path reads one. `OpKind`'s `Display`
+//! renders an op for people (`load set0 120w`, `compute k3 set1 400cy`).
+//!
 //! # Resource model
 //!
 //! Matching the architecture description in the paper:
@@ -32,9 +37,9 @@
 //!
 //! # fn main() -> Result<(), mcds_sim::SimError> {
 //! let mut b = OpScheduleBuilder::new();
-//! let load = b.load_data("in", FbSet::Set0, Words::new(100), &[]);
-//! let run = b.compute("k0", KernelId::new(0), FbSet::Set0, Cycles::new(400), &[load]);
-//! b.store_data("out", FbSet::Set0, Words::new(50), &[run]);
+//! let load = b.load_data(FbSet::Set0, Words::new(100), &[]);
+//! let run = b.compute(KernelId::new(0), FbSet::Set0, Cycles::new(400), &[load]);
+//! b.store_data(FbSet::Set0, Words::new(50), &[run]);
 //! let report = Simulator::new(ArchParams::m1()).run(&b.build()?)?;
 //! // load (100cy) -> compute (400cy) -> store (50cy), fully serialized:
 //! assert_eq!(report.total().get(), 554); // + 4cy kernel setup

@@ -89,42 +89,53 @@ impl OpKind {
     }
 }
 
-/// One step of a schedule: a kind, a human-readable label, and the ops
-/// that must finish first.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+impl fmt::Display for OpKind {
+    /// A short rendering of the kind and its resources, e.g.
+    /// `load set0 120w` or `compute k3 set1 400cy`.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            OpKind::LoadData { set, words } => write!(f, "load set{} {words}", set.index()),
+            OpKind::StoreData { set, words } => write!(f, "store set{} {words}", set.index()),
+            OpKind::LoadContext { context_words } => write!(f, "context {context_words}w"),
+            OpKind::Compute {
+                kernel,
+                set,
+                cycles,
+            } => write!(f, "compute {kernel} set{} {cycles}", set.index()),
+        }
+    }
+}
+
+/// One step of a schedule: a kind and the ops that must finish first.
+///
+/// The dependencies live in one list per [`OpSchedule`]; the op holds
+/// its range of that list, so read them through
+/// [`OpSchedule::deps`].
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Op {
-    label: String,
     kind: OpKind,
-    deps: Vec<OpId>,
+    deps_start: u32,
+    deps_end: u32,
 }
 
 impl Op {
-    /// The label given at build time (e.g. `"load C2 data"`).
-    #[must_use]
-    pub fn label(&self) -> &str {
-        &self.label
-    }
-
     /// The op's kind.
     #[must_use]
     pub fn kind(&self) -> &OpKind {
         &self.kind
     }
-
-    /// Ops that must complete before this one starts.
-    #[must_use]
-    pub fn deps(&self) -> &[OpId] {
-        &self.deps
-    }
 }
 
 /// A validated, topologically ordered list of ops.
 ///
-/// Build with [`OpScheduleBuilder`]; dependencies always point backwards
-/// in the list, so list order is a valid execution order.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// Build with [`OpScheduleBuilder`], the only constructor, which
+/// validates every op: dependencies always point backwards in the list,
+/// so list order is a valid execution order.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct OpSchedule {
     ops: Vec<Op>,
+    /// Every op's dependencies, back to back in op order.
+    deps: Vec<OpId>,
 }
 
 impl OpSchedule {
@@ -154,6 +165,21 @@ impl OpSchedule {
     #[must_use]
     pub fn op(&self, id: OpId) -> &Op {
         &self.ops[id.index()]
+    }
+
+    /// The ops that must complete before op `id` starts.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is out of range.
+    #[must_use]
+    pub fn deps(&self, id: OpId) -> &[OpId] {
+        self.deps_of(&self.ops[id.index()])
+    }
+
+    /// The dependencies of `op`, which must belong to this schedule.
+    pub(crate) fn deps_of(&self, op: &Op) -> &[OpId] {
+        &self.deps[op.deps_start as usize..op.deps_end as usize]
     }
 
     /// Total data words loaded from external memory.
@@ -204,17 +230,19 @@ impl OpSchedule {
 ///
 /// # fn main() -> Result<(), mcds_sim::SimError> {
 /// let mut b = OpScheduleBuilder::new();
-/// let ctx = b.load_context("k0 contexts", 32, &[]);
-/// let data = b.load_data("k0 data", FbSet::Set0, Words::new(64), &[]);
-/// b.compute("k0", KernelId::new(0), FbSet::Set0, Cycles::new(100), &[ctx, data]);
+/// let ctx = b.load_context(32, &[]);
+/// let data = b.load_data(FbSet::Set0, Words::new(64), &[]);
+/// let k0 = b.compute(KernelId::new(0), FbSet::Set0, Cycles::new(100), &[ctx, data]);
 /// let schedule = b.build()?;
 /// assert_eq!(schedule.len(), 3);
+/// assert_eq!(schedule.deps(k0), &[ctx, data]);
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct OpScheduleBuilder {
     ops: Vec<Op>,
+    deps: Vec<OpId>,
     /// Set once an append would overflow the `u32` id space; the
     /// builder stops accepting ops and [`build`](Self::build) reports
     /// [`SimError::TooManyOps`] instead of panicking mid-append.
@@ -228,63 +256,41 @@ impl OpScheduleBuilder {
         OpScheduleBuilder::default()
     }
 
-    fn push(&mut self, label: String, kind: OpKind, deps: &[OpId]) -> OpId {
-        let Ok(index) = u32::try_from(self.ops.len()) else {
+    fn push(&mut self, kind: OpKind, deps: &[OpId]) -> OpId {
+        let index = u32::try_from(self.ops.len());
+        let deps_start = u32::try_from(self.deps.len());
+        let deps_end = u32::try_from(self.deps.len() + deps.len());
+        let (Ok(index), Ok(deps_start), Ok(deps_end)) = (index, deps_start, deps_end) else {
             self.overflowed = true;
             return OpId::new(u32::MAX);
         };
-        let id = OpId::new(index);
+        self.deps.extend_from_slice(deps);
         self.ops.push(Op {
-            label,
             kind,
-            deps: deps.to_vec(),
+            deps_start,
+            deps_end,
         });
-        id
+        OpId::new(index)
     }
 
     /// Appends a data load into `set`.
-    pub fn load_data(
-        &mut self,
-        label: impl Into<String>,
-        set: FbSet,
-        words: Words,
-        deps: &[OpId],
-    ) -> OpId {
-        self.push(label.into(), OpKind::LoadData { set, words }, deps)
+    pub fn load_data(&mut self, set: FbSet, words: Words, deps: &[OpId]) -> OpId {
+        self.push(OpKind::LoadData { set, words }, deps)
     }
 
     /// Appends a data store from `set`.
-    pub fn store_data(
-        &mut self,
-        label: impl Into<String>,
-        set: FbSet,
-        words: Words,
-        deps: &[OpId],
-    ) -> OpId {
-        self.push(label.into(), OpKind::StoreData { set, words }, deps)
+    pub fn store_data(&mut self, set: FbSet, words: Words, deps: &[OpId]) -> OpId {
+        self.push(OpKind::StoreData { set, words }, deps)
     }
 
     /// Appends a context load.
-    pub fn load_context(
-        &mut self,
-        label: impl Into<String>,
-        context_words: u32,
-        deps: &[OpId],
-    ) -> OpId {
-        self.push(label.into(), OpKind::LoadContext { context_words }, deps)
+    pub fn load_context(&mut self, context_words: u32, deps: &[OpId]) -> OpId {
+        self.push(OpKind::LoadContext { context_words }, deps)
     }
 
     /// Appends a kernel computation on `set`.
-    pub fn compute(
-        &mut self,
-        label: impl Into<String>,
-        kernel: KernelId,
-        set: FbSet,
-        cycles: Cycles,
-        deps: &[OpId],
-    ) -> OpId {
+    pub fn compute(&mut self, kernel: KernelId, set: FbSet, cycles: Cycles, deps: &[OpId]) -> OpId {
         self.push(
-            label.into(),
             OpKind::Compute {
                 kernel,
                 set,
@@ -313,17 +319,22 @@ impl OpScheduleBuilder {
     /// [`SimError::ForwardDependency`] if a dependency does not point
     /// strictly backwards; [`SimError::ZeroLengthOp`] for empty
     /// transfers or zero-cycle computations; [`SimError::TooManyOps`]
-    /// when more ops were appended than `u32` ids can name.
+    /// when more ops or dependencies were appended than `u32` indices
+    /// can name.
     pub fn build(self) -> Result<OpSchedule, SimError> {
         if self.overflowed {
             return Err(SimError::TooManyOps);
         }
-        for (i, op) in self.ops.iter().enumerate() {
+        let schedule = OpSchedule {
+            ops: self.ops,
+            deps: self.deps,
+        };
+        for (i, op) in schedule.ops.iter().enumerate() {
             let Ok(index) = u32::try_from(i) else {
                 return Err(SimError::TooManyOps);
             };
             let id = OpId::new(index);
-            for &d in op.deps() {
+            for &d in schedule.deps_of(op) {
                 if d.index() >= i {
                     return Err(SimError::ForwardDependency { op: id, dep: d });
                 }
@@ -337,7 +348,7 @@ impl OpScheduleBuilder {
                 return Err(SimError::ZeroLengthOp(id));
             }
         }
-        Ok(OpSchedule { ops: self.ops })
+        Ok(schedule)
     }
 }
 
@@ -349,23 +360,55 @@ mod tests {
     fn builder_assigns_sequential_ids() {
         let mut b = OpScheduleBuilder::new();
         assert!(b.is_empty());
-        let a = b.load_data("a", FbSet::Set0, Words::new(1), &[]);
-        let c = b.load_context("c", 4, &[a]);
-        let k = b.compute("k", KernelId::new(0), FbSet::Set0, Cycles::new(5), &[a, c]);
+        let a = b.load_data(FbSet::Set0, Words::new(1), &[]);
+        let c = b.load_context(4, &[a]);
+        let k = b.compute(KernelId::new(0), FbSet::Set0, Cycles::new(5), &[a, c]);
         assert_eq!(a, OpId::new(0));
         assert_eq!(c, OpId::new(1));
         assert_eq!(k, OpId::new(2));
         assert_eq!(b.len(), 3);
         let s = b.build().expect("valid");
-        assert_eq!(s.op(k).deps(), &[a, c]);
-        assert_eq!(s.op(a).label(), "a");
+        assert_eq!(s.deps(k), &[a, c]);
+        assert_eq!(s.deps(c), &[a]);
+        assert!(s.deps(a).is_empty());
+    }
+
+    #[test]
+    fn op_kinds_render_their_resources() {
+        let render = |kind: OpKind| kind.to_string();
+        assert_eq!(
+            render(OpKind::LoadData {
+                set: FbSet::Set0,
+                words: Words::new(120)
+            }),
+            "load set0 120w"
+        );
+        assert_eq!(
+            render(OpKind::StoreData {
+                set: FbSet::Set1,
+                words: Words::new(2048)
+            }),
+            "store set1 2Kw"
+        );
+        assert_eq!(
+            render(OpKind::LoadContext { context_words: 32 }),
+            "context 32w"
+        );
+        assert_eq!(
+            render(OpKind::Compute {
+                kernel: KernelId::new(3),
+                set: FbSet::Set1,
+                cycles: Cycles::new(400)
+            }),
+            "compute k3 set1 400cy"
+        );
     }
 
     #[test]
     fn rejects_forward_dependency() {
         let mut b = OpScheduleBuilder::new();
-        b.load_data("a", FbSet::Set0, Words::new(1), &[OpId::new(1)]);
-        b.load_data("b", FbSet::Set0, Words::new(1), &[]);
+        b.load_data(FbSet::Set0, Words::new(1), &[OpId::new(1)]);
+        b.load_data(FbSet::Set0, Words::new(1), &[]);
         assert!(matches!(
             b.build().unwrap_err(),
             SimError::ForwardDependency { .. }
@@ -375,7 +418,7 @@ mod tests {
     #[test]
     fn rejects_self_dependency() {
         let mut b = OpScheduleBuilder::new();
-        b.load_data("a", FbSet::Set0, Words::new(1), &[OpId::new(0)]);
+        b.load_data(FbSet::Set0, Words::new(1), &[OpId::new(0)]);
         assert!(matches!(
             b.build().unwrap_err(),
             SimError::ForwardDependency { .. }
@@ -385,25 +428,25 @@ mod tests {
     #[test]
     fn rejects_zero_length_ops() {
         let mut b = OpScheduleBuilder::new();
-        b.load_data("a", FbSet::Set0, Words::ZERO, &[]);
+        b.load_data(FbSet::Set0, Words::ZERO, &[]);
         assert_eq!(b.build().unwrap_err(), SimError::ZeroLengthOp(OpId::new(0)));
 
         let mut b = OpScheduleBuilder::new();
-        b.compute("k", KernelId::new(0), FbSet::Set1, Cycles::ZERO, &[]);
+        b.compute(KernelId::new(0), FbSet::Set1, Cycles::ZERO, &[]);
         assert_eq!(b.build().unwrap_err(), SimError::ZeroLengthOp(OpId::new(0)));
 
         let mut b = OpScheduleBuilder::new();
-        b.load_context("c", 0, &[]);
+        b.load_context(0, &[]);
         assert_eq!(b.build().unwrap_err(), SimError::ZeroLengthOp(OpId::new(0)));
     }
 
     #[test]
     fn volume_accounting() {
         let mut b = OpScheduleBuilder::new();
-        b.load_data("a", FbSet::Set0, Words::new(10), &[]);
-        b.load_data("b", FbSet::Set1, Words::new(20), &[]);
-        b.store_data("c", FbSet::Set0, Words::new(5), &[]);
-        b.load_context("x", 7, &[]);
+        b.load_data(FbSet::Set0, Words::new(10), &[]);
+        b.load_data(FbSet::Set1, Words::new(20), &[]);
+        b.store_data(FbSet::Set0, Words::new(5), &[]);
+        b.load_context(7, &[]);
         let s = b.build().expect("valid");
         assert_eq!(s.data_words_loaded(), Words::new(30));
         assert_eq!(s.data_words_stored(), Words::new(5));

@@ -125,9 +125,9 @@ mod tests {
     #[test]
     fn gantt_renders_all_lanes() {
         let mut b = OpScheduleBuilder::new();
-        let l = b.load_data("l", FbSet::Set0, Words::new(10), &[]);
-        let c = b.load_context("c", 10, &[l]);
-        let k = b.compute("k", KernelId::new(0), FbSet::Set0, Cycles::new(10), &[c]);
+        let l = b.load_data(FbSet::Set0, Words::new(10), &[]);
+        let c = b.load_context(10, &[l]);
+        let k = b.compute(KernelId::new(0), FbSet::Set0, Cycles::new(10), &[c]);
         let s = b.build().expect("valid");
         let t = Timeline::new(vec![
             OpSpan {

@@ -42,20 +42,12 @@ fn build(ops: &[(GenOp, Vec<prop::sample::Index>)]) -> OpSchedule {
         deps.dedup();
         let set = |s: bool| if s { FbSet::Set1 } else { FbSet::Set0 };
         let id = match *op {
-            GenOp::Load { set: s, words } => {
-                b.load_data(format!("l{i}"), set(s), Words::new(words), &deps)
+            GenOp::Load { set: s, words } => b.load_data(set(s), Words::new(words), &deps),
+            GenOp::Store { set: s, words } => b.store_data(set(s), Words::new(words), &deps),
+            GenOp::Context { words } => b.load_context(words, &deps),
+            GenOp::Compute { set: s, cycles } => {
+                b.compute(KernelId::new(i as u32), set(s), Cycles::new(cycles), &deps)
             }
-            GenOp::Store { set: s, words } => {
-                b.store_data(format!("s{i}"), set(s), Words::new(words), &deps)
-            }
-            GenOp::Context { words } => b.load_context(format!("c{i}"), words, &deps),
-            GenOp::Compute { set: s, cycles } => b.compute(
-                format!("k{i}"),
-                KernelId::new(i as u32),
-                set(s),
-                Cycles::new(cycles),
-                &deps,
-            ),
         };
         ids.push(id);
     }
@@ -104,7 +96,7 @@ proptest! {
         // are honoured.
         for (i, a) in spans.iter().enumerate() {
             let ka = schedule.op(a.op).kind();
-            for &dep in schedule.op(a.op).deps() {
+            for &dep in schedule.deps(a.op) {
                 prop_assert!(spans[dep.index()].finish <= a.start, "dependency violated");
             }
             for b in spans.iter().skip(i + 1) {

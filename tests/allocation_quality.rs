@@ -4,11 +4,13 @@
 //! regularity".
 
 use mcds_core::{
-    cluster_peak, AllocationWalk, CdsScheduler, DataScheduler, FootprintModel, Lifetimes,
-    RetentionSet,
+    cluster_peak, AllocationWalk, CdsScheduler, DataScheduler, Event, FootprintModel, Lifetimes,
+    Observer, Pipeline, RetentionSet, SchedulerKind, VecSink,
 };
-use mcds_model::Words;
+use mcds_model::{Application, ArchParams, ClusterSchedule, Words};
+use mcds_workloads::synthetic::{SyntheticConfig, SyntheticGenerator};
 use mcds_workloads::table1::table1_experiments;
+use proptest::prelude::*;
 
 /// No experiment's allocation ever splits an object across free blocks.
 #[test]
@@ -153,6 +155,190 @@ fn replacement_only_shrinks_requirements() {
         if let Ok(basic) = basic {
             for (r, b) in repl.peak().iter().zip(basic.peak()) {
                 assert!(*r <= b, "{}: replacement peak above basic peak", e.name);
+            }
+        }
+    }
+}
+
+/// The planners whose walks the observation tests replay.
+fn walk_schedulers() -> [SchedulerKind; 4] {
+    [
+        SchedulerKind::Basic,
+        SchedulerKind::Ds,
+        SchedulerKind::Cds,
+        SchedulerKind::search_default(),
+    ]
+}
+
+/// Plans `app` with `kind` and checks that attaching a sink to the
+/// chosen plan's allocation walk changes nothing it decides. Returns
+/// whether the point was feasible.
+fn check_planned_walk(
+    app: &Application,
+    sched: &ClusterSchedule,
+    arch: ArchParams,
+    kind: SchedulerKind,
+    what: &str,
+) -> bool {
+    let Ok(plan) = Pipeline::new(app.clone())
+        .schedule(sched.clone())
+        .arch(arch)
+        .scheduler(kind)
+        .plan()
+    else {
+        return false;
+    };
+    let model = if matches!(kind, SchedulerKind::Basic) {
+        FootprintModel::NoReplacement
+    } else {
+        FootprintModel::Replacement
+    };
+    assert_sink_changes_nothing(
+        app,
+        sched,
+        plan.retention(),
+        plan.rf(),
+        arch.fb_set_words(),
+        model,
+        what,
+    );
+    true
+}
+
+/// An attached sink is the one thing that makes an untraced walk build
+/// its `name#slot` labels, so a walk must decide exactly the same with
+/// and without one: the same report and placements from `run` and
+/// `run_with_placements`, and the same occupancy maps from a traced
+/// run (which labels its allocations either way).
+fn assert_sink_changes_nothing(
+    app: &Application,
+    sched: &ClusterSchedule,
+    retention: &RetentionSet,
+    rf: u64,
+    fbs: Words,
+    model: FootprintModel,
+    what: &str,
+) {
+    let lt = Lifetimes::analyze(app, sched);
+    let walk = || AllocationWalk::new(app, sched, &lt, retention, rf, fbs, model);
+    let sink = VecSink::new();
+    let observed = || walk().observed(Observer::new(Some(&sink), None));
+
+    let plain = walk().run(2, false);
+    assert_eq!(plain, observed().run(2, false), "{what}: run");
+    assert_eq!(
+        walk().run_with_placements(2),
+        observed().run_with_placements(2),
+        "{what}: run_with_placements"
+    );
+    let traced = walk().run(2, true);
+    assert_eq!(traced, observed().run(2, true), "{what}: traced run");
+
+    let report = plain.expect("a planned walk fits");
+    let traced = traced.expect("tracing changes no decision");
+    assert_eq!(
+        (
+            traced.peak(),
+            traced.splits(),
+            traced.regular_hits(),
+            traced.irregular(),
+            traced.allocs()
+        ),
+        (
+            report.peak(),
+            report.splits(),
+            report.regular_hits(),
+            report.irregular(),
+            report.allocs()
+        ),
+        "{what}: a traced walk decides like an untraced one"
+    );
+    assert!(
+        report.maps().is_none(),
+        "{what}: untraced walks draw no map"
+    );
+    let maps = traced.maps().expect("traced walks draw maps");
+    assert!(maps.iter().all(|m| !m.is_empty()), "{what}: empty map");
+
+    // The sink saw every allocation under its `name#slot` label.
+    let labels: Vec<String> = sink
+        .events()
+        .into_iter()
+        .filter_map(|event| match event {
+            Event::FbAlloc { label, .. } => Some(label),
+            _ => None,
+        })
+        .collect();
+    assert!(!labels.is_empty(), "{what}: no allocation events");
+    for label in &labels {
+        let (name, slot) = label.rsplit_once('#').expect("name#slot label");
+        assert!(
+            app.data().iter().any(|d| d.name() == name) && slot.parse::<u64>().is_ok(),
+            "{what}: malformed label {label}"
+        );
+    }
+}
+
+/// Observing an allocation walk never changes it: every Table-1
+/// workload, under every scheduler, at the paper's Frame Buffer sizes.
+#[test]
+fn observed_walks_match_unobserved_over_the_table1_grid() {
+    let mut feasible = 0;
+    for e in table1_experiments() {
+        for fb_kw in [1u64, 2, 3, 8] {
+            let arch = ArchParams::m1_with_fb(Words::kilo(fb_kw));
+            for kind in walk_schedulers() {
+                let what = format!("{}/{kind}@{fb_kw}K", e.name);
+                if check_planned_walk(&e.app, &e.sched, arch, kind, &what) {
+                    feasible += 1;
+                }
+            }
+        }
+    }
+    assert!(feasible > 0, "the grid has feasible points");
+}
+
+fn synthetic_strategy() -> impl Strategy<Value = (u64, SyntheticConfig)> {
+    (
+        any::<u64>(),
+        2usize..6,
+        1usize..4,
+        16u64..200,
+        0.0f64..1.0,
+        4u64..20,
+    )
+        .prop_map(|(seed, clusters, kmax, dmax, share, iters)| {
+            (
+                seed,
+                SyntheticConfig {
+                    clusters,
+                    kernels_per_cluster: (1, kmax),
+                    data_words: (16, dmax.max(17)),
+                    share_probability: share,
+                    cross_probability: 0.5,
+                    contexts: 128,
+                    exec_cycles: (50, 500),
+                    iterations: iters,
+                },
+            )
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The same over random synthetic applications at a small and a
+    /// large Frame Buffer.
+    #[test]
+    fn observed_walks_match_unobserved_on_synthetic_apps(
+        (seed, cfg) in synthetic_strategy()
+    ) {
+        let (app, sched) = SyntheticGenerator::new(seed).generate(&cfg).expect("valid");
+        for fb_kw in [1u64, 4] {
+            let arch = ArchParams::m1_with_fb(Words::kilo(fb_kw));
+            for kind in walk_schedulers() {
+                let what = format!("seed {seed}/{kind}@{fb_kw}K");
+                check_planned_walk(&app, &sched, arch, kind, &what);
             }
         }
     }
