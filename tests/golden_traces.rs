@@ -1,6 +1,7 @@
 //! Golden-trace regression tests: the rendered `--explain` decision log
-//! for two Table-1 workloads under every scheduler is snapshotted in
-//! `tests/golden/` and must stay byte-identical.
+//! for two Table-1 workloads under every scheduler, and for two
+//! knapsack-trap workloads under the CDS and the search scheduler, is
+//! snapshotted in `tests/golden/` and must stay byte-identical.
 //!
 //! When a deliberate scheduler change alters the decisions, refresh the
 //! snapshots with
@@ -14,6 +15,9 @@
 use std::path::PathBuf;
 
 use mcds_core::{Pipeline, SchedulerKind};
+use mcds_model::{
+    Application, ApplicationBuilder, ArchParams, ClusterSchedule, Cycles, DataKind, Words,
+};
 use mcds_sweep::{SweepReport, SweepSpec, SweepWorkload};
 use mcds_workloads::table1::{table1_experiments, Experiment};
 
@@ -38,10 +42,94 @@ fn experiments() -> Vec<Experiment> {
     exps
 }
 
-fn explain(e: &Experiment, kind: SchedulerKind) -> String {
-    let (_, log) = Pipeline::new(e.app.clone())
-        .arch(e.arch)
-        .schedule(e.sched.clone())
+/// A knapsack trap for the greedy TF walk: clusters C0 and C4 (both
+/// set 0) share `big`, `b1` and `b2`, while the set-0 cluster C2
+/// between them holds a private `bulk` input the retained copies must
+/// coexist with. `b1` and `b2` are `shared` words each; the four
+/// intermediates are `inter` words each.
+fn knapsack_trap(
+    big: u64,
+    shared: u64,
+    bulk: u64,
+    inter: u64,
+    iterations: u64,
+) -> (Application, ClusterSchedule) {
+    let mut b = ApplicationBuilder::new("trap");
+    let big = b.data("big", Words::new(big), DataKind::ExternalInput);
+    let b1 = b.data("b1", Words::new(shared), DataKind::ExternalInput);
+    let b2 = b.data("b2", Words::new(shared), DataKind::ExternalInput);
+    let bulk = b.data("bulk", Words::new(bulk), DataKind::ExternalInput);
+    let m0 = b.data("m0", Words::new(inter), DataKind::Intermediate);
+    let m1 = b.data("m1", Words::new(inter), DataKind::Intermediate);
+    let m2 = b.data("m2", Words::new(inter), DataKind::Intermediate);
+    let m3 = b.data("m3", Words::new(inter), DataKind::Intermediate);
+    let f = b.data("f", Words::new(10), DataKind::FinalResult);
+    let k0 = b.kernel("k0", 8, Cycles::new(100), &[big, b1, b2], &[m0]);
+    let k1 = b.kernel("k1", 8, Cycles::new(100), &[m0], &[m1]);
+    let k2 = b.kernel("k2", 8, Cycles::new(100), &[bulk, m1], &[m2]);
+    let k3 = b.kernel("k3", 8, Cycles::new(100), &[m2], &[m3]);
+    let k4 = b.kernel("k4", 8, Cycles::new(100), &[big, b1, b2, m3], &[f]);
+    let app = b.iterations(iterations).build().expect("valid");
+    let sched = ClusterSchedule::new(&app, vec![vec![k0], vec![k1], vec![k2], vec![k3], vec![k4]])
+        .expect("valid");
+    (app, sched)
+}
+
+/// One snapshotted workload and the schedulers whose logs are pinned.
+/// A log lives in `<name>_<scheduler name>.txt`.
+struct GoldenCase {
+    name: &'static str,
+    app: Application,
+    sched: ClusterSchedule,
+    arch: ArchParams,
+    kinds: Vec<SchedulerKind>,
+}
+
+fn golden_cases() -> Vec<GoldenCase> {
+    let mut cases: Vec<GoldenCase> = experiments()
+        .into_iter()
+        .map(|e| GoldenCase {
+            name: e.name,
+            app: e.app,
+            sched: e.sched,
+            arch: e.arch,
+            kinds: [
+                SchedulerKind::ALL.as_slice(),
+                &[SchedulerKind::search_default()],
+            ]
+            .concat(),
+        })
+        .collect();
+    let trap_kinds = vec![SchedulerKind::Cds, SchedulerKind::search_default()];
+    // `search-bench`'s trap at 250 words: the searched set wins (80
+    // against 60 words/iter avoided), so this log narrates a searched
+    // pick by replaying its accepts.
+    let (app, sched) = knapsack_trap(60, 40, 150, 10, 4);
+    cases.push(GoldenCase {
+        name: "trap250",
+        app,
+        sched,
+        arch: ArchParams::m1_with_fb(Words::new(250)),
+        kinds: trap_kinds.clone(),
+    });
+    // The never-worse guard: the searched RF-2 rung ties RF 1's cycles
+    // with less retention, so the search falls back to greedy's RF-1
+    // pick and narrates the greedy walk.
+    let (app, sched) = knapsack_trap(50, 30, 50, 30, 2);
+    cases.push(GoldenCase {
+        name: "trap-guard",
+        app,
+        sched,
+        arch: ArchParams::m1_with_fb(Words::new(310)),
+        kinds: trap_kinds,
+    });
+    cases
+}
+
+fn explain(case: &GoldenCase, kind: SchedulerKind) -> String {
+    let (_, log) = Pipeline::new(case.app.clone())
+        .arch(case.arch)
+        .schedule(case.sched.clone())
         .scheduler(kind)
         .explain()
         .expect("golden workloads are feasible");
@@ -52,10 +140,10 @@ fn explain(e: &Experiment, kind: SchedulerKind) -> String {
 fn explain_logs_match_golden_snapshots() {
     let bless = std::env::var_os("BLESS").is_some();
     let dir = golden_dir();
-    for e in &experiments() {
-        for kind in SchedulerKind::ALL {
-            let log = explain(e, kind);
-            let path = dir.join(format!("{}_{kind}.txt", e.name));
+    for case in &golden_cases() {
+        for &kind in &case.kinds {
+            let log = explain(case, kind);
+            let path = dir.join(format!("{}_{}.txt", case.name, kind.name()));
             if bless {
                 std::fs::write(&path, &log).expect("write snapshot");
                 continue;
@@ -72,7 +160,7 @@ fn explain_logs_match_golden_snapshots() {
                 want,
                 "decision log for {}/{kind} drifted from {}; if the change is \
                  intentional, refresh with BLESS=1",
-                e.name,
+                case.name,
                 path.display()
             );
         }

@@ -17,6 +17,14 @@ use mcds_workloads::table1::table1_experiments;
 /// The architecture axis of the Table-1 sweep grid.
 const FB_KILOWORDS: [u64; 4] = [1, 2, 3, 8];
 
+/// The paper's three schedulers plus the search extension at its
+/// default beam, so the search path through `run_prepared` is compared
+/// too.
+fn kinds() -> [SchedulerKind; 4] {
+    let [basic, ds, cds] = SchedulerKind::ALL;
+    [basic, ds, cds, SchedulerKind::search_default()]
+}
+
 /// Serializes one pipeline outcome (or its error) to comparable bytes.
 fn outcome_bytes(result: Result<mcds_core::PipelineRun, mcds_core::McdsError>) -> String {
     match result {
@@ -67,7 +75,7 @@ fn prepared_replay_matches_from_scratch_over_the_table1_grid() {
             .expect("analysis is arch-independent and must prepare");
         for fb_kw in FB_KILOWORDS {
             let arch = ArchParams::m1_with_fb(Words::kilo(fb_kw));
-            for kind in SchedulerKind::ALL {
+            for kind in kinds() {
                 let build = || {
                     Pipeline::new(app.clone())
                         .schedule(sched.clone())
@@ -89,7 +97,7 @@ fn prepared_replay_matches_from_scratch_over_the_table1_grid() {
     }
     assert_eq!(
         cells,
-        structures.len() * FB_KILOWORDS.len() * SchedulerKind::ALL.len(),
+        structures.len() * FB_KILOWORDS.len() * kinds().len(),
         "every grid cell compared"
     );
     assert!(
@@ -113,7 +121,7 @@ fn prepared_replay_streams_identical_trace_events_per_cell() {
             .schedule(e.sched.clone())
             .prepare()
             .expect("prepares");
-        for kind in SchedulerKind::ALL {
+        for kind in kinds() {
             let inc_sink = VecSink::new();
             let scratch_sink = VecSink::new();
             let _ = Pipeline::new(e.app.clone())
