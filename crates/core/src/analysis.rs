@@ -23,8 +23,8 @@ use crate::{
 
 /// One memoized reuse-factor evaluation: the stage plan, the emitted
 /// operation schedule, and the simulated makespan for one rung of the
-/// RF ladder in
-/// [`plan_common`](crate::SchedulerKind)-style planning.
+/// RF ladder that every [`DataScheduler`](crate::DataScheduler) in this
+/// crate climbs.
 ///
 /// The triple is a pure function of the workload structure plus the
 /// inputs in its [`LadderKey`]; notably it never reads the Frame Buffer

@@ -27,6 +27,7 @@
 //! fixed [`ClusterSchedule`], the default [`SingletonClusters`], or a
 //! search-based provider such as `mcds_ksched::KernelScheduler`.
 
+use std::borrow::Cow;
 use std::fmt;
 use std::str::FromStr;
 use std::sync::Arc;
@@ -459,29 +460,9 @@ impl Pipeline {
     /// Planning or evaluation errors, unified as [`McdsError`].
     pub fn run_prepared(&self, prepared: &PreparedSchedule) -> Result<PipelineRun, McdsError> {
         self.checkpoint(Seam::PipelineAdmission)?;
-        let observer = self.observer();
         self.checkpoint(Seam::PipelineClustering)?;
-        let scheduler = self.scheduler.instantiate(self.config);
-        let plan = scheduler.plan_observed(
-            &self.app,
-            &prepared.schedule,
-            &self.arch,
-            &prepared.analysis,
-            observer,
-        )?;
-        self.checkpoint(Seam::PipelinePlanning)?;
-        let report = evaluate_with_analysis(
-            &plan,
-            &self.arch,
-            &self.config,
-            &prepared.analysis,
-            observer,
-        )?;
-        Ok(PipelineRun {
-            schedule: prepared.schedule.clone(),
-            plan,
-            report,
-        })
+        let schedule = Cow::Borrowed(&prepared.schedule);
+        self.plan_and_evaluate(schedule, &prepared.analysis, self.observer())
     }
 
     /// Runs the full chain with the selected scheduler.
@@ -491,21 +472,7 @@ impl Pipeline {
     /// Clustering, planning, or evaluation errors, unified as
     /// [`McdsError`].
     pub fn run(&self) -> Result<PipelineRun, McdsError> {
-        self.checkpoint(Seam::PipelineAdmission)?;
-        let observer = self.observer();
-        let schedule = self.resolve_clusters()?;
-        self.checkpoint(Seam::PipelineClustering)?;
-        let analysis = ScheduleAnalysis::new(&self.app, &schedule);
-        let scheduler = self.scheduler.instantiate(self.config);
-        let plan =
-            scheduler.plan_observed(&self.app, &schedule, &self.arch, &analysis, observer)?;
-        self.checkpoint(Seam::PipelinePlanning)?;
-        let report = evaluate_with_analysis(&plan, &self.arch, &self.config, &analysis, observer)?;
-        Ok(PipelineRun {
-            schedule,
-            plan,
-            report,
-        })
+        self.run_observed(self.observer())
     }
 
     /// Runs the full chain while capturing the decision trace, and
@@ -525,24 +492,39 @@ impl Pipeline {
         };
         let observer = Observer::new(Some(&tee), self.metrics.as_deref())
             .with_faults(self.faults.as_ref().map(FaultBinding::decider));
+        let run = self.run_observed(observer)?;
+        Ok((run, render_explain(&local.take())))
+    }
+
+    /// [`run`](Pipeline::run) reporting through `observer`: admission,
+    /// clustering, then the shared back half over a fresh analysis.
+    fn run_observed(&self, observer: Observer<'_>) -> Result<PipelineRun, McdsError> {
         self.checkpoint(Seam::PipelineAdmission)?;
         let schedule = self.resolve_clusters()?;
         self.checkpoint(Seam::PipelineClustering)?;
         let analysis = ScheduleAnalysis::new(&self.app, &schedule);
+        self.plan_and_evaluate(Cow::Owned(schedule), &analysis, observer)
+    }
+
+    /// The back half every run shares: data scheduling (with its
+    /// allocation walk), the planning checkpoint, and evaluation of the
+    /// plan through the analysis that produced it. A borrowed
+    /// `schedule` is cloned into the run only once it succeeds.
+    fn plan_and_evaluate(
+        &self,
+        schedule: Cow<'_, ClusterSchedule>,
+        analysis: &ScheduleAnalysis,
+        observer: Observer<'_>,
+    ) -> Result<PipelineRun, McdsError> {
         let scheduler = self.scheduler.instantiate(self.config);
-        let plan =
-            scheduler.plan_observed(&self.app, &schedule, &self.arch, &analysis, observer)?;
+        let plan = scheduler.plan_observed(&self.app, &schedule, &self.arch, analysis, observer)?;
         self.checkpoint(Seam::PipelinePlanning)?;
-        let report = evaluate_with_analysis(&plan, &self.arch, &self.config, &analysis, observer)?;
-        let log = render_explain(&local.take());
-        Ok((
-            PipelineRun {
-                schedule,
-                plan,
-                report,
-            },
-            log,
-        ))
+        let report = evaluate_with_analysis(&plan, &self.arch, &self.config, analysis, observer)?;
+        Ok(PipelineRun {
+            schedule: schedule.into_owned(),
+            plan,
+            report,
+        })
     }
 
     /// Runs all three schedulers over one resolved cluster schedule

@@ -3,8 +3,6 @@
 use std::error::Error;
 use std::fmt;
 
-use mcds_model::Words;
-
 use crate::op::OpId;
 
 /// Errors raised while building or executing an op schedule.
@@ -21,17 +19,6 @@ pub enum SimError {
     },
     /// A transfer or computation has zero size/duration.
     ZeroLengthOp(OpId),
-    /// A data transfer would exceed the Frame Buffer set capacity if all
-    /// concurrently-resident bytes are summed (detected by the plan
-    /// validator, not the engine).
-    FbOverflow {
-        /// The op that overflows.
-        op: OpId,
-        /// Resident words after the op.
-        resident: Words,
-        /// The set capacity.
-        capacity: Words,
-    },
     /// The schedule holds more ops than the `u32` id space can name —
     /// a degenerate input (e.g. a runaway generator), rejected with a
     /// typed error instead of a panic.
@@ -45,14 +32,6 @@ impl fmt::Display for SimError {
                 write!(f, "op {op} depends on later or missing op {dep}")
             }
             SimError::ZeroLengthOp(op) => write!(f, "op {op} has zero length"),
-            SimError::FbOverflow {
-                op,
-                resident,
-                capacity,
-            } => write!(
-                f,
-                "op {op} raises frame buffer residency to {resident}, above the {capacity} set"
-            ),
             SimError::TooManyOps => {
                 write!(f, "op schedule exceeds the u32 op-id space")
             }
