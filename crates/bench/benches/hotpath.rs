@@ -17,8 +17,8 @@ use mcds_workloads::table1::table1_experiments;
 use std::hint::black_box;
 
 /// Arch-only variants of one workload structure: a from-scratch run
-/// re-derives the whole analysis (lifetimes, footprints, RF-ladder
-/// rungs) per architecture; a run over a warm [`PreparedSchedule`]
+/// re-derives the whole analysis (lifetimes, sharing candidates,
+/// RF-ladder rungs) per architecture; a run over a warm [`PreparedSchedule`]
 /// (here warmed by the largest Frame Buffer, whose rung ladder is a
 /// superset of the smaller ones) replays the memoized work.
 fn bench_analysis_reuse(c: &mut Criterion) {

@@ -1,24 +1,24 @@
 //! Memoized per-application scheduling invariants.
 //!
 //! Planning a schedule repeatedly touches the same expensive
-//! derivations: the lifetime analysis, the empty-retention footprint
-//! peaks behind [`all_fit`](crate::all_fit) /
-//! [`max_common_rf`](crate::max_common_rf), and the sharing-candidate
-//! discovery. A design-space sweep evaluates the same (application,
-//! cluster schedule) pair under many architectures and schedulers, so
-//! [`ScheduleAnalysis`] computes each invariant once and shares it —
-//! it is `Sync` and intended to sit behind an `Arc` across worker
-//! threads.
+//! derivations: the lifetime analysis, the sharing-candidate discovery
+//! and the simulated rungs of the RF ladder. A design-space sweep
+//! evaluates the same (application, cluster schedule) pair under many
+//! architectures and schedulers, so [`ScheduleAnalysis`] computes each
+//! invariant once and shares it — it is `Sync` and intended to sit
+//! behind an `Arc` across worker threads. Footprints are not memoized:
+//! [`cluster_peak`](crate::cluster_peak) is a closed form over one pass
+//! of a cluster's objects.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
-use mcds_model::{Application, ArchParams, ClusterId, ClusterSchedule, DataId, Words};
+use mcds_model::{Application, ArchParams, ClusterId, ClusterSchedule, DataId};
 use mcds_sim::{OpSchedule, SimReport};
 
 use crate::{
-    cluster_peak, find_candidates_with, Candidate, ContextPolicy, FootprintModel, Lifetimes,
-    RetentionSet, SchedulerConfig, StagePlan,
+    find_candidates_with, Candidate, ContextPolicy, Lifetimes, RetentionSet, SchedulerConfig,
+    StagePlan,
 };
 
 /// One memoized reuse-factor evaluation: the stage plan, the emitted
@@ -94,27 +94,24 @@ impl LadderKey {
 ///
 /// All methods take the same `app` and `sched` the analysis was built
 /// from; pairing it with a different application is a logic error (and
-/// yields nonsense footprints, not memory unsafety).
+/// yields nonsense results, not memory unsafety).
 #[derive(Debug)]
 pub struct ScheduleAnalysis {
     lifetimes: Lifetimes,
     /// Sharing candidates, indexed by the `fb_cross_set_access` flag.
     candidates: [OnceLock<Vec<Candidate>>; 2],
-    /// Empty-retention cluster peaks keyed by (cluster, rf, model).
-    footprints: Mutex<HashMap<(usize, u64, bool), Words>>,
     /// RF-ladder evaluations by their exact non-structural inputs.
     evals: Mutex<HashMap<LadderKey, Arc<LadderEval>>>,
 }
 
 impl ScheduleAnalysis {
     /// Analyzes `app` under `sched`, computing lifetimes eagerly (every
-    /// consumer needs them) and footprints/candidates lazily.
+    /// consumer needs them) and candidates lazily.
     #[must_use]
     pub fn new(app: &Application, sched: &ClusterSchedule) -> Self {
         ScheduleAnalysis {
             lifetimes: Lifetimes::analyze(app, sched),
             candidates: [OnceLock::new(), OnceLock::new()],
-            footprints: Mutex::new(HashMap::new()),
             evals: Mutex::new(HashMap::new()),
         }
     }
@@ -176,88 +173,12 @@ impl ScheduleAnalysis {
         self.candidates[usize::from(cross_set)]
             .get_or_init(|| find_candidates_with(app, sched, &self.lifetimes, cross_set))
     }
-
-    /// The peak Frame Buffer footprint of cluster `c` at reuse factor
-    /// `rf` with no retention, memoized. Equals
-    /// [`cluster_peak`](crate::cluster_peak) with an empty
-    /// [`RetentionSet`].
-    pub fn cluster_footprint(
-        &self,
-        app: &Application,
-        sched: &ClusterSchedule,
-        c: ClusterId,
-        rf: u64,
-        model: FootprintModel,
-    ) -> Words {
-        let key = (c.index(), rf, model == FootprintModel::Replacement);
-        if let Some(&hit) = self.footprints.lock().expect("not poisoned").get(&key) {
-            return hit;
-        }
-        let empty = RetentionSet::empty();
-        let peak = cluster_peak(app, sched, &self.lifetimes, &empty, c, rf, model);
-        self.footprints
-            .lock()
-            .expect("not poisoned")
-            .insert(key, peak);
-        peak
-    }
-
-    /// Whether every cluster fits `fbs` at `rf` with no retention
-    /// (memoized counterpart of [`all_fit`](crate::all_fit)).
-    pub fn all_fit_empty(
-        &self,
-        app: &Application,
-        sched: &ClusterSchedule,
-        rf: u64,
-        model: FootprintModel,
-        fbs: Words,
-    ) -> bool {
-        sched
-            .clusters()
-            .iter()
-            .all(|cl| self.cluster_footprint(app, sched, cl.id(), rf, model) <= fbs)
-    }
-
-    /// The largest common reuse factor with no retention (memoized
-    /// counterpart of [`max_common_rf`](crate::max_common_rf)).
-    pub fn max_common_rf_empty(
-        &self,
-        app: &Application,
-        sched: &ClusterSchedule,
-        model: FootprintModel,
-        fbs: Words,
-    ) -> Option<u64> {
-        let cap = app.iterations();
-        let fits = |rf: u64| self.all_fit_empty(app, sched, rf, model, fbs);
-        if !fits(1) {
-            return None;
-        }
-        if fits(cap) {
-            return Some(cap);
-        }
-        let mut lo = 1;
-        let mut hi = 2;
-        while hi < cap && fits(hi) {
-            lo = hi;
-            hi = (hi * 2).min(cap);
-        }
-        while hi - lo > 1 {
-            let mid = lo + (hi - lo) / 2;
-            if fits(mid) {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        Some(lo)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{all_fit, max_common_rf};
-    use mcds_model::{ApplicationBuilder, Cycles, DataKind};
+    use mcds_model::{ApplicationBuilder, Cycles, DataKind, Words};
 
     fn pipeline(iterations: u64) -> (Application, ClusterSchedule) {
         let mut b = ApplicationBuilder::new("an");
@@ -269,47 +190,6 @@ mod tests {
         let app = b.iterations(iterations).build().expect("valid");
         let sched = ClusterSchedule::new(&app, vec![vec![k0], vec![k1]]).expect("valid");
         (app, sched)
-    }
-
-    #[test]
-    fn memoized_footprints_match_fresh() {
-        let (app, sched) = pipeline(32);
-        let analysis = ScheduleAnalysis::new(&app, &sched);
-        let lt = Lifetimes::analyze(&app, &sched);
-        let empty = RetentionSet::empty();
-        for c in sched.clusters() {
-            for rf in [1u64, 2, 5, 32] {
-                for model in [FootprintModel::Replacement, FootprintModel::NoReplacement] {
-                    let fresh = cluster_peak(&app, &sched, &lt, &empty, c.id(), rf, model);
-                    // Ask twice: once cold, once from the cache.
-                    let cold = analysis.cluster_footprint(&app, &sched, c.id(), rf, model);
-                    let warm = analysis.cluster_footprint(&app, &sched, c.id(), rf, model);
-                    assert_eq!(cold, fresh);
-                    assert_eq!(warm, fresh);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn memoized_rf_search_matches_fresh() {
-        let (app, sched) = pipeline(64);
-        let analysis = ScheduleAnalysis::new(&app, &sched);
-        let lt = Lifetimes::analyze(&app, &sched);
-        let empty = RetentionSet::empty();
-        for fbs in [50u64, 120, 300, 1024, 65536] {
-            let fbs = Words::new(fbs);
-            let model = FootprintModel::Replacement;
-            assert_eq!(
-                analysis.max_common_rf_empty(&app, &sched, model, fbs),
-                max_common_rf(&app, &sched, &lt, &empty, model, fbs),
-                "fbs={fbs}"
-            );
-            assert_eq!(
-                analysis.all_fit_empty(&app, &sched, 1, model, fbs),
-                all_fit(&app, &sched, &lt, &empty, 1, model, fbs),
-            );
-        }
     }
 
     /// Clusters C0 and C2 share set 0: C2 reads `coef` (shared data,

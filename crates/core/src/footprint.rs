@@ -20,8 +20,130 @@ pub enum FootprintModel {
     Replacement,
 }
 
+/// The three `RF`-independent terms of one cluster's footprint:
+/// `DS_RF(C_c) = RF·per_rf + (RF − 1)·batched + single`. The live words
+/// at kernel `p` of batched iteration `i` are
+/// `RF·(K + P) + (RF − 1 − i)·L + i·S + f(p)`, linear in `i`, so the
+/// peak is at `i = 0` or `i = RF − 1`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Footprint {
+    /// `K + P`: the inputs held to the cluster end (retained past `c`,
+    /// or every object without replacement), plus passthrough.
+    per_rf: Words,
+    /// `max(L, S)`: one iteration's other inputs, or its outward results.
+    batched: Words,
+    /// `max_p f(p)`: one iteration's live words while kernel `p` runs.
+    single: Words,
+}
+
+impl Footprint {
+    /// One pass over cluster `c`'s loads, locals and stores.
+    pub(crate) fn of(
+        app: &Application,
+        sched: &ClusterSchedule,
+        lifetimes: &Lifetimes,
+        retention: &RetentionSet,
+        c: ClusterId,
+        model: FootprintModel,
+    ) -> Self {
+        let set = sched.fb_set(c);
+        let m = sched.cluster(c).len();
+        let replace = model == FootprintModel::Replacement;
+        let (mut held, mut released, mut stored) = (Words::ZERO, Words::ZERO, Words::ZERO);
+        // f(p) as live intervals [a, b) over kernel positions.
+        let mut diff = vec![0i64; m + 1];
+        let mut add = |a: usize, b: usize, size: Words| {
+            debug_assert!(a < b && b <= m);
+            diff[a] += size.get() as i64;
+            diff[b] -= size.get() as i64;
+        };
+
+        for &d in lifetimes.loads(c) {
+            // A retained copy read across sets (future-work extension)
+            // occupies the *other* set — charged there as passthrough,
+            // not here.
+            if retention.skips_load(c, d) && retention.interval(d, set).is_none() {
+                continue;
+            }
+            let size = app.size_of(d);
+            let keep_beyond = retention
+                .release_after(d, set)
+                .is_some_and(|release| release > c);
+            if !replace || keep_beyond {
+                held += size;
+            } else {
+                let last = lifetimes
+                    .last_use_in(c, d)
+                    .expect("loaded objects are consumed in the cluster");
+                released += size;
+                add(0, last + 1, size);
+            }
+        }
+
+        for &d in lifetimes.locals(c) {
+            let size = app.size_of(d);
+            if replace {
+                let prod = lifetimes.producer_pos(d).expect("locals have a producer");
+                let last = lifetimes
+                    .last_use_in(c, d)
+                    .expect("locals are consumed in the cluster");
+                add(prod, last + 1, size);
+            } else {
+                held += size;
+            }
+        }
+
+        for &d in lifetimes.stores(c) {
+            let size = app.size_of(d);
+            if replace {
+                let prod = lifetimes.producer_pos(d).expect("stores have a producer");
+                stored += size;
+                add(prod, m, size);
+            } else {
+                held += size;
+            }
+        }
+
+        let passthrough = retention.passthrough_words(
+            sched,
+            c,
+            |d| app.size_of(d),
+            |cl, d| lifetimes.loads(cl).contains(&d),
+        );
+        let mut live = 0i64;
+        let single = diff.iter().fold(0i64, |peak, delta| {
+            live += delta;
+            peak.max(live)
+        });
+        Footprint {
+            per_rf: held + passthrough,
+            batched: released.max(stored),
+            single: Words::new(u64::try_from(single).expect("live size never negative")),
+        }
+    }
+
+    /// `DS_RF(C_c)` at `rf` consecutive iterations (zero at `rf = 0`).
+    pub(crate) fn at(self, rf: u64) -> Words {
+        rf.checked_sub(1).map_or(Words::ZERO, |more| {
+            self.per_rf * rf + self.batched * more + self.single
+        })
+    }
+
+    /// The largest `rf` whose footprint fits `fbs` words (`None` if not
+    /// even `rf = 1` fits; unbounded if the footprint does not grow).
+    pub(crate) fn max_rf(self, fbs: Words) -> Option<u64> {
+        let room = fbs.checked_sub(self.at(1))?;
+        Some(
+            room.get()
+                .checked_div((self.per_rf + self.batched).get())
+                .map_or(u64::MAX, |more| more.saturating_add(1)),
+        )
+    }
+}
+
 /// Peak Frame Buffer words cluster `c` needs when executing `rf`
-/// consecutive iterations under the given retention set.
+/// consecutive iterations under the given retention set, in closed
+/// form: `RF·(K + P) + (RF − 1)·max(L, S) + max_p f(p)`.
 ///
 /// The model follows the execution order of the paper's allocation
 /// algorithm (Figure 4): all `rf` iterations' inputs are resident before
@@ -30,7 +152,10 @@ pub enum FootprintModel {
 /// last consumer it is. Results that leave the cluster stay resident
 /// until the end (they are stored — or retained — afterwards). Retained
 /// objects of *other* clusters that live across `c` on the same set are
-/// charged as passthrough.
+/// charged as passthrough (`P`). `K` is the inputs held to the cluster
+/// end, `L` and `S` one iteration's other inputs and outward results,
+/// and `f(p)` one iteration's live words while kernel `p` runs — with
+/// no retention, the bracket of the paper's [`ds_formula`].
 ///
 /// # Panics
 ///
@@ -45,89 +170,7 @@ pub fn cluster_peak(
     rf: u64,
     model: FootprintModel,
 ) -> Words {
-    let cluster = sched.cluster(c);
-    let set = sched.fb_set(c);
-    let m = cluster.len() as u64;
-    // Step indices: 0 = before the first kernel (inputs loaded);
-    // 1 + iter*m + pos = kernel `pos` of iteration `iter` executing.
-    let steps = 1 + rf * m;
-    let step = |iter: u64, pos: usize| 1 + iter * m + pos as u64;
-    let end = steps; // exclusive bound: "stays until cluster end"
-
-    // Live intervals [a, b) accumulated in a diff array.
-    let mut diff = vec![0i64; steps as usize + 1];
-    let mut add = |a: u64, b: u64, size: Words| {
-        debug_assert!(a < b && b <= end);
-        diff[a as usize] += size.get() as i64;
-        diff[b as usize] -= size.get() as i64;
-    };
-
-    let replace = model == FootprintModel::Replacement;
-
-    for &d in lifetimes.loads(c) {
-        // A retained copy read across sets (future-work extension)
-        // occupies the *other* set — charged there as passthrough, not
-        // here.
-        if retention.skips_load(c, d) && retention.interval(d, set).is_none() {
-            continue;
-        }
-        let size = app.size_of(d);
-        let last = lifetimes
-            .last_use_in(c, d)
-            .expect("loaded objects are consumed in the cluster");
-        let keep_beyond = retention
-            .release_after(d, set)
-            .is_some_and(|release| release > c);
-        for iter in 0..rf {
-            let b = if !replace || keep_beyond {
-                end
-            } else {
-                step(iter, last) + 1
-            };
-            add(0, b, size);
-        }
-    }
-
-    for &d in lifetimes.locals(c) {
-        let size = app.size_of(d);
-        let prod = lifetimes.producer_pos(d).expect("locals have a producer");
-        let last = lifetimes
-            .last_use_in(c, d)
-            .expect("locals are consumed in the cluster");
-        for iter in 0..rf {
-            let (a, b) = if replace {
-                (step(iter, prod), step(iter, last) + 1)
-            } else {
-                (0, end)
-            };
-            add(a, b, size);
-        }
-    }
-
-    for &d in lifetimes.stores(c) {
-        let size = app.size_of(d);
-        let prod = lifetimes.producer_pos(d).expect("stores have a producer");
-        for iter in 0..rf {
-            let a = if replace { step(iter, prod) } else { 0 };
-            add(a, end, size);
-        }
-    }
-
-    // Retained objects of other clusters passing through.
-    let passthrough = retention.passthrough_words(
-        sched,
-        c,
-        |d| app.size_of(d),
-        |cl, d| lifetimes.loads(cl).contains(&d),
-    );
-
-    let mut peak = 0i64;
-    let mut live = 0i64;
-    for delta in &diff {
-        live += delta;
-        peak = peak.max(live);
-    }
-    Words::new(u64::try_from(peak).expect("live size never negative")) + passthrough * rf
+    Footprint::of(app, sched, lifetimes, retention, c, model).at(rf)
 }
 
 /// The paper's analytic maximum-data-size formula for one iteration of a
@@ -200,10 +243,7 @@ pub fn all_fit(
     model: FootprintModel,
     fbs: Words,
 ) -> bool {
-    sched
-        .clusters()
-        .iter()
-        .all(|cl| cluster_peak(app, sched, lifetimes, retention, cl.id(), rf, model) <= fbs)
+    first_unfit(app, sched, lifetimes, retention, rf, model, fbs).is_none()
 }
 
 /// Returns the first cluster (in schedule order) whose peak footprint at

@@ -16,9 +16,9 @@ use crate::emit::emit_ops;
 use crate::plan::build_stages;
 use crate::retention::rank_candidates;
 use crate::{
-    all_fit, cluster_peak, first_unfit, select_greedy, select_greedy_with, AllocationWalk,
-    Candidate, Event, FootprintModel, LadderEval, LadderKey, Lifetimes, Observer, RetentionRanking,
-    RetentionSet, ScheduleAnalysis, ScheduleError, SchedulePlan,
+    all_fit, cluster_peak, first_unfit, max_common_rf, select_greedy, select_greedy_with,
+    AllocationWalk, Candidate, Event, FootprintModel, LadderEval, LadderKey, Lifetimes, Observer,
+    RetentionRanking, RetentionSet, ScheduleAnalysis, ScheduleError, SchedulePlan,
 };
 
 /// How context loads are planned per stage.
@@ -106,8 +106,8 @@ pub trait DataScheduler {
     }
 
     /// Produces the plan reusing a shared [`ScheduleAnalysis`] for the
-    /// expensive invariants (lifetimes, footprints, sharing
-    /// candidates). Semantically identical to [`plan`](Self::plan);
+    /// expensive invariants (lifetimes, sharing candidates, simulated
+    /// RF-ladder rungs). Semantically identical to [`plan`](Self::plan);
     /// sweeps call this so grid points over the same (application,
     /// schedule) pair share work.
     ///
@@ -463,9 +463,9 @@ fn plan_ladder(
     });
 
     // 1. Candidate reuse factors.
-    let Some(rfs) = rf_ladder(app, sched, config, analysis, ladder, fbs) else {
+    let Some(rfs) = rf_ladder(app, sched, config, lifetimes, ladder, fbs) else {
         observer.count("plan.infeasible", 1);
-        return Err(infeasible(name, app, sched, analysis, model, fbs));
+        return Err(infeasible(name, app, sched, lifetimes, model, fbs));
     };
 
     let cluster_contexts: Vec<u32> = sched
@@ -710,16 +710,15 @@ fn rf_ladder(
     app: &Application,
     sched: &ClusterSchedule,
     config: &SchedulerConfig,
-    analysis: &ScheduleAnalysis,
+    lifetimes: &Lifetimes,
     ladder: Ladder,
     fbs: Words,
 ) -> Option<Vec<u64>> {
+    let empty = RetentionSet::empty();
     if !ladder.batch {
-        return analysis
-            .all_fit_empty(app, sched, 1, ladder.model, fbs)
-            .then(|| vec![1]);
+        return all_fit(app, sched, lifetimes, &empty, 1, ladder.model, fbs).then(|| vec![1]);
     }
-    let rf_max = analysis.max_common_rf_empty(app, sched, ladder.model, fbs)?;
+    let rf_max = max_common_rf(app, sched, lifetimes, &empty, ladder.model, fbs)?;
     let rf_max = config.max_rf.map_or(rf_max, |cap| rf_max.min(cap)).max(1);
     if rf_max <= 64 {
         // Exhaustive: candidate sets at growing memory sizes nest, so
@@ -914,18 +913,17 @@ fn infeasible(
     name: &str,
     app: &Application,
     sched: &ClusterSchedule,
-    analysis: &ScheduleAnalysis,
+    lifetimes: &Lifetimes,
     model: FootprintModel,
     fbs: Words,
 ) -> ScheduleError {
+    let empty = RetentionSet::empty();
     let worst = sched
         .clusters()
         .iter()
         .map(|c| {
-            (
-                c.id(),
-                analysis.cluster_footprint(app, sched, c.id(), 1, model),
-            )
+            let peak = cluster_peak(app, sched, lifetimes, &empty, c.id(), 1, model);
+            (c.id(), peak)
         })
         .max_by_key(|&(_, peak)| peak)
         .expect("schedules are non-empty");

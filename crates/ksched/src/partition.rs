@@ -1,6 +1,6 @@
 //! Partitioning a kernel order into contiguous clusters.
 
-use mcds_core::{cluster_peak, FootprintModel, Lifetimes, RetentionSet};
+use mcds_core::{all_fit, cluster_peak, FootprintModel, Lifetimes, RetentionSet};
 use mcds_model::{Application, ClusterSchedule, KernelId, Words};
 
 /// Enumerates every contiguous partition of `order` as a
@@ -167,17 +167,7 @@ fn extend_orders(
 fn fits(app: &Application, sched: &ClusterSchedule, fbs: Words) -> bool {
     let lt = Lifetimes::analyze(app, sched);
     let empty = RetentionSet::empty();
-    sched.clusters().iter().all(|c| {
-        cluster_peak(
-            app,
-            sched,
-            &lt,
-            &empty,
-            c.id(),
-            1,
-            FootprintModel::Replacement,
-        ) <= fbs
-    })
+    all_fit(app, sched, &lt, &empty, 1, FootprintModel::Replacement, fbs)
 }
 
 #[cfg(test)]

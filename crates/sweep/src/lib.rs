@@ -11,9 +11,9 @@
 //!
 //! in parallel across OS threads, sharing one memoized
 //! [`ScheduleAnalysis`](mcds_core::ScheduleAnalysis) per (workload,
-//! partition) so the lifetime analysis, footprint peaks and
-//! sharing-candidate discovery are computed once rather than per grid
-//! point.
+//! partition) so the lifetime analysis, sharing-candidate discovery
+//! and simulated RF-ladder rungs are computed once rather than per
+//! grid point.
 //!
 //! Results come back as a [`SweepReport`] whose rows are in **grid
 //! order** — the report (and its JSON/CSV renderings) is byte-identical

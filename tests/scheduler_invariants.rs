@@ -6,14 +6,101 @@ use mcds_core::{
     AllocationWalk, BasicScheduler, CdsScheduler, DataScheduler, DsScheduler, Event,
     FootprintModel, Lifetimes, Observer, RetentionSet, ScheduleAnalysis, VecSink,
 };
-use mcds_model::{ArchParams, Words};
+use mcds_model::{Application, ArchParams, ClusterId, ClusterSchedule, Words};
 use mcds_workloads::synthetic::{SyntheticConfig, SyntheticGenerator};
 use proptest::prelude::*;
 
+/// The footprint oracle: walks `1 + rf·m` execution steps of cluster
+/// `c` and returns the peak of the live words. Step 0 has every
+/// iteration's inputs loaded; step `1 + iter·m + pos` runs kernel `pos`
+/// of batched iteration `iter`, acquiring its outputs and releasing
+/// what it reads last. Results stay to the cluster end, and retained
+/// objects of other clusters passing through are charged per iteration.
+fn walk_peak(
+    app: &Application,
+    sched: &ClusterSchedule,
+    lifetimes: &Lifetimes,
+    retention: &RetentionSet,
+    c: ClusterId,
+    rf: u64,
+    model: FootprintModel,
+) -> Words {
+    let set = sched.fb_set(c);
+    let m = sched.cluster(c).len() as u64;
+    let end = 1 + rf * m;
+    let step = |iter: u64, pos: usize| 1 + iter * m + pos as u64;
+    // Live intervals [a, b) accumulated in a diff array.
+    let mut diff = vec![0i64; end as usize + 1];
+    let mut add = |a: u64, b: u64, size: Words| {
+        assert!(a < b && b <= end);
+        diff[a as usize] += size.get() as i64;
+        diff[b as usize] -= size.get() as i64;
+    };
+    let replace = model == FootprintModel::Replacement;
+    for &d in lifetimes.loads(c) {
+        // A retained copy read across sets is charged on the other set.
+        if retention.skips_load(c, d) && retention.interval(d, set).is_none() {
+            continue;
+        }
+        let last = lifetimes.last_use_in(c, d).expect("consumed");
+        let keep_beyond = retention
+            .release_after(d, set)
+            .is_some_and(|release| release > c);
+        for iter in 0..rf {
+            let b = if !replace || keep_beyond {
+                end
+            } else {
+                step(iter, last) + 1
+            };
+            add(0, b, app.size_of(d));
+        }
+    }
+    for &d in lifetimes.locals(c) {
+        let prod = lifetimes.producer_pos(d).expect("produced");
+        let last = lifetimes.last_use_in(c, d).expect("consumed");
+        for iter in 0..rf {
+            let (a, b) = if replace {
+                (step(iter, prod), step(iter, last) + 1)
+            } else {
+                (0, end)
+            };
+            add(a, b, app.size_of(d));
+        }
+    }
+    for &d in lifetimes.stores(c) {
+        let prod = lifetimes.producer_pos(d).expect("produced");
+        for iter in 0..rf {
+            add(
+                if replace { step(iter, prod) } else { 0 },
+                end,
+                app.size_of(d),
+            );
+        }
+    }
+    let passthrough = retention.passthrough_words(
+        sched,
+        c,
+        |d| app.size_of(d),
+        |cl, d| lifetimes.loads(cl).contains(&d),
+    );
+    let mut live = 0i64;
+    let peak = diff.iter().fold(0i64, |peak, delta| {
+        live += delta;
+        peak.max(live)
+    });
+    Words::new(u64::try_from(peak).expect("never negative")) + passthrough * rf
+}
+
 fn config_strategy() -> impl Strategy<Value = (u64, SyntheticConfig)> {
+    config_strategy_with(2..6)
+}
+
+fn config_strategy_with(
+    clusters: std::ops::Range<usize>,
+) -> impl Strategy<Value = (u64, SyntheticConfig)> {
     (
         any::<u64>(),
-        2usize..6,
+        clusters,
         1usize..4,
         16u64..200,
         0.0f64..1.0,
@@ -37,6 +124,70 @@ fn config_strategy() -> impl Strategy<Value = (u64, SyntheticConfig)> {
         })
 }
 
+/// The closed-form `DS_RF(C_c)` equals [`walk_peak`] at every RF up to
+/// the iteration count, under both footprint models, with and without
+/// cross-set access, for the empty set and every TF-ordered prefix of
+/// the sharing candidates; and `max_common_rf` is the largest RF the
+/// walk admits.
+fn closed_form_matches_walk(app: &Application, sched: &ClusterSchedule) {
+    let lt = Lifetimes::analyze(app, sched);
+    let iterations = app.iterations();
+    for cross in [false, true] {
+        let mut ranked = find_candidates_with(app, sched, &lt, cross);
+        ranked.sort_by(|a, b| b.tf().total_cmp(&a.tf()));
+        for len in 0..=ranked.len() {
+            let mut retention = RetentionSet::empty();
+            for cand in &ranked[..len] {
+                retention.add(cand.clone());
+            }
+            for model in [FootprintModel::Replacement, FootprintModel::NoReplacement] {
+                // walk[rf - 1][cluster]
+                let mut walk = Vec::new();
+                for rf in 1..=iterations {
+                    let mut peaks = Vec::new();
+                    for cl in sched.clusters() {
+                        let c = cl.id();
+                        let oracle = walk_peak(app, sched, &lt, &retention, c, rf, model);
+                        let closed = cluster_peak(app, sched, &lt, &retention, c, rf, model);
+                        assert_eq!(
+                            closed,
+                            oracle,
+                            "{} x{iterations} {c} rf={rf} {model:?} set of {len}",
+                            app.name()
+                        );
+                        peaks.push(oracle);
+                    }
+                    walk.push(peaks);
+                }
+                for fbs in [256, 1024, 2048, 4096, 8192].map(Words::new) {
+                    let admitted = (1..=iterations)
+                        .take_while(|&rf| walk[rf as usize - 1].iter().all(|&p| p <= fbs))
+                        .last();
+                    assert_eq!(
+                        max_common_rf(app, sched, &lt, &retention, model, fbs),
+                        admitted,
+                        "{} x{iterations} fbs={fbs} {model:?} set of {len}",
+                        app.name()
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// The catalog workloads reach what the synthetic family does not:
+/// under cross-set access MPEG retains `qmat` on the other set, whose
+/// skipped load is charged there, not on the reader's set.
+#[test]
+fn closed_form_footprint_matches_walk_on_the_catalog() {
+    for name in ["e1", "e2", "e3", "mpeg", "atr-sld", "atr-fi"] {
+        for iterations in [1, 5, 16] {
+            let (app, sched) = mcds_workloads::mix::by_name(name, iterations).expect("catalog");
+            closed_form_matches_walk(&app, &sched);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -57,25 +208,34 @@ proptest! {
         }
     }
 
-    /// Invariant 2: the paper's analytic DS(C_c) equals the walk-based
-    /// peak at rf=1 without retention, and the allocator never needs
-    /// more than the analytic peak at matching parameters.
+    /// Invariant 2: the paper's analytic DS(C_c) equals the closed-form
+    /// peak at rf=1 without retention, and the Basic model's peak is
+    /// never below it.
     #[test]
     fn footprint_formula_consistency((seed, cfg) in config_strategy()) {
         let (app, sched) = SyntheticGenerator::new(seed).generate(&cfg).expect("valid");
         let lt = Lifetimes::analyze(&app, &sched);
         let empty = RetentionSet::empty();
         for c in sched.clusters() {
-            let walk = cluster_peak(
+            let peak = cluster_peak(
                 &app, &sched, &lt, &empty, c.id(), 1, FootprintModel::Replacement,
             );
             let formula = ds_formula(&app, &sched, &lt, c.id());
-            prop_assert_eq!(walk, formula, "cluster {}", c.id());
+            prop_assert_eq!(peak, formula, "cluster {}", c.id());
             let basic = cluster_peak(
                 &app, &sched, &lt, &empty, c.id(), 1, FootprintModel::NoReplacement,
             );
-            prop_assert!(basic >= walk, "replacement can only shrink the peak");
+            prop_assert!(basic >= peak, "replacement can only shrink the peak");
         }
+    }
+
+    /// The closed-form footprint and RF search agree with the walk on
+    /// random structures. Five or more clusters let retained objects
+    /// pass through a same-set cluster.
+    #[test]
+    fn closed_form_footprint_matches_walk((seed, cfg) in config_strategy_with(2..9)) {
+        let (app, sched) = SyntheticGenerator::new(seed).generate(&cfg).expect("valid");
+        closed_form_matches_walk(&app, &sched);
     }
 
     /// Invariant 5: enlarging the Frame Buffer never slows any
@@ -125,34 +285,13 @@ proptest! {
         }
     }
 
-    /// Sweep memoization: every cached invariant of
-    /// [`ScheduleAnalysis`] equals its freshly computed counterpart,
-    /// cold and warm.
+    /// Sweep memoization: the cached sharing candidates of
+    /// [`ScheduleAnalysis`] equal their freshly computed counterpart.
     #[test]
     fn memoized_invariants_match_fresh((seed, cfg) in config_strategy()) {
         let (app, sched) = SyntheticGenerator::new(seed).generate(&cfg).expect("valid");
         let analysis = ScheduleAnalysis::new(&app, &sched);
         let lt = Lifetimes::analyze(&app, &sched);
-        let empty = RetentionSet::empty();
-        for c in sched.clusters() {
-            for rf in [1, 2, app.iterations()] {
-                for model in [FootprintModel::Replacement, FootprintModel::NoReplacement] {
-                    let fresh = cluster_peak(&app, &sched, &lt, &empty, c.id(), rf, model);
-                    let cold = analysis.cluster_footprint(&app, &sched, c.id(), rf, model);
-                    let warm = analysis.cluster_footprint(&app, &sched, c.id(), rf, model);
-                    prop_assert_eq!(cold, fresh, "cold {} rf={}", c.id(), rf);
-                    prop_assert_eq!(warm, fresh, "warm {} rf={}", c.id(), rf);
-                }
-            }
-        }
-        for fbs in [Words::kilo(1), Words::kilo(4)] {
-            let model = FootprintModel::Replacement;
-            prop_assert_eq!(
-                analysis.max_common_rf_empty(&app, &sched, model, fbs),
-                max_common_rf(&app, &sched, &lt, &empty, model, fbs),
-                "fbs={}", fbs
-            );
-        }
         for cross in [false, true] {
             prop_assert_eq!(
                 analysis.sharing_candidates(&app, &sched, cross),
