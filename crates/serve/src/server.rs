@@ -264,6 +264,12 @@ enum Memo {
 /// Parse-memo capacity; lines beyond this are simply not memoized.
 const MEMO_CAP: usize = 16 * 1024;
 
+/// The largest `iterations × kernels` a `schedule` request may ask for
+/// (2^20). Planning at RF 1 builds one stage per iteration and cluster,
+/// and an application has at most one cluster per kernel, so this
+/// bounds what one request can make the planner allocate.
+const MAX_ITERATION_KERNELS: u64 = 1 << 20;
+
 /// One admitted computation.
 struct Job {
     resolved: Arc<Resolved>,
@@ -2180,6 +2186,12 @@ fn resolve(spec: ScheduleSpec) -> Result<Resolved, String> {
             (app, Some(sched))
         }
     };
+    let work = app.iterations().saturating_mul(app.kernels().len() as u64);
+    if work > MAX_ITERATION_KERNELS {
+        return Err(format!(
+            "iterations × kernels is {work}, over the limit of {MAX_ITERATION_KERNELS} (2^20)"
+        ));
+    }
     let skey = structure_key(&app, sched.as_ref());
     let key = compose_key(skey, arch_key(&arch, kind, &SchedulerConfig::default()));
     Ok(Resolved {
@@ -2198,6 +2210,7 @@ fn resolve(spec: ScheduleSpec) -> Result<Resolved, String> {
 mod tests {
     use super::*;
     use crate::cache::Lookup;
+    use mcds_model::{ApplicationBuilder, Cycles, DataKind};
 
     /// A queued job aged `age_ms` into the past, leading a fresh flight
     /// on its own key so the guard is real (dropping it parks orphans,
@@ -2219,6 +2232,34 @@ mod tests {
                 .checked_sub(Duration::from_millis(age_ms))
                 .expect("test ages fit in the clock"),
         })
+    }
+
+    #[test]
+    fn resolve_bounds_iterations_times_kernels() {
+        let rejected = |spec| resolve(spec).err();
+        // E2 has 18 kernels: 18 × 58,254 ≤ 2^20 < 18 × 58,255.
+        let e2 = |iterations| ScheduleSpec {
+            iterations: Some(iterations),
+            ..ScheduleSpec::workload("e2")
+        };
+        assert_eq!(rejected(e2(58_254)), None);
+        let message = rejected(e2(58_255)).expect("over the limit");
+        assert!(message.contains("1048576 (2^20)"), "{message}");
+        // An inline app of four kernels is bounded at 2^18 iterations.
+        let inline = |iterations| {
+            let mut b = ApplicationBuilder::new("wide");
+            let input = b.data("in", Words::new(8), DataKind::ExternalInput);
+            for k in 0..4 {
+                let out = b.data(format!("out{k}"), Words::new(8), DataKind::FinalResult);
+                b.kernel(format!("k{k}"), 1, Cycles::new(10), &[input], &[out]);
+            }
+            ScheduleSpec {
+                app: Some(b.iterations(iterations).build().expect("valid")),
+                ..ScheduleSpec::default()
+            }
+        };
+        assert_eq!(rejected(inline(1 << 18)), None);
+        assert!(rejected(inline((1 << 18) + 1)).is_some());
     }
 
     #[test]

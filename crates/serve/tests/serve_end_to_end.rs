@@ -134,9 +134,24 @@ fn malformed_requests_poison_only_their_own_connection() {
         .raw_roundtrip(r#"{"v":1,"verb":"schedule"}"#)
         .expect("typed reply");
     assert_eq!(failure_code(&incomplete), Some(ErrorCode::BadRequest));
+    // A request too large to plan is refused before any planning.
+    let oversized = bad
+        .raw_roundtrip(
+            r#"{"v":1,"verb":"schedule","workload":"e1","iterations":1000000000000,"scheduler":"ds"}"#,
+        )
+        .expect("typed reply");
+    assert_eq!(failure_code(&oversized), Some(ErrorCode::BadRequest));
 
     // The same connection keeps working after its errors…
     bad.ping().expect("connection survives its own errors");
+    let after = bad
+        .schedule(&ScheduleSpec {
+            iterations: Some(8),
+            scheduler: Some("ds".to_owned()),
+            ..ScheduleSpec::workload("e1")
+        })
+        .expect("a normal outcome after the oversized request");
+    assert_eq!(after.outcome.app, "e1");
     // …and the other connection never noticed.
     let ok = good
         .schedule(&ScheduleSpec {
@@ -148,7 +163,7 @@ fn malformed_requests_poison_only_their_own_connection() {
 
     good.shutdown().expect("drain");
     let summary = handle.join().expect("no panic").expect("clean drain");
-    assert!(summary.errors >= 3);
+    assert!(summary.errors >= 4);
 }
 
 fn failure_code(response: &mcds_serve::ServeResponse) -> Option<ErrorCode> {
