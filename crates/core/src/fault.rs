@@ -169,9 +169,9 @@ impl fmt::Display for Seam {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum Fault {
-    /// `fballoc` returns a transient [`AllocError::Injected`]
-    /// (`crates/fballoc`): the allocation "failed" this time but would
-    /// succeed on retry.
+    /// `fballoc` returns a transient
+    /// [`mcds_fballoc::AllocError::Injected`] (`crates/fballoc`): the
+    /// allocation "failed" this time but would succeed on retry.
     TransientAlloc,
     /// `fballoc` reports simulated free-list corruption (also surfaced
     /// as `AllocError::Injected`, distinct message).

@@ -13,7 +13,7 @@
 //! * each tree node is a prefix of accept/reject decisions, in
 //!   candidate order;
 //! * accepting a candidate carves its footprint out of the per-set
-//!   allocator under a fresh [`Checkpoint`](mcds_fballoc::Checkpoint),
+//!   allocator under a fresh [`mcds_fballoc::Checkpoint`],
 //!   and a caller-supplied feasibility callback re-checks the paper's
 //!   `DS(C_c) <= FBS` constraint — infeasible branches prune
 //!   immediately and roll the allocator back;

@@ -215,7 +215,7 @@ struct AnalysisShard {
 /// the reactor), and an analysis in flight resolves in milliseconds, so
 /// parking the worker on the shard's condvar is simpler and strictly
 /// better than re-running the analysis.
-pub enum AnalysisLookup {
+pub(crate) enum AnalysisLookup {
     /// A memoized analysis was available (possibly after a short wait
     /// for the in-flight leader) — the arch-only fast path.
     Hit(Arc<PreparedSchedule>),
@@ -227,22 +227,16 @@ pub enum AnalysisLookup {
 }
 
 /// The analysis leader's obligation; see [`AnalysisLookup::Lead`].
-pub struct AnalysisGuard {
+pub(crate) struct AnalysisGuard {
     cache: Arc<OutcomeCache>,
     skey: u64,
     done: bool,
 }
 
 impl AnalysisGuard {
-    /// The structure key this flight prepares.
-    #[must_use]
-    pub fn structure_key(&self) -> u64 {
-        self.skey
-    }
-
     /// Publishes the prepared analysis for every current and future
     /// requester of this structure key and wakes the blocked waiters.
-    pub fn fulfill(mut self, prepared: Arc<PreparedSchedule>) {
+    pub(crate) fn fulfill(mut self, prepared: Arc<PreparedSchedule>) {
         self.done = true;
         let shard = self.cache.analysis_shard(self.skey);
         shard
@@ -344,7 +338,7 @@ impl OutcomeCache {
     /// returned guard. See [`AnalysisLookup`] for why this family
     /// blocks where the outcome family uses waiter tokens.
     #[must_use]
-    pub fn analysis_lookup(self: &Arc<Self>, skey: u64) -> AnalysisLookup {
+    pub(crate) fn analysis_lookup(self: &Arc<Self>, skey: u64) -> AnalysisLookup {
         let shard = self.analysis_shard(skey);
         let mut map = shard.map.lock().expect("analysis shard lock");
         loop {
@@ -698,7 +692,6 @@ mod tests {
         let AnalysisLookup::Lead(guard) = cache.analysis_lookup(11) else {
             panic!("empty family: first requester leads");
         };
-        assert_eq!(guard.structure_key(), 11);
         let p = prepared();
         guard.fulfill(Arc::clone(&p));
         let AnalysisLookup::Hit(hit) = cache.analysis_lookup(11) else {
