@@ -364,3 +364,80 @@ fn sharded_cache_still_deduplicates_across_many_keys() {
     control.shutdown().expect("drain");
     handle.join().expect("no panic").expect("clean drain");
 }
+
+/// The planner's counters reach the `stats` verb whole: every miss
+/// plans once, every plan is simulated or infeasible, and the server's
+/// `fb.allocs` is the sum of the allocation walks the same requests
+/// make through the library.
+#[test]
+fn stats_totals_match_the_plans_served() {
+    use mcds_core::{Pipeline, SchedulerKind};
+    use mcds_model::{ArchParams, Words};
+
+    let requests: [(&str, u64, &str); 8] = [
+        ("e1", 1, "cds"),
+        ("e1", 2, "ds"),
+        ("e2", 1, "basic"),
+        ("e3", 1, "search"),
+        ("mpeg", 1, "basic"),
+        ("mpeg", 2, "cds"),
+        ("atr-sld", 2, "search:4"),
+        ("atr-fi", 1, "cds"),
+    ];
+    let (addr, handle) = start(ServeConfig::default());
+    let mut client = connect(addr);
+    let (mut expected_allocs, mut infeasible) = (0, 0);
+    for &(workload, fb_kw, scheduler) in &requests {
+        let spec = ScheduleSpec {
+            fb_kw: Some(fb_kw),
+            scheduler: Some(scheduler.to_owned()),
+            ..ScheduleSpec::workload(workload)
+        };
+        let served = client.schedule(&spec);
+        let (app, sched) = mcds_workloads::mix::by_name(workload, 16).expect("catalog");
+        let arch = ArchParams::m1()
+            .to_builder()
+            .fb_set_words(Words::kilo(fb_kw))
+            .build();
+        let kind: SchedulerKind = scheduler.parse().expect("known scheduler");
+        let run = Pipeline::new(app)
+            .arch(arch)
+            .schedule(sched)
+            .scheduler(kind)
+            .run();
+        assert_eq!(served.is_ok(), run.is_ok(), "{workload}/{scheduler}");
+        match run {
+            Ok(run) => expected_allocs += run.plan().allocation().allocs(),
+            Err(err) => {
+                assert!(
+                    matches!(
+                        err,
+                        McdsError::Schedule(mcds_core::ScheduleError::Infeasible { .. })
+                    ),
+                    "{err}"
+                );
+                infeasible += 1;
+            }
+        }
+    }
+
+    let stats = client.stats().expect("stats payload");
+    let get = |name: &str| {
+        stats
+            .entries
+            .iter()
+            .find(|e| e.name == name)
+            .map_or(0, |e| e.value)
+    };
+    let n = requests.len() as u64;
+    assert_eq!(get("plan.count"), n);
+    assert_eq!(get("serve.cache.misses"), n);
+    assert_eq!(get("plan.infeasible"), infeasible);
+    assert!(infeasible > 0, "Basic does not fit MPEG at 1 K");
+    assert_eq!(get("sim.runs") + get("plan.infeasible"), get("plan.count"));
+    assert_eq!(get("fb.allocs"), expected_allocs);
+    assert!(expected_allocs > 0);
+
+    client.shutdown().expect("drain");
+    handle.join().expect("no panic").expect("clean drain");
+}

@@ -1,7 +1,9 @@
 //! Golden-trace regression tests: the rendered `--explain` decision log
 //! for two Table-1 workloads under every scheduler, and for two
 //! knapsack-trap workloads under the CDS and the search scheduler, is
-//! snapshotted in `tests/golden/` and must stay byte-identical.
+//! snapshotted in `tests/golden/` and must stay byte-identical. So is
+//! the metrics registry's snapshot after a run of each of those
+//! workloads under every scheduler (`tests/golden/metrics/`).
 //!
 //! When a deliberate scheduler change alters the decisions, refresh the
 //! snapshots with
@@ -13,8 +15,9 @@
 //! and review the diff like any other code change.
 
 use std::path::PathBuf;
+use std::sync::Arc;
 
-use mcds_core::{Pipeline, SchedulerKind};
+use mcds_core::{MetricsRegistry, Pipeline, SchedulerKind};
 use mcds_model::{
     Application, ApplicationBuilder, ArchParams, ClusterSchedule, Cycles, DataKind, Words,
 };
@@ -165,6 +168,110 @@ fn explain_logs_match_golden_snapshots() {
             );
         }
     }
+}
+
+/// The metrics registry's snapshot after one run of `case` under
+/// `kind` (through `explain` when `narrated`), one `name value` line
+/// per counter in snapshot (name) order. The run's result does not
+/// matter: an infeasible plan still counts.
+fn metrics_after(case: &GoldenCase, kind: SchedulerKind, narrated: bool) -> String {
+    let metrics = Arc::new(MetricsRegistry::new());
+    let pipeline = Pipeline::new(case.app.clone())
+        .arch(case.arch)
+        .schedule(case.sched.clone())
+        .scheduler(kind)
+        .metrics(Arc::clone(&metrics));
+    let _ = if narrated {
+        pipeline.explain().map(|(run, _)| run)
+    } else {
+        pipeline.run()
+    };
+    metrics
+        .snapshot()
+        .iter()
+        .map(|(name, value)| format!("{name} {value}\n"))
+        .collect()
+}
+
+/// The counter cases: every golden workload under all four schedulers,
+/// plus MPEG at 1 K words with cross-set access, the catalog point
+/// where greedy CDS rejects a candidate (`retention.rejected`) and
+/// Basic is infeasible (`plan.infeasible`).
+fn metrics_cases() -> Vec<GoldenCase> {
+    let every_kind = [
+        SchedulerKind::ALL.as_slice(),
+        &[SchedulerKind::search_default()],
+    ]
+    .concat();
+    let mut cases = golden_cases();
+    let mpeg = cases
+        .iter()
+        .find(|case| case.name == "MPEG")
+        .expect("MPEG is a golden case");
+    let cross = GoldenCase {
+        name: "MPEG-cross-1K",
+        app: mpeg.app.clone(),
+        sched: mpeg.sched.clone(),
+        arch: mpeg
+            .arch
+            .to_builder()
+            .fb_set_words(Words::kilo(1))
+            .fb_cross_set_access(true)
+            .build(),
+        kinds: Vec::new(),
+    };
+    cases.push(cross);
+    for case in &mut cases {
+        case.kinds.clone_from(&every_kind);
+    }
+    cases
+}
+
+/// Counter totals are pinned: a plan reports the same `plan.*`,
+/// `retention.*`, `search.*`, `fb.*` and `sim.*` values whether or not
+/// a sink narrates it, and those values match the snapshots.
+#[test]
+fn metrics_snapshots_match_golden_and_explain() {
+    let bless = std::env::var_os("BLESS").is_some();
+    let dir = golden_dir().join("metrics");
+    let mut rejected = 0;
+    for case in &metrics_cases() {
+        for &kind in &case.kinds {
+            let quiet = metrics_after(case, kind, false);
+            let narrated = metrics_after(case, kind, true);
+            assert_eq!(
+                quiet, narrated,
+                "{}/{kind}: a metrics-only run and explain must count alike",
+                case.name
+            );
+            rejected += quiet
+                .lines()
+                .filter_map(|line| line.strip_prefix("retention.rejected "))
+                .map(|v| v.parse::<u64>().expect("counter value"))
+                .sum::<u64>();
+            let path = dir.join(format!("{}_{}.txt", case.name, kind.name()));
+            if bless {
+                std::fs::create_dir_all(&dir).expect("create metrics dir");
+                std::fs::write(&path, &quiet).expect("write snapshot");
+                continue;
+            }
+            let want = std::fs::read_to_string(&path).unwrap_or_else(|err| {
+                panic!(
+                    "missing snapshot {} ({err}); run `BLESS=1 cargo test -p mcds-bench \
+                     --test golden_traces` to create it",
+                    path.display()
+                )
+            });
+            assert_eq!(
+                quiet,
+                want,
+                "metrics for {}/{kind} drifted from {}",
+                case.name,
+                path.display()
+            );
+        }
+    }
+    assert!(rejected > 1, "fixtures exercise greedy rejections");
 }
 
 fn sweep_with_explains(threads: usize) -> SweepReport {
