@@ -437,14 +437,6 @@ impl<'a> Observer<'a> {
         self.sink.is_some()
     }
 
-    /// `true` if either a sink or a metrics registry is attached —
-    /// instrumented code may take a slower path (e.g. re-running a
-    /// decision loop with callbacks) only in this case.
-    #[must_use]
-    pub fn engaged(&self) -> bool {
-        self.sink.is_some() || self.metrics.is_some()
-    }
-
     /// Records the event built by `f` — `f` only runs when a sink is
     /// attached.
     #[inline]
@@ -492,8 +484,9 @@ impl fmt::Debug for Observer<'_> {
     }
 }
 
-/// Capacity of the registry's append-only slot table. Generous: the
-/// stack uses ~15 distinct names.
+/// Capacity of the registry's append-only slot table. A serving
+/// process touches about 50 distinct names (planner, allocator,
+/// simulator, serve and fault counters).
 const METRIC_SLOTS: usize = 128;
 
 struct MetricSlot {
