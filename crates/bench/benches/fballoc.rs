@@ -87,7 +87,7 @@ fn bench_regularity(c: &mut Criterion) {
     let mut group = c.benchmark_group("fballoc/placement");
     group.bench_function("regular-hit", |b| {
         let mut fb = FbAllocator::new(Words::kilo(1));
-        let mut mem: PlacementMemory<u32> = PlacementMemory::new();
+        let mut mem = PlacementMemory::new(8);
         // Warm the preference.
         let a = mem
             .alloc(&mut fb, 7, "obj", Words::new(64), Direction::FromUpper)

@@ -198,7 +198,9 @@ impl<'a> AllocationWalk<'a> {
         let total_rounds = self.app.iterations().div_ceil(self.rf);
         let rounds = rounds.min(total_rounds);
         let objects = self.app.data().len();
-        let mut state = WalkState::new(self.capacity, objects, traced, record, self.observer);
+        let slots = self.rf.min(self.app.iterations());
+        let mut state =
+            WalkState::new(self.capacity, objects, slots, traced, record, self.observer);
         let mut bufs = StageBuffers {
             held: Vec::new(),
             placed: vec![false; objects],
@@ -394,9 +396,16 @@ fn set_u8(si: usize) -> u8 {
 }
 
 /// Mutable walk state: allocators, live instances, deferred frees.
+///
+/// An instance is one (set, object, iteration slot); both instance
+/// tables below are flat vectors indexed by
+/// `(set · objects + object) · slots + slot`, allocated once per walk.
+/// A stage places every object at most `slots = min(rf, iterations)`
+/// times, so each table holds at most twice one round's allocations.
 struct WalkState<'a> {
     fbs: [FbAllocator; 2],
-    mems: [PlacementMemory<(DataId, u64)>; 2],
+    /// Where each instance sat last round: its regularity preference.
+    placement: PlacementMemory,
     /// (round, cluster) of the stage being walked.
     at: (u64, ClusterId),
     record: bool,
@@ -405,12 +414,14 @@ struct WalkState<'a> {
     /// maps) ever reads one.
     labelled: bool,
     placements: Vec<PlacementRecord>,
-    /// Number of data objects: (set, object) pairs index the two
-    /// tables below as `set * objects + object`.
+    /// Number of data objects: (set, object) pairs index `live_count`
+    /// as `set * objects + object`.
     objects: usize,
-    /// Live instance handles per (set, object), by iteration slot — a
-    /// table retained on both sets has an independent copy per set.
-    live: Vec<Vec<Option<AllocHandle>>>,
+    /// Iteration slots per (set, object) in the instance tables.
+    slots: usize,
+    /// Live instance handles — a table retained on both sets has an
+    /// independent copy per set.
+    live: Vec<Option<AllocHandle>>,
     /// Live instance count per (set, object).
     live_count: Vec<u32>,
     pending: [Vec<AllocHandle>; 2],
@@ -421,6 +432,7 @@ impl<'a> WalkState<'a> {
     fn new(
         capacity: Words,
         objects: usize,
+        slots: u64,
         traced: bool,
         record: bool,
         observer: Observer<'a>,
@@ -438,15 +450,18 @@ impl<'a> WalkState<'a> {
                 capacity: capacity.get(),
             });
         }
+        let slots = usize::try_from(slots).expect("slots fit usize");
+        let instances = 2 * objects * slots;
         WalkState {
             fbs: [mk(), mk()],
-            mems: [PlacementMemory::new(), PlacementMemory::new()],
+            placement: PlacementMemory::new(instances),
             at: (0, ClusterId::new(0)),
             record,
             labelled: traced || observer.active(),
             placements: Vec::new(),
             objects,
-            live: vec![Vec::new(); 2 * objects],
+            slots,
+            live: vec![None; instances],
             live_count: vec![0; 2 * objects],
             pending: [Vec::new(), Vec::new()],
             observer,
@@ -457,25 +472,26 @@ impl<'a> WalkState<'a> {
         self.live_count[si * self.objects + d.index()] > 0
     }
 
-    fn insert_live(&mut self, si: usize, d: DataId, slot: u64, handle: AllocHandle) {
-        let i = si * self.objects + d.index();
+    /// The instance tables' index of (set, object, slot).
+    fn instance(&self, si: usize, d: DataId, slot: u64) -> usize {
         let slot = usize::try_from(slot).expect("slot fits usize");
-        let slots = &mut self.live[i];
-        if slots.len() <= slot {
-            slots.resize(slot + 1, None);
-        }
-        let prev = slots[slot].replace(handle);
+        debug_assert!(slot < self.slots, "slot beyond the walk's RF");
+        (si * self.objects + d.index()) * self.slots + slot
+    }
+
+    fn insert_live(&mut self, si: usize, d: DataId, slot: u64, handle: AllocHandle) {
+        let i = self.instance(si, d, slot);
+        let prev = self.live[i].replace(handle);
         debug_assert!(prev.is_none(), "instance double-allocated");
         if prev.is_none() {
-            self.live_count[i] += 1;
+            self.live_count[si * self.objects + d.index()] += 1;
         }
     }
 
     fn take_live(&mut self, si: usize, d: DataId, slot: u64) -> Option<AllocHandle> {
-        let i = si * self.objects + d.index();
-        let slot = usize::try_from(slot).expect("slot fits usize");
-        let handle = self.live[i].get_mut(slot)?.take()?;
-        self.live_count[i] -= 1;
+        let i = self.instance(si, d, slot);
+        let handle = self.live[i].take()?;
+        self.live_count[si * self.objects + d.index()] -= 1;
         Some(handle)
     }
 
@@ -554,15 +570,18 @@ impl<'a> WalkState<'a> {
             Some(_) => return Err(AllocError::Injected("transient allocation failure")),
             None => {}
         }
-        let alloc =
-            match self.mems[si].alloc(&mut self.fbs[si], (d, slot), label.clone(), size, dir) {
-                Ok(a) => a,
-                Err(AllocError::NoContiguousBlock { .. }) => {
-                    // Last resort: split across free blocks.
-                    self.fbs[si].alloc_split(label.clone(), size, dir)?
-                }
-                Err(e) => return Err(e),
-            };
+        let key = self.instance(si, d, slot);
+        let alloc = match self
+            .placement
+            .alloc(&mut self.fbs[si], key, label.clone(), size, dir)
+        {
+            Ok(a) => a,
+            Err(AllocError::NoContiguousBlock { .. }) => {
+                // Last resort: split across free blocks.
+                self.fbs[si].alloc_split(label.clone(), size, dir)?
+            }
+            Err(e) => return Err(e),
+        };
         self.observer.emit(|| Event::FbAlloc {
             set: set_u8(si),
             label: label.clone(),
@@ -662,8 +681,8 @@ impl<'a> WalkState<'a> {
                 self.fbs[1].stats().peak_used(),
             ],
             splits: self.fbs[0].stats().split_allocs() + self.fbs[1].stats().split_allocs(),
-            regular_hits: self.mems[0].regular_hits() + self.mems[1].regular_hits(),
-            irregular: self.mems[0].irregular_placements() + self.mems[1].irregular_placements(),
+            regular_hits: self.placement.regular_hits(),
+            irregular: self.placement.irregular_placements(),
             allocs: self.fbs[0].stats().allocs() + self.fbs[1].stats().allocs(),
             maps,
         }

@@ -5,9 +5,6 @@
 //! scheduler keys placements by object and retries the remembered
 //! address before falling back to first-fit.
 
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hash, Hasher};
-
 use mcds_model::Words;
 
 use crate::{AllocError, Allocation, Direction, FbAllocator};
@@ -15,12 +12,12 @@ use crate::{AllocError, Allocation, Direction, FbAllocator};
 /// Remembers, per key, the address where an object was last placed, and
 /// allocates new instances there when possible.
 ///
-/// `K` is the caller's notion of object identity — typically
-/// `(DataId, role)` so that, say, iteration 2 of `r13` lands where
-/// iteration 1 sat (Figure 5 of the paper). Keys are hashed with a
-/// fast unkeyed hasher, so they should be ids the program assigns (the
-/// allocation walk's `(object, slot)` pairs are dense indices), not
-/// values chosen outside the program.
+/// Keys are dense indices `0..keys` the caller assigns to its notion of
+/// object identity — the allocation walk numbers each (set, object,
+/// iteration slot) — so that, say, iteration 2 of `r13` lands where
+/// iteration 1 sat (Figure 5 of the paper). The table is one flat
+/// vector sized when the memory is built: a lookup is an index, not a
+/// hash.
 ///
 /// # Example
 ///
@@ -29,67 +26,32 @@ use crate::{AllocError, Allocation, Direction, FbAllocator};
 /// use mcds_model::Words;
 ///
 /// # fn main() -> Result<(), mcds_fballoc::AllocError> {
+/// const R13: usize = 0;
 /// let mut fb = FbAllocator::new(Words::new(64));
-/// let mut mem: PlacementMemory<&str> = PlacementMemory::new();
-/// let a = mem.alloc(&mut fb, "r13", "r13#0", Words::new(8), Direction::FromLower)?;
+/// let mut mem = PlacementMemory::new(1);
+/// let a = mem.alloc(&mut fb, R13, "r13#0", Words::new(8), Direction::FromLower)?;
 /// let at = a.start();
 /// fb.free(a)?;
 /// // Next iteration: lands at the same address.
-/// let b = mem.alloc(&mut fb, "r13", "r13#1", Words::new(8), Direction::FromLower)?;
+/// let b = mem.alloc(&mut fb, R13, "r13#1", Words::new(8), Direction::FromLower)?;
 /// assert_eq!(b.start(), at);
 /// assert_eq!(mem.regular_hits(), 1);
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug, Clone)]
-pub struct PlacementMemory<K> {
-    preferred: HashMap<K, u64, BuildHasherDefault<WordHasher>>,
+pub struct PlacementMemory {
+    preferred: Vec<Option<u64>>,
     regular_hits: u64,
     irregular: u64,
 }
 
-/// The multiply-rotate word hasher of rustc's `FxHash`, for the
-/// placement table: the default SipHash's resistance to crafted keys
-/// buys nothing on program-assigned ids, and it cost a third of an
-/// allocation walk. Only lookups depend on the hash; nothing iterates
-/// the table, so no output does.
-#[derive(Debug, Clone, Copy, Default)]
-struct WordHasher(u64);
-
-impl WordHasher {
-    fn add(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-    }
-}
-
-impl Hasher for WordHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.add(u64::from_le_bytes(word));
-        }
-    }
-
-    fn write_u32(&mut self, i: u32) {
-        self.add(u64::from(i));
-    }
-
-    fn write_u64(&mut self, i: u64) {
-        self.add(i);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-impl<K: Eq + Hash + Clone> PlacementMemory<K> {
-    /// An empty memory.
+impl PlacementMemory {
+    /// A memory for keys `0..keys`, none of them placed yet.
     #[must_use]
-    pub fn new() -> Self {
+    pub fn new(keys: usize) -> Self {
         PlacementMemory {
-            preferred: HashMap::default(),
+            preferred: vec![None; keys],
             regular_hits: 0,
             irregular: 0,
         }
@@ -102,27 +64,33 @@ impl<K: Eq + Hash + Clone> PlacementMemory<K> {
     ///
     /// # Errors
     ///
-    /// Propagates [`AllocError`] from the fallback first-fit allocation.
+    /// Propagates [`AllocError`] from the fallback first-fit allocation;
+    /// the preference and both counters are then left as they were.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `key` is not below the `keys` the memory was built for.
     pub fn alloc(
         &mut self,
         fb: &mut FbAllocator,
-        key: K,
+        key: usize,
         label: impl Into<String>,
         size: Words,
         direction: Direction,
     ) -> Result<Allocation, AllocError> {
         let label = label.into();
-        if let Some(&at) = self.preferred.get(&key) {
+        let preferred = self.preferred[key];
+        if let Some(at) = preferred {
             if let Ok(alloc) = fb.alloc_at(label.clone(), at, size) {
                 self.regular_hits += 1;
                 return Ok(alloc);
             }
         }
         let alloc = fb.alloc(label, size, direction)?;
-        if self.preferred.contains_key(&key) {
+        if preferred.is_some() {
             self.irregular += 1;
         }
-        self.preferred.insert(key, alloc.start());
+        self.preferred[key] = Some(alloc.start());
         Ok(alloc)
     }
 
@@ -141,13 +109,7 @@ impl<K: Eq + Hash + Clone> PlacementMemory<K> {
 
     /// Forgets all remembered placements.
     pub fn clear(&mut self) {
-        self.preferred.clear();
-    }
-}
-
-impl<K: Eq + Hash + Clone> Default for PlacementMemory<K> {
-    fn default() -> Self {
-        PlacementMemory::new()
+        self.preferred.fill(None);
     }
 }
 
@@ -156,9 +118,26 @@ mod tests {
     use super::*;
 
     #[test]
+    fn regular_hit_reuses_the_remembered_address() {
+        let mut fb = FbAllocator::new(Words::new(32));
+        let mut mem = PlacementMemory::new(2);
+        let a = mem
+            .alloc(&mut fb, 1, "a#0", Words::new(8), Direction::FromLower)
+            .expect("fits");
+        let at = a.start();
+        fb.free(a).expect("live");
+        // First fit from the upper end would land elsewhere.
+        let b = mem
+            .alloc(&mut fb, 1, "a#1", Words::new(8), Direction::FromUpper)
+            .expect("fits");
+        assert_eq!(b.start(), at);
+        assert_eq!((mem.regular_hits(), mem.irregular_placements()), (1, 0));
+    }
+
+    #[test]
     fn falls_back_when_preferred_is_taken() {
         let mut fb = FbAllocator::new(Words::new(32));
-        let mut mem: PlacementMemory<u32> = PlacementMemory::new();
+        let mut mem = PlacementMemory::new(2);
         let a = mem
             .alloc(&mut fb, 1, "a#0", Words::new(8), Direction::FromUpper)
             .expect("fits");
@@ -183,9 +162,36 @@ mod tests {
     }
 
     #[test]
+    fn no_contiguous_block_keeps_the_preference_and_counters() {
+        let mut fb = FbAllocator::new(Words::new(32));
+        let mut mem = PlacementMemory::new(1);
+        let a = mem
+            .alloc(&mut fb, 0, "a#0", Words::new(8), Direction::FromUpper)
+            .expect("fits");
+        let at = a.start();
+        fb.free(a).expect("live");
+        // Fill the buffer: neither the preference nor any block fits.
+        let blocker = fb.alloc_at("block", 0, Words::new(32)).expect("free");
+        let err = mem
+            .alloc(&mut fb, 0, "a#1", Words::new(8), Direction::FromUpper)
+            .expect_err("no room");
+        assert!(matches!(err, AllocError::NoContiguousBlock { .. }));
+        assert_eq!((mem.regular_hits(), mem.irregular_placements()), (0, 0));
+        // The preference survived: first fit from the lower end would
+        // land elsewhere.
+        fb.free(blocker).expect("live");
+        let b = mem
+            .alloc(&mut fb, 0, "a#2", Words::new(8), Direction::FromLower)
+            .expect("fits");
+        assert_eq!(b.start(), at);
+        assert_ne!(at, 0);
+        assert_eq!((mem.regular_hits(), mem.irregular_placements()), (1, 0));
+    }
+
+    #[test]
     fn distinct_keys_do_not_interfere() {
         let mut fb = FbAllocator::new(Words::new(32));
-        let mut mem: PlacementMemory<u32> = PlacementMemory::new();
+        let mut mem = PlacementMemory::new(3);
         let a = mem
             .alloc(&mut fb, 1, "a", Words::new(8), Direction::FromUpper)
             .expect("fits");
@@ -198,7 +204,7 @@ mod tests {
     #[test]
     fn clear_forgets() {
         let mut fb = FbAllocator::new(Words::new(32));
-        let mut mem: PlacementMemory<u32> = PlacementMemory::new();
+        let mut mem = PlacementMemory::new(2);
         let a = mem
             .alloc(&mut fb, 1, "a", Words::new(8), Direction::FromLower)
             .expect("fits");
