@@ -82,36 +82,43 @@ pub fn build_stages(
     context_loads: &[u32],
 ) -> Vec<StagePlan> {
     assert!(rf >= 1, "rf must be at least 1");
+    // One iteration's (load, store) words per cluster: a stage moves
+    // `iters` times its cluster's.
+    let per_iter: Vec<(ClusterId, Words, Words)> = sched
+        .clusters()
+        .iter()
+        .map(|cluster| {
+            let c = cluster.id();
+            let load = lifetimes
+                .loads(c)
+                .iter()
+                .filter(|&&d| !retention.skips_load(c, d))
+                .map(|&d| app.size_of(d))
+                .sum();
+            let store = lifetimes
+                .stores(c)
+                .iter()
+                .filter(|&&d| !retention.skips_store(c, d))
+                .map(|&d| app.size_of(d))
+                .sum();
+            (c, load, store)
+        })
+        .collect();
     let n = app.iterations();
     let rounds = n.div_ceil(rf);
     let mut stages =
         Vec::with_capacity(usize::try_from(rounds).expect("rounds fit usize") * sched.len());
-    let mut stage_idx = 0usize;
     for round in 0..rounds {
         let iters = rf.min(n - round * rf);
-        for cluster in sched.clusters() {
-            let c = cluster.id();
-            let load_words: Words = lifetimes
-                .loads(c)
-                .iter()
-                .filter(|&&d| !retention.skips_load(c, d))
-                .map(|&d| app.size_of(d) * iters)
-                .sum();
-            let store_words: Words = lifetimes
-                .stores(c)
-                .iter()
-                .filter(|&&d| !retention.skips_store(c, d))
-                .map(|&d| app.size_of(d) * iters)
-                .sum();
+        for &(cluster, load, store) in &per_iter {
             stages.push(StagePlan {
-                cluster: c,
+                cluster,
                 round,
                 iters,
-                context_words: context_loads[stage_idx],
-                load_words,
-                store_words,
+                context_words: context_loads[stages.len()],
+                load_words: load * iters,
+                store_words: store * iters,
             });
-            stage_idx += 1;
         }
     }
     stages
@@ -300,6 +307,104 @@ mod tests {
         // on set 1 and k2? no — k2 reads r only).
         assert_eq!(stages[2].load_words(), Words::ZERO);
         assert_eq!(stages[2].store_words(), Words::new(5));
+    }
+
+    /// `build_stages` as it was before it summed each cluster's volumes
+    /// once: every stage re-sums its cluster's unskipped loads and
+    /// stores at its own `iters`. The oracle of
+    /// `stage_volumes_match_the_per_stage_sums`.
+    fn per_stage_reference(
+        app: &Application,
+        sched: &ClusterSchedule,
+        lifetimes: &Lifetimes,
+        retention: &RetentionSet,
+        rf: u64,
+        context_loads: &[u32],
+    ) -> Vec<StagePlan> {
+        let n = app.iterations();
+        let mut stages = Vec::new();
+        for round in 0..n.div_ceil(rf) {
+            let iters = rf.min(n - round * rf);
+            for cluster in sched.clusters() {
+                let c = cluster.id();
+                let load_words: Words = lifetimes
+                    .loads(c)
+                    .iter()
+                    .filter(|&&d| !retention.skips_load(c, d))
+                    .map(|&d| app.size_of(d) * iters)
+                    .sum();
+                let store_words: Words = lifetimes
+                    .stores(c)
+                    .iter()
+                    .filter(|&&d| !retention.skips_store(c, d))
+                    .map(|&d| app.size_of(d) * iters)
+                    .sum();
+                stages.push(StagePlan {
+                    cluster: c,
+                    round,
+                    iters,
+                    context_words: context_loads[stages.len()],
+                    load_words,
+                    store_words,
+                });
+            }
+        }
+        stages
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// `build_stages` equals the per-stage sums on random synthetic
+        /// structures, at every RF up to the iteration count (so most
+        /// last rounds are partial), for random accept masks over the
+        /// ranked candidates with cross-set access off and on.
+        #[test]
+        fn stage_volumes_match_the_per_stage_sums(
+            seed in proptest::prelude::any::<u64>(),
+            clusters in 2usize..9,
+            share in 0.0f64..1.0,
+            cross in 0.0f64..1.0,
+            iterations in 1u64..20,
+        ) {
+            let cfg = mcds_workloads::synthetic::SyntheticConfig {
+                clusters,
+                kernels_per_cluster: (1, 3),
+                data_words: (16, 200),
+                share_probability: share,
+                cross_probability: cross,
+                contexts: 128,
+                exec_cycles: (50, 500),
+                iterations,
+            };
+            let (app, sched) = mcds_workloads::synthetic::SyntheticGenerator::new(seed)
+                .generate(&cfg)
+                .expect("valid");
+            let lt = Lifetimes::analyze(&app, &sched);
+            let mut bits = seed;
+            for cross_set in [false, true] {
+                // In TF order, as the greedy walk ranks them.
+                let ranked = crate::find_candidates_with(&app, &sched, &lt, cross_set);
+                for _ in 0..4 {
+                    let mut retention = RetentionSet::empty();
+                    for cand in &ranked {
+                        bits = crate::splitmix64(bits);
+                        if bits & 1 == 1 {
+                            retention.add(cand.clone());
+                        }
+                    }
+                    for rf in 1..=iterations {
+                        let stages = usize::try_from(iterations.div_ceil(rf)).expect("fits")
+                            * sched.len();
+                        let ctx: Vec<u32> = (0..stages).map(|i| (i as u32) * 7 % 33).collect();
+                        proptest::prop_assert_eq!(
+                            build_stages(&app, &sched, &lt, &retention, rf, &ctx),
+                            per_stage_reference(&app, &sched, &lt, &retention, rf, &ctx)
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]
