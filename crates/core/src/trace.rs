@@ -539,10 +539,16 @@ impl MetricsRegistry {
         }
     }
 
-    fn slot_index(&self, name: &str) -> usize {
+    /// The slot of the counter named `base` followed by `suffix`
+    /// (`""` for a plain counter), matched in place: the name is only
+    /// formatted when its slot is created.
+    fn slot_index(&self, base: &str, suffix: &str) -> usize {
         let len = self.len.load(Ordering::Acquire).min(self.slots.len());
+        let named = |n: &String| {
+            n.len() == base.len() + suffix.len() && n.starts_with(base) && n.ends_with(suffix)
+        };
         for (i, s) in self.slots[..len].iter().enumerate() {
-            if s.name.get().is_some_and(|n| n == name) {
+            if s.name.get().is_some_and(named) {
                 return i;
             }
         }
@@ -550,13 +556,13 @@ impl MetricsRegistry {
         assert!(idx < self.slots.len(), "metrics registry full");
         self.slots[idx]
             .name
-            .set(name.to_owned())
+            .set(format!("{base}{suffix}"))
             .expect("freshly reserved slot");
         idx
     }
 
-    fn slot(&self, name: &str) -> &AtomicU64 {
-        &self.slots[self.slot_index(name)].value
+    fn slot(&self, base: &str, suffix: &str) -> &AtomicU64 {
+        &self.slots[self.slot_index(base, suffix)].value
     }
 
     /// Pre-resolves counter `name` into a [`Counter`] handle: the name
@@ -569,7 +575,7 @@ impl MetricsRegistry {
     pub fn counter(self: &Arc<Self>, name: &str) -> Counter {
         Counter {
             registry: Arc::clone(self),
-            idx: self.slot_index(name),
+            idx: self.slot_index(name, ""),
         }
     }
 
@@ -579,16 +585,16 @@ impl MetricsRegistry {
     #[must_use]
     pub fn histogram(self: &Arc<Self>, name: &str) -> Histogram {
         Histogram {
-            count: self.slot_index(&format!("{name}.count")),
-            sum: self.slot_index(&format!("{name}.sum")),
-            max: self.slot_index(&format!("{name}.max")),
+            count: self.slot_index(name, ".count"),
+            sum: self.slot_index(name, ".sum"),
+            max: self.slot_index(name, ".max"),
             registry: Arc::clone(self),
         }
     }
 
     /// Adds `v` to counter `name`, creating it at zero on first touch.
     pub fn add(&self, name: &str, v: u64) {
-        self.slot(name).fetch_add(v, Ordering::Relaxed);
+        self.slot(name, "").fetch_add(v, Ordering::Relaxed);
     }
 
     /// Increments counter `name` by one.
@@ -596,14 +602,13 @@ impl MetricsRegistry {
         self.add(name, 1);
     }
 
-    /// Records one observation of histogram `name`.
+    /// Records one observation of histogram `name`. Each of its three
+    /// counters is found by a scan of the name table, as for
+    /// [`add`](Self::add); nothing is allocated once they exist.
     pub fn observe(&self, name: &str, v: u64) {
-        self.slot(&format!("{name}.count"))
-            .fetch_add(1, Ordering::Relaxed);
-        self.slot(&format!("{name}.sum"))
-            .fetch_add(v, Ordering::Relaxed);
-        self.slot(&format!("{name}.max"))
-            .fetch_max(v, Ordering::Relaxed);
+        self.slot(name, ".count").fetch_add(1, Ordering::Relaxed);
+        self.slot(name, ".sum").fetch_add(v, Ordering::Relaxed);
+        self.slot(name, ".max").fetch_max(v, Ordering::Relaxed);
     }
 
     /// Current value of counter `name` (duplicate slots merged), or
@@ -970,6 +975,34 @@ mod tests {
         assert_eq!(metrics.get("rf.count"), Some(1));
         assert_eq!(metrics.get("rf.sum"), Some(4));
         assert_eq!(metrics.get("rf.max"), Some(4));
+    }
+
+    #[test]
+    fn observe_by_name_matches_a_histogram_handle() {
+        let by_name = MetricsRegistry::new();
+        let handles = Arc::new(MetricsRegistry::new());
+        let (rf, r) = (handles.histogram("plan.rf"), handles.histogram("plan.r"));
+        // A plain counter and a histogram whose names prefix the
+        // histogram's slots must not be matched for them.
+        by_name.add("plan.rf", 1);
+        handles.add("plan.rf", 1);
+        by_name.observe("plan.rf", 3);
+        rf.observe(3);
+        by_name.observe("plan.r", 9);
+        r.observe(9);
+        let slots = by_name.len.load(Ordering::Acquire);
+        for v in [1, 8, 8, 2] {
+            by_name.observe("plan.rf", v);
+            rf.observe(v);
+            by_name.observe("plan.r", v + 1);
+            r.observe(v + 1);
+        }
+        assert_eq!(slots, 7);
+        assert_eq!(by_name.len.load(Ordering::Acquire), slots);
+        assert_eq!(by_name.snapshot(), handles.snapshot());
+        assert_eq!(by_name.get("plan.rf.count"), Some(5));
+        assert_eq!(by_name.get("plan.rf.sum"), Some(22));
+        assert_eq!(by_name.get("plan.rf.max"), Some(8));
     }
 
     #[test]
