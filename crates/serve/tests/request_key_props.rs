@@ -4,8 +4,8 @@
 //! perturbations of any request input — application, architecture, or
 //! scheduler.
 
-use mcds_core::{canonical_value_hash, request_key, SchedulerConfig, SchedulerKind};
-use mcds_model::{ArchParams, Words};
+use mcds_core::{canonical_value_hash, request_key, structure_key, SchedulerConfig, SchedulerKind};
+use mcds_model::{Application, ArchParams, ClusterSchedule, Words};
 use mcds_workloads::mix;
 use proptest::prelude::*;
 use serde::{Serialize, Value};
@@ -43,6 +43,7 @@ fn reorder_keys(value: &Value, state: &mut u64) -> Value {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
+    /// The tree hash, which defines the keys, ignores map entry order.
     #[test]
     fn hash_ignores_map_key_order(seed in 0u64..u64::MAX, iters in 1u64..32) {
         for name in mix::CATALOG {
@@ -57,6 +58,34 @@ proptest! {
                     name
                 );
             }
+        }
+    }
+
+    /// The same request spelled with its JSON object keys in another
+    /// order decodes to the same structure key: the streamed key reads
+    /// the decoded model, so the spelling never reaches it.
+    #[test]
+    fn structure_key_ignores_json_key_order(seed in 0u64..u64::MAX, iters in 1u64..32) {
+        for name in mix::CATALOG {
+            let (app, sched) = mix::by_name(name, iters).expect("catalog entry");
+            let mut state = seed;
+            let spellings = |value: Value, state: &mut u64| {
+                let permuted = reorder_keys(&value, state);
+                [value, permuted].map(|v| serde_json::to_string(&v).expect("serializes"))
+            };
+            let [app_json, app_permuted] = spellings(app.to_value(), &mut state);
+            let [sched_json, sched_permuted] = spellings(sched.to_value(), &mut state);
+            let decode = |app: &str, sched: &str| {
+                let app: Application = serde_json::from_str(app).expect("app decodes");
+                let sched: ClusterSchedule = serde_json::from_str(sched).expect("partition decodes");
+                (structure_key(&app, Some(&sched)), structure_key(&app, None))
+            };
+            prop_assert_eq!(
+                decode(&app_json, &sched_json),
+                decode(&app_permuted, &sched_permuted),
+                "JSON key order must not affect the structure key ({})",
+                name
+            );
         }
     }
 
