@@ -205,19 +205,40 @@ fn opt<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
         .map(String::as_str)
 }
 
+/// A Frame Buffer set size of `kw` kilowords, refused with a spec error
+/// naming `flag` when `kw * 1024` words overflow.
+fn fb_words(flag: &str, kw: u64) -> Result<Words, McdsError> {
+    Words::checked_kilo(kw).ok_or_else(|| {
+        McdsError::spec(format!(
+            "{flag}: {kw} is over the limit of {} kilowords",
+            Words::MAX_KILO
+        ))
+    })
+}
+
 fn arch_from(args: &[String]) -> Result<ArchParams, McdsError> {
-    let kw: u64 = opt(args, "--fb-kw")
-        .map(|v| {
-            v.parse()
-                .map_err(|e| McdsError::spec(format!("--fb-kw: {e}")))
-        })
-        .transpose()?
-        .unwrap_or(1);
+    let kw: u64 = parsed_opt(args, "--fb-kw")?.unwrap_or(1);
     Ok(ArchParams::m1()
         .to_builder()
-        .fb_set_words(Words::kilo(kw))
+        .fb_set_words(fb_words("--fb-kw", kw)?)
         .fb_cross_set_access(flag(args, "--cross-set"))
         .build())
+}
+
+/// The `--fb-kw-list` sizes in kilowords (default `1,2,3,8`), each
+/// checked to fit a `u64` once scaled to words.
+fn fb_kw_list(args: &[String]) -> Result<Vec<u64>, McdsError> {
+    opt(args, "--fb-kw-list")
+        .unwrap_or("1,2,3,8")
+        .split(',')
+        .map(|v| {
+            let kw = v
+                .trim()
+                .parse()
+                .map_err(|e| McdsError::spec(format!("--fb-kw-list `{v}`: {e}")))?;
+            fb_words("--fb-kw-list", kw).map(|_| kw)
+        })
+        .collect()
 }
 
 fn schedule_from(args: &[String], app: &Application) -> Result<ClusterSchedule, McdsError> {
@@ -457,15 +478,7 @@ fn sweep(args: &[String]) -> Result<(), McdsError> {
             "unknown format `{format}` (expected table, json, or csv)"
         )));
     }
-    let fb_kw: Vec<u64> = opt(args, "--fb-kw-list")
-        .unwrap_or("1,2,3,8")
-        .split(',')
-        .map(|v| {
-            v.trim()
-                .parse()
-                .map_err(|e| McdsError::spec(format!("--fb-kw-list `{v}`: {e}")))
-        })
-        .collect::<Result<_, _>>()?;
+    let fb_kw = fb_kw_list(args)?;
     let threads = opt(args, "--threads")
         .map(|v| {
             v.parse()
@@ -1789,15 +1802,7 @@ fn search_bench(args: &[String]) -> Result<(), McdsError> {
     let beam: u32 = parsed_opt(args, "--beam")?.unwrap_or(32);
     let cap: u32 = parsed_opt(args, "--max-expansions")?.unwrap_or(100_000);
     let seeds: u64 = parsed_opt(args, "--seeds")?.unwrap_or(12);
-    let fb_kw: Vec<u64> = opt(args, "--fb-kw-list")
-        .unwrap_or("1,2,3,8")
-        .split(',')
-        .map(|v| {
-            v.trim()
-                .parse()
-                .map_err(|e| McdsError::spec(format!("--fb-kw-list `{v}`: {e}")))
-        })
-        .collect::<Result<_, _>>()?;
+    let fb_kw = fb_kw_list(args)?;
 
     let mut infeasible = 0usize;
     let mut measure = |family: &mut Vec<SearchPoint>,

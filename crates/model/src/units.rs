@@ -36,11 +36,27 @@ impl Words {
         Words(n)
     }
 
+    /// The largest `n` that [`checked_kilo`](Self::checked_kilo)
+    /// accepts: `u64::MAX / 1024` kilowords.
+    pub const MAX_KILO: u64 = u64::MAX / 1024;
+
     /// Creates a size of `n` kilowords (`n * 1024` words), matching the
-    /// paper's "1K/2K/8K" Frame Buffer sizes.
+    /// paper's "1K/2K/8K" Frame Buffer sizes. For sizes from untrusted
+    /// input use [`checked_kilo`](Self::checked_kilo): this one
+    /// overflows past [`MAX_KILO`](Self::MAX_KILO).
     #[must_use]
     pub const fn kilo(n: u64) -> Self {
         Words(n * 1024)
+    }
+
+    /// Creates a size of `n` kilowords, or `None` when `n * 1024` does
+    /// not fit a `u64` (`n` over [`MAX_KILO`](Self::MAX_KILO)).
+    #[must_use]
+    pub const fn checked_kilo(n: u64) -> Option<Self> {
+        match n.checked_mul(1024) {
+            Some(w) => Some(Words(w)),
+            None => None,
+        }
     }
 
     /// Returns the raw word count.

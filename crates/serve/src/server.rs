@@ -2167,10 +2167,12 @@ fn resolve(spec: ScheduleSpec) -> Result<Resolved, String> {
         .map_err(|e: McdsError| e.to_string())?;
     let arch = match spec.arch {
         Some(arch) => arch,
-        None => ArchParams::m1()
-            .to_builder()
-            .fb_set_words(Words::kilo(spec.fb_kw.unwrap_or(1).max(1)))
-            .build(),
+        None => {
+            let kw = spec.fb_kw.unwrap_or(1).max(1);
+            let fb = Words::checked_kilo(kw)
+                .ok_or_else(|| format!("fb_kw {kw} is over the limit of {}", Words::MAX_KILO))?;
+            ArchParams::m1().to_builder().fb_set_words(fb).build()
+        }
     };
     let (app, sched) = match (spec.app, spec.workload.as_deref()) {
         (Some(_), Some(_)) => return Err("`app` and `workload` are mutually exclusive".to_owned()),
@@ -2260,6 +2262,22 @@ mod tests {
         };
         assert_eq!(rejected(inline(1 << 18)), None);
         assert!(rejected(inline((1 << 18) + 1)).is_some());
+    }
+
+    #[test]
+    fn resolve_refuses_a_frame_buffer_that_overflows() {
+        let fb = |kw| ScheduleSpec {
+            fb_kw: Some(kw),
+            ..ScheduleSpec::workload("e1")
+        };
+        let largest = resolve(fb((1 << 54) - 1)).expect("2^54 - 1 kilowords fit a u64");
+        assert_eq!(largest.arch.fb_set_words().get(), u64::MAX - 1023);
+        // 2^54 kilowords wrapped to 0 words, and 2^54 + 1 to the 1 K
+        // Frame Buffer (aliasing its key and outcome).
+        for kw in [1 << 54, (1 << 54) + 1] {
+            let message = resolve(fb(kw)).err().expect("overflows");
+            assert!(message.contains("18014398509481983"), "{message}");
+        }
     }
 
     #[test]
