@@ -1679,7 +1679,6 @@ struct SearchPoint {
     greedy_optimal_proven: bool,
     expansions: u64,
     prunes: u64,
-    rollbacks: u64,
 }
 
 #[derive(serde::Serialize)]
@@ -1765,38 +1764,11 @@ fn search_point(
             && search_cycles == cds_cycles,
         expansions: counter("search.expansions"),
         prunes: counter("search.prunes"),
-        rollbacks: counter("search.rollbacks"),
     })
 }
 
-/// The knapsack trap: clusters C0/C4 (set 0) share one 60-word and two
-/// 40-word inputs while the intermediate set-0 cluster C2 carries a
-/// 150-word private working set. TF ranks the 60-word input first, so
-/// at the right FB size greedy retains 60 avoided words where the
-/// 40+40 pair would avoid 80.
-fn knapsack_trap() -> Result<(Application, ClusterSchedule), McdsError> {
-    let mut b = ApplicationBuilder::new("trap");
-    let big = b.data("big", Words::new(60), DataKind::ExternalInput);
-    let b1 = b.data("b1", Words::new(40), DataKind::ExternalInput);
-    let b2 = b.data("b2", Words::new(40), DataKind::ExternalInput);
-    let bulk = b.data("bulk", Words::new(150), DataKind::ExternalInput);
-    let m0 = b.data("m0", Words::new(10), DataKind::Intermediate);
-    let m1 = b.data("m1", Words::new(10), DataKind::Intermediate);
-    let m2 = b.data("m2", Words::new(10), DataKind::Intermediate);
-    let m3 = b.data("m3", Words::new(10), DataKind::Intermediate);
-    let f = b.data("f", Words::new(10), DataKind::FinalResult);
-    let k0 = b.kernel("k0", 8, Cycles::new(100), &[big, b1, b2], &[m0]);
-    let k1 = b.kernel("k1", 8, Cycles::new(100), &[m0], &[m1]);
-    let k2 = b.kernel("k2", 8, Cycles::new(100), &[bulk, m1], &[m2]);
-    let k3 = b.kernel("k3", 8, Cycles::new(100), &[m2], &[m3]);
-    let k4 = b.kernel("k4", 8, Cycles::new(100), &[big, b1, b2, m3], &[f]);
-    let app = b.iterations(4).build()?;
-    let sched = ClusterSchedule::new(&app, vec![vec![k0], vec![k1], vec![k2], vec![k3], vec![k4]])?;
-    Ok((app, sched))
-}
-
 fn search_bench(args: &[String]) -> Result<(), McdsError> {
-    use mcds_workloads::synthetic::{SyntheticConfig, SyntheticGenerator};
+    use mcds_workloads::synthetic::{knapsack_trap, SyntheticConfig, SyntheticGenerator};
     use mcds_workloads::table1::table1_experiments;
 
     let beam: u32 = parsed_opt(args, "--beam")?.unwrap_or(32);
@@ -1862,9 +1834,10 @@ fn search_bench(args: &[String]) -> Result<(), McdsError> {
         }
     }
 
-    // Family 3: the adversarial knapsack trap across a fine FB range
+    // Family 3: the adversarial knapsack trap (60/40/40-word shared
+    // inputs across a 150-word private one) across a fine FB range
     // bracketing the window where greedy's TF order loses.
-    let (trap_app, trap_sched) = knapsack_trap()?;
+    let (trap_app, trap_sched) = knapsack_trap(60, 40, 150, 10, 4)?;
     let mut adversarial = Vec::new();
     for fb in (200u64..=320).step_by(10) {
         let arch = ArchParams::m1_with_fb(Words::new(fb));

@@ -8,9 +8,7 @@ use mcds_model::{Application, ArchParams, ClusterSchedule, Words};
 use mcds_sim::{SimReport, Simulator};
 use serde::{Deserialize, Serialize};
 
-use mcds_search::{
-    search_retention, PruneReason, SearchConfig, SearchEvent, SearchItem, SearchOutcome,
-};
+use mcds_search::{search_retention, PruneReason, SearchConfig, SearchEvent, SearchOutcome};
 
 use crate::emit::emit_ops;
 use crate::footprint::FitTable;
@@ -293,12 +291,11 @@ impl DataScheduler for CdsScheduler {
 /// `mcds-search` extension beyond the paper. It is the CDS ladder
 /// (footprint model, RF ladder, TF-ranked candidate list) with a
 /// different retention selector: at every RF rung it runs the greedy
-/// walk *and* explores accept/reject alternatives (allocator state
-/// checkpointed per expansion, infeasible branches pruned on the
-/// paper's `DS(C_c) <= FBS` constraint, an admissible bound pruning
-/// against the greedy incumbent), and keeps a rung's searched retention
-/// only when it avoids strictly more external traffic without costing
-/// cycles. `beam_width <= 1` skips the search entirely and runs the
+/// walk *and* explores accept/reject alternatives (every accept decided
+/// by the paper's `DS(C_c) <= FBS` constraint alone, an admissible
+/// bound pruning against the greedy incumbent), and keeps a rung's
+/// searched retention only when it avoids strictly more external
+/// traffic without costing cycles. `beam_width <= 1` skips the search entirely and runs the
 /// greedy walk, making outcomes byte-identical to CDS.
 #[derive(Debug, Clone)]
 pub struct SearchScheduler {
@@ -445,7 +442,6 @@ struct LadderCounts {
     search_rungs: u64,
     expansions: u64,
     prunes: u64,
-    rollbacks: u64,
     rungs_proven: u64,
     rungs_improved: u64,
 }
@@ -468,7 +464,6 @@ impl LadderCounts {
         if self.search_rungs > 0 {
             observer.count("search.expansions", self.expansions);
             observer.count("search.prunes", self.prunes);
-            observer.count("search.rollbacks", self.rollbacks);
         }
     }
 }
@@ -565,19 +560,18 @@ fn plan_ladder(
         //    candidates, as under `Retain::Off`, it keeps nothing).
         let (accept, _) = fit.greedy(rf);
         let greedy = fit.retention(&accept);
-        // 3. Under `Search`, the beam search over the same candidates.
-        //    When it finds nothing better, its accept mask is exactly
-        //    the greedy walk's, so the greedy rung IS the search rung —
-        //    one evaluation covers both.
+        // 3. Under `Search`, the beam search over the same candidates,
+        //    seeded with greedy's mask. When it finds nothing better,
+        //    its accept mask is exactly the greedy walk's, so the greedy
+        //    rung IS the search rung — one evaluation covers both.
         let searched = match ladder.retain {
             Retain::Search(limits) => {
-                let (set, outcome) = select_search(&mut fit, fbs, &limits, rf, app, observer);
+                let outcome = select_search(&mut fit, &accept, &limits, rf, observer);
                 counts.search_rungs += 1;
                 counts.expansions += outcome.stats.expansions;
                 counts.prunes += outcome.stats.prunes;
-                counts.rollbacks += outcome.stats.rollbacks;
                 counts.rungs_proven += u64::from(outcome.optimal_proven);
-                (outcome.gain > outcome.greedy_gain).then_some(set)
+                (outcome.gain > outcome.greedy_gain).then(|| fit.retention(&outcome.accept))
             }
             Retain::Off | Retain::Greedy => None,
         };
@@ -809,28 +803,30 @@ fn eval_rung(
     )
 }
 
-/// Runs the beam search over the plan's ranked candidates and rebuilds
-/// the winning accept mask as a [`RetentionSet`]. The fit table ranks
-/// them exactly as the greedy walk does, so a width-1 search reproduces
-/// greedy's set byte for byte, and its masks are the table's keys.
+/// Runs the beam search over the plan's ranked candidates, seeded with
+/// the rung's greedy mask and deciding every accept by the fit table.
+/// The table ranks them exactly as the greedy walk does, so a width-1
+/// search reproduces greedy's set byte for byte, and its masks are the
+/// table's keys.
+///
+/// A candidate read across sets frees words on its readers' set, so
+/// with one ranked `DS(C_c) <= FBS` is not monotone in the retained
+/// set: an accept cut as infeasible may fit once more is retained. An
+/// exhaustive search that made such a cut proves no optimum there.
 fn select_search(
     fit: &mut FitTable<'_>,
-    fbs: Words,
+    greedy: &[bool],
     limits: &SearchConfig,
     rf: u64,
-    app: &Application,
     observer: Observer<'_>,
-) -> (RetentionSet, SearchOutcome) {
-    let items: Vec<SearchItem> = fit
+) -> SearchOutcome {
+    let gains: Vec<u64> = fit
         .ranked()
         .iter()
-        .map(|c| SearchItem {
-            key: (u64::from(id_u32(c.data())), c.set().index() as u64),
-            set: c.set().index(),
-            size: app.size_of(c.data()),
-            gain: c.avoided_per_iter().get(),
-        })
+        .map(|c| c.avoided_per_iter().get())
         .collect();
+    let monotone = !fit.ranked().iter().any(|c| c.is_cross_set());
+    let mut cut_infeasible = false;
     let mut feasible = |mask: &[bool]| fit.fits(mask, rf);
     let mut emit = |event: SearchEvent| match event {
         SearchEvent::Expand { depth, gain, bound } => {
@@ -846,6 +842,7 @@ fn select_search(
             bound,
             reason,
         } => {
+            cut_infeasible |= reason == PruneReason::Infeasible;
             observer.emit(|| Event::SearchPrune {
                 rf,
                 depth,
@@ -857,12 +854,10 @@ fn select_search(
                 .to_owned(),
             });
         }
-        SearchEvent::Rollback { depth } => {
-            observer.emit(|| Event::SearchRollback { rf, depth });
-        }
     };
-    let outcome = search_retention(&items, 2, fbs, limits, &mut feasible, &mut emit);
-    (fit.retention(&outcome.accept), outcome)
+    let mut outcome = search_retention(&gains, greedy, limits, &mut feasible, &mut emit);
+    outcome.optimal_proven &= monotone || !cut_infeasible;
+    outcome
 }
 
 fn id_u32(id: impl Into<usize>) -> u32 {
@@ -1044,6 +1039,7 @@ mod tests {
     use super::*;
     use crate::Candidate;
     use mcds_model::{ApplicationBuilder, Cycles, DataKind, KernelId};
+    use mcds_workloads::synthetic::knapsack_trap;
 
     /// A pipeline with cross-cluster sharing so all three schedulers
     /// separate: `coef` is shared by clusters 0 and 2 (set 0), `m12`
@@ -1318,46 +1314,11 @@ mod tests {
         let _ = KernelId::new(0);
     }
 
-    /// A knapsack trap for the greedy TF walk: clusters C0 and C4 (both
-    /// set 0) share three external inputs `big` (60w), `b1`/`b2` (40w
-    /// each), while the intermediate set-0 cluster C2 carries a private
-    /// `bulk` working set the retained copies must coexist with. TF
-    /// ranks `big` first, so greedy retains 60 avoided words and then
-    /// rejects both 40w candidates — but the pair avoids 80.
+    /// `mcds_workloads`' knapsack trap at 60/40/150/10 words: TF ranks
+    /// the 60-word `big` first, so greedy retains 60 avoided words and
+    /// then rejects both 40-word inputs — but the pair avoids 80.
     fn trap_app() -> (Application, ClusterSchedule) {
-        trap_variant(60, 40, 150, 10, 4)
-    }
-
-    /// The [`trap_app`] shape with explicit sizes: `big`, `b1` = `b2`
-    /// = `shared`, the private `bulk` and the four intermediates at
-    /// `inter` words each, run for `iterations`.
-    fn trap_variant(
-        big: u64,
-        shared: u64,
-        bulk: u64,
-        inter: u64,
-        iterations: u64,
-    ) -> (Application, ClusterSchedule) {
-        let mut b = ApplicationBuilder::new("trap");
-        let big = b.data("big", Words::new(big), DataKind::ExternalInput);
-        let b1 = b.data("b1", Words::new(shared), DataKind::ExternalInput);
-        let b2 = b.data("b2", Words::new(shared), DataKind::ExternalInput);
-        let bulk = b.data("bulk", Words::new(bulk), DataKind::ExternalInput);
-        let m0 = b.data("m0", Words::new(inter), DataKind::Intermediate);
-        let m1 = b.data("m1", Words::new(inter), DataKind::Intermediate);
-        let m2 = b.data("m2", Words::new(inter), DataKind::Intermediate);
-        let m3 = b.data("m3", Words::new(inter), DataKind::Intermediate);
-        let f = b.data("f", Words::new(10), DataKind::FinalResult);
-        let k0 = b.kernel("k0", 8, Cycles::new(100), &[big, b1, b2], &[m0]);
-        let k1 = b.kernel("k1", 8, Cycles::new(100), &[m0], &[m1]);
-        let k2 = b.kernel("k2", 8, Cycles::new(100), &[bulk, m1], &[m2]);
-        let k3 = b.kernel("k3", 8, Cycles::new(100), &[m2], &[m3]);
-        let k4 = b.kernel("k4", 8, Cycles::new(100), &[big, b1, b2, m3], &[f]);
-        let app = b.iterations(iterations).build().expect("valid");
-        let sched =
-            ClusterSchedule::new(&app, vec![vec![k0], vec![k1], vec![k2], vec![k3], vec![k4]])
-                .expect("valid");
-        (app, sched)
+        knapsack_trap(60, 40, 150, 10, 4).expect("valid")
     }
 
     #[test]
@@ -1432,7 +1393,7 @@ mod tests {
     /// back to RF 1's greedy set, and the plan equals CDS's.
     #[test]
     fn search_falls_back_to_greedy_when_a_searched_rung_ties_with_less_retention() {
-        let (app, sched) = trap_variant(50, 30, 50, 30, 2);
+        let (app, sched) = knapsack_trap(50, 30, 50, 30, 2).expect("valid");
         let a = arch(310);
         let analysis = ScheduleAnalysis::new(&app, &sched);
         let cds = CdsScheduler::new()
@@ -1479,13 +1440,13 @@ mod tests {
         let counter = |name: &str| snap.iter().find(|(n, _)| n == name).map_or(0, |&(_, v)| v);
         assert!(counter("search.expansions") > 0);
         assert!(counter("search.rungs") > 0);
-        assert!(counter("search.rollbacks") > 0);
+        assert!(counter("search.prunes") > 0);
         let events = sink.take();
         assert!(events
             .iter()
             .any(|e| matches!(e, Event::SearchExpand { .. })));
         assert!(events
             .iter()
-            .any(|e| matches!(e, Event::SearchRollback { .. })));
+            .any(|e| matches!(e, Event::SearchPrune { .. })));
     }
 }

@@ -234,16 +234,9 @@ pub enum Event {
         depth: usize,
         /// The child's bound when cut.
         bound: u64,
-        /// `infeasible` (DS(C_c) > FBS or no FB fit) or `bounded`
-        /// (could not beat the incumbent).
+        /// `infeasible` (DS(C_c) > FBS) or `bounded` (could not beat
+        /// the incumbent).
         reason: String,
-    },
-    /// The search scheduler rewound allocator state to a checkpoint.
-    SearchRollback {
-        /// RF rung the search runs at.
-        rf: u64,
-        /// Candidate index whose tentative accept was undone.
-        depth: usize,
     },
 }
 
@@ -870,9 +863,6 @@ pub fn render_explain(events: &[Event]) -> String {
                     out,
                     "  search rf={rf}: prune depth {depth} ({reason}, bound {bound})"
                 );
-            }
-            Event::SearchRollback { rf, depth } => {
-                let _ = writeln!(out, "  search rf={rf}: rollback depth {depth}");
             }
             Event::SimCompleted {
                 scheduler,

@@ -123,41 +123,6 @@ impl Allocation {
     }
 }
 
-/// A point-in-time snapshot of an [`FbAllocator`]'s mutable state.
-///
-/// Produced by [`FbAllocator::checkpoint`] and consumed by
-/// [`FbAllocator::rollback`]. Restoring a checkpoint is bit-identical
-/// to never having mutated: the free list, the live-allocation table
-/// and its vacant slots, the serial counter, the statistics, and the
-/// trace length are all rewound.
-///
-/// Checkpoints are cheap clones of the allocator's small structures
-/// (the FB holds kilobytes, not gigabytes), and `rollback`
-/// is a plain O(1) move of those structures back into place — the
-/// what-if discipline search schedulers need when exploring many
-/// retention branches against one allocator.
-#[derive(Debug, Clone)]
-pub struct Checkpoint {
-    free: FreeList,
-    live: Vec<Option<Allocation>>,
-    vacant: Vec<u32>,
-    next_serial: u64,
-    stats: AllocStats,
-    /// Trace length at snapshot time (`None` when tracing is off) so a
-    /// rollback also drops events recorded by the rolled-back branch.
-    trace_len: Option<usize>,
-}
-
-impl Checkpoint {
-    /// [`FreeList::state_hash`] of the snapshotted free-block
-    /// structure — lets callers verify a later rollback restored the
-    /// exact layout without holding the allocator.
-    #[must_use]
-    pub fn free_list_hash(&self) -> u64 {
-        self.free.state_hash()
-    }
-}
-
 /// Allocator for one Frame Buffer set.
 ///
 /// Implements the paper's `FB_list`-based first-fit with two growth
@@ -255,47 +220,6 @@ impl FbAllocator {
     #[must_use]
     pub fn free_list_hash(&self) -> u64 {
         self.free.state_hash()
-    }
-
-    /// Snapshots the allocator's complete mutable state.
-    ///
-    /// The returned [`Checkpoint`] can be passed to
-    /// [`rollback`](Self::rollback) any number of times (it is
-    /// `Clone`); each rollback restores the allocator bit-identically
-    /// to this moment — free-list layout and hash, live allocations,
-    /// future handles, statistics, and trace length.
-    #[must_use]
-    pub fn checkpoint(&self) -> Checkpoint {
-        Checkpoint {
-            free: self.free.clone(),
-            live: self.live.clone(),
-            vacant: self.vacant.clone(),
-            next_serial: self.next_serial,
-            stats: self.stats,
-            trace_len: self.trace.as_ref().map(Vec::len),
-        }
-    }
-
-    /// Restores the state captured by [`checkpoint`](Self::checkpoint).
-    ///
-    /// Every observable — [`free_list_hash`](Self::free_list_hash),
-    /// [`stats`](Self::stats), [`live`](Self::live), segment layout,
-    /// future handle values — returns to its snapshot value, as if the
-    /// intervening mutations never happened. Trace events recorded
-    /// since the checkpoint are dropped; events recorded before it are
-    /// kept. Rolling back a checkpoint taken from a *different*
-    /// allocator is not meaningful and is the caller's bug.
-    pub fn rollback(&mut self, checkpoint: Checkpoint) {
-        self.free = checkpoint.free;
-        self.live = checkpoint.live;
-        self.vacant = checkpoint.vacant;
-        self.next_serial = checkpoint.next_serial;
-        self.stats = checkpoint.stats;
-        match (&mut self.trace, checkpoint.trace_len) {
-            (Some(trace), Some(len)) => trace.truncate(len),
-            (trace @ Some(_), None) => *trace = None,
-            (None, _) => {}
-        }
     }
 
     /// Contiguous first-fit allocation in the given direction.
@@ -708,71 +632,6 @@ mod tests {
             trace[2].free_hash(),
             fb.free_list_hash(),
             "last event's hash is the current state"
-        );
-    }
-
-    #[test]
-    fn checkpoint_rollback_restores_every_observable() {
-        let mut fb = FbAllocator::new(Words::new(100));
-        let keep = fb
-            .alloc("keep", Words::new(12), Direction::FromUpper)
-            .expect("fits");
-        let cp = fb.checkpoint();
-        let hash = fb.free_list_hash();
-        let stats = *fb.stats();
-        assert_eq!(cp.free_list_hash(), hash);
-        // Mutate heavily: allocs in both directions, a pinned carve, a
-        // split, and a free of the pre-checkpoint block.
-        let _ = fb
-            .alloc("a", Words::new(7), Direction::FromLower)
-            .expect("fits");
-        let _ = fb.alloc_at("pin", 40, Words::new(9)).expect("free");
-        fb.free_handle(keep.handle()).expect("live");
-        let _ = fb
-            .alloc_split("wide", Words::new(30), Direction::FromUpper)
-            .expect("fits");
-        assert_ne!(fb.free_list_hash(), hash);
-        fb.rollback(cp.clone());
-        assert_eq!(fb.free_list_hash(), hash);
-        assert_eq!(*fb.stats(), stats);
-        assert_eq!(fb.used(), Words::new(12));
-        let live: Vec<_> = fb.live().collect();
-        assert_eq!(live.len(), 1);
-        assert_eq!(live[0].label(), "keep");
-        assert_eq!(live[0].segments(), keep.segments());
-        // Handles rewound: the next alloc reuses the handle the
-        // rolled-back branch consumed, twice in a row from the same
-        // (cloned) checkpoint.
-        let first = fb
-            .alloc("again", Words::new(5), Direction::FromLower)
-            .expect("fits");
-        fb.rollback(cp);
-        let second = fb
-            .alloc("again", Words::new(5), Direction::FromLower)
-            .expect("fits");
-        assert_eq!(first.handle(), second.handle());
-        assert_eq!(first.segments(), second.segments());
-    }
-
-    #[test]
-    fn rollback_truncates_trace_to_checkpoint() {
-        let mut fb = FbAllocator::with_trace(Words::new(64));
-        let _a = fb
-            .alloc("before", Words::new(8), Direction::FromUpper)
-            .expect("fits");
-        let cp = fb.checkpoint();
-        let _b = fb
-            .alloc("branch", Words::new(8), Direction::FromLower)
-            .expect("fits");
-        assert_eq!(fb.trace().expect("tracing").len(), 2);
-        fb.rollback(cp);
-        let trace = fb.trace().expect("tracing survives rollback");
-        assert_eq!(trace.len(), 1);
-        assert_eq!(trace[0].label(), "before");
-        assert_eq!(
-            trace[0].free_hash(),
-            fb.free_list_hash(),
-            "kept event's hash matches the restored state"
         );
     }
 

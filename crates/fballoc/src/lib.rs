@@ -53,7 +53,7 @@ mod regularity;
 mod stats;
 mod trace;
 
-pub use allocator::{AllocHandle, Allocation, Checkpoint, Direction, FbAllocator, Segment};
+pub use allocator::{AllocHandle, Allocation, Direction, FbAllocator, Segment};
 pub use error::AllocError;
 pub use free_list::FreeList;
 pub use regularity::PlacementMemory;

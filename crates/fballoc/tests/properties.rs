@@ -133,32 +133,6 @@ fn verify_replay(events: &[TraceEvent], capacity: Words) {
     }
 }
 
-/// Asserts two allocators are observably identical: free-list hash,
-/// stats, and the full live table (labels → sorted segment layouts).
-fn assert_allocators_identical(a: &FbAllocator, b: &FbAllocator) {
-    assert_eq!(a.free_list_hash(), b.free_list_hash(), "free list diverged");
-    assert_eq!(a.stats(), b.stats(), "stats diverged");
-    assert_eq!(a.used(), b.used());
-    assert_eq!(a.free_space(), b.free_space());
-    assert_eq!(a.largest_free_block(), b.largest_free_block());
-    let layout = |fb: &FbAllocator| {
-        let mut v: Vec<_> = fb
-            .live()
-            .map(|al| {
-                let segs: Vec<(u64, u64)> = al
-                    .segments()
-                    .iter()
-                    .map(|s| (s.start, s.len.get()))
-                    .collect();
-                (al.label().to_owned(), segs)
-            })
-            .collect();
-        v.sort();
-        v
-    };
-    assert_eq!(layout(a), layout(b), "live segment layout diverged");
-}
-
 /// Checks that no two live allocations overlap and that accounting adds
 /// up.
 fn check_invariants(fb: &FbAllocator, live: &[Allocation]) {
@@ -216,44 +190,6 @@ proptest! {
         }
         let events = fb.trace().expect("tracing enabled").to_vec();
         verify_replay(&events, Words::new(cap));
-    }
-
-    /// Checkpoint → arbitrary alloc/free interleavings →
-    /// rollback must be bit-identical to never having mutated: every
-    /// observable is restored, and the rolled-back allocator then
-    /// behaves step-for-step like a clone that never saw the branch.
-    #[test]
-    fn checkpoint_rollback_is_bit_identical_to_never_mutating(
-        cap in 16u64..256,
-        prefix in prop::collection::vec(action_strategy(64), 0..24),
-        branch in prop::collection::vec(action_strategy(64), 1..32),
-        suffix in prop::collection::vec(action_strategy(64), 0..24),
-    ) {
-        let mut fb = FbAllocator::new(Words::new(cap));
-        let mut live: Vec<Allocation> = Vec::new();
-        for (i, action) in prefix.into_iter().enumerate() {
-            apply(&mut fb, &mut live, i, action);
-        }
-        // The oracle: a full clone that never sees the branch.
-        let pristine = fb.clone();
-        let cp = fb.checkpoint();
-        let live_cp = live.clone();
-        for (i, action) in branch.into_iter().enumerate() {
-            apply(&mut fb, &mut live, 1000 + i, action);
-            check_invariants(&fb, &live);
-        }
-        fb.rollback(cp);
-        live = live_cp;
-        assert_allocators_identical(&fb, &pristine);
-        // Post-rollback divergence check: replay an identical suffix
-        // on both; placements and observables must stay in lockstep.
-        let mut oracle = pristine;
-        let mut oracle_live = live.clone();
-        for (i, action) in suffix.into_iter().enumerate() {
-            apply(&mut fb, &mut live, 2000 + i, action.clone());
-            apply(&mut oracle, &mut oracle_live, 2000 + i, action);
-            assert_allocators_identical(&fb, &oracle);
-        }
     }
 
     #[test]

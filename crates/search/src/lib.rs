@@ -7,53 +7,29 @@
 //! occupies Frame Buffer words that two later candidates could have
 //! used to avoid more external traffic together. This crate explores
 //! the accept/reject tree over the *same ordered candidate list*
-//! instead, using the O(1) checkpoint/rollback API of
-//! [`mcds_fballoc::FbAllocator`] to rewind occupancy between branches:
+//! instead:
 //!
 //! * each tree node is a prefix of accept/reject decisions, in
 //!   candidate order;
-//! * accepting a candidate carves its footprint out of the per-set
-//!   allocator under a fresh [`mcds_fballoc::Checkpoint`],
-//!   and a caller-supplied feasibility callback re-checks the paper's
-//!   `DS(C_c) <= FBS` constraint — infeasible branches prune
-//!   immediately and roll the allocator back;
+//! * an accept is decided by the caller's feasibility callback alone,
+//!   which for the schedulers is the paper's `DS(C_c) <= FBS` over
+//!   every cluster — infeasible branches prune immediately;
 //! * an admissible bound (gain so far + the sum of all remaining
 //!   candidates' gains) drives best-first pruning against the
-//!   incumbent, which is seeded with the greedy walk so search can
-//!   never return less than greedy;
+//!   incumbent, which is seeded with the caller's greedy mask so search
+//!   can never return less than greedy;
 //! * at most `beam_width` nodes survive per depth. With
 //!   `beam_width = 1` the accept-first tie-break makes the surviving
 //!   node exactly the greedy prefix, so beam-1 reproduces greedy CDS.
 //!
 //! When the beam never overflowed and the expansion cap was never hit,
 //! the run degenerated to exhaustive branch-and-bound and the result
-//! is *provably optimal* for the given feasibility predicate
-//! ([`SearchOutcome::optimal_proven`]), which is how reports can state
-//! where greedy was already optimal.
+//! is *provably optimal* for the given feasibility predicate, provided
+//! it is monotone ([`SearchOutcome::optimal_proven`]), which is how
+//! reports can state where greedy was already optimal.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-use mcds_fballoc::{Checkpoint, Direction, FbAllocator};
-use mcds_model::Words;
-
-/// One retention candidate, in the order the scheduler ranks them
-/// (TF-descending for the paper's CDS).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SearchItem {
-    /// Dedup key: candidates sharing a key describe the same
-    /// (data, FB-set) retention reached through different sharing
-    /// kernels. Once one occurrence is accepted, later occurrences are
-    /// force-skipped — mirroring greedy's silent duplicate skip — so
-    /// a retention is never double-counted.
-    pub key: (u64, u64),
-    /// Which FB set's allocator the retention occupies.
-    pub set: usize,
-    /// Words the retained data holds in that set.
-    pub size: Words,
-    /// External-traffic words avoided per iteration if accepted.
-    pub gain: u64,
-}
 
 /// Search limits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,9 +54,8 @@ impl Default for SearchConfig {
 /// Why a branch was cut.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PruneReason {
-    /// The accept violated a constraint: the candidate's footprint did
-    /// not fit its set's allocator, or the feasibility callback
-    /// rejected the partial retention (`DS(C_c) > FBS`).
+    /// The feasibility callback rejected the partial retention
+    /// (`DS(C_c) > FBS`).
     Infeasible,
     /// The admissible bound could not beat the incumbent.
     Bounded,
@@ -108,11 +83,6 @@ pub enum SearchEvent {
         /// Why.
         reason: PruneReason,
     },
-    /// Allocator state was rewound to a checkpoint.
-    Rollback {
-        /// Candidate index whose tentative accept was undone.
-        depth: usize,
-    },
 }
 
 /// Counters accumulated over one search.
@@ -122,8 +92,6 @@ pub struct SearchStats {
     pub expansions: u64,
     /// Children cut (infeasible or bounded).
     pub prunes: u64,
-    /// Allocator rollbacks performed.
-    pub rollbacks: u64,
     /// `true` if any depth produced more surviving children than the
     /// beam width — the search was not exhaustive.
     pub beam_overflowed: bool,
@@ -134,18 +102,16 @@ pub struct SearchStats {
 /// The result of a search.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SearchOutcome {
-    /// `accept[i]` says whether candidate `i` is retained. Duplicate
-    /// occurrences of an accepted key are always `false`.
+    /// `accept[i]` says whether candidate `i` is retained.
     pub accept: Vec<bool>,
     /// Total gain of the accepted set.
     pub gain: u64,
-    /// Gain of the greedy walk over the same candidates — the
-    /// incumbent the search started from. `gain >= greedy_gain`
-    /// always.
+    /// Gain of the caller's greedy mask — the incumbent the search
+    /// started from. `gain >= greedy_gain` always.
     pub greedy_gain: u64,
     /// `true` when the search was exhaustive (no beam overflow, no
     /// expansion cap), making `accept` provably optimal for the given
-    /// feasibility predicate.
+    /// feasibility predicate if that predicate is monotone.
     pub optimal_proven: bool,
     /// Counters.
     pub stats: SearchStats,
@@ -158,132 +124,52 @@ struct Node {
     gain: u64,
 }
 
-/// The shared allocator pair plus the trail of checkpoints that
-/// materializes one node's accepted prefix at a time.
-struct Arena {
-    sets: Vec<FbAllocator>,
-    /// `(item index, set, checkpoint taken before the item's alloc)`.
-    trail: Vec<(usize, usize, Checkpoint)>,
-}
-
-impl Arena {
-    fn new(set_count: usize, fbs: Words) -> Self {
-        Arena {
-            sets: (0..set_count.max(1))
-                .map(|_| FbAllocator::new(fbs))
-                .collect(),
-            trail: Vec::new(),
-        }
-    }
-
-    /// Checkpoints the item's set and carves its footprint. Returns
-    /// `false` (state unchanged, nothing pushed) if it does not fit.
-    fn push(&mut self, idx: usize, item: &SearchItem) -> bool {
-        let set = item.set.min(self.sets.len() - 1);
-        let cp = self.sets[set].checkpoint();
-        if item.size.is_zero() {
-            self.trail.push((idx, set, cp));
-            return true;
-        }
-        // Unlabelled: these allocators are never traced or shown.
-        match self.sets[set].alloc(String::new(), item.size, Direction::FromUpper) {
-            Ok(_) => {
-                self.trail.push((idx, set, cp));
-                true
-            }
-            Err(_) => false,
-        }
-    }
-
-    /// Rolls the most recent accept back. Returns the item index it
-    /// carried.
-    fn pop(&mut self) -> Option<usize> {
-        let (idx, set, cp) = self.trail.pop()?;
-        self.sets[set].rollback(cp);
-        Some(idx)
-    }
-
-    /// Rewinds/replays so the materialized prefix equals `accept`'s
-    /// accepted indices. Emits a `Rollback` per undone accept.
-    fn materialize(
-        &mut self,
-        items: &[SearchItem],
-        accept: &[bool],
-        stats: &mut SearchStats,
-        observer: &mut dyn FnMut(SearchEvent),
-    ) {
-        let target: Vec<usize> = (0..accept.len()).filter(|&i| accept[i]).collect();
-        let mut common = 0;
-        while common < self.trail.len() && common < target.len() {
-            if self.trail[common].0 == target[common] {
-                common += 1;
-            } else {
-                break;
-            }
-        }
-        while self.trail.len() > common {
-            if let Some(idx) = self.pop() {
-                stats.rollbacks += 1;
-                observer(SearchEvent::Rollback { depth: idx });
-            }
-        }
-        for &idx in &target[common..] {
-            let ok = self.push(idx, &items[idx]);
-            debug_assert!(ok, "replaying a previously feasible accept cannot fail");
-            if !ok {
-                // A replay of a branch that fit before must fit again
-                // (the allocator is deterministic); treat failure as a
-                // corrupt trail and keep going — feasibility callbacks
-                // still guard correctness.
-                break;
-            }
-        }
-    }
-}
-
-/// Explores accept/reject decisions over `items` in order.
+/// Explores accept/reject decisions over candidates whose gains are
+/// `gains`, in order.
+///
+/// `greedy` is the caller's greedy accept mask over the same
+/// candidates (one entry per gain); it must satisfy `feasible`, and it
+/// seeds the incumbent, so the result never gains less. On equal gain
+/// the greedy mask itself is returned.
 ///
 /// `feasible` receives a full-length accept mask (undecided suffix all
 /// `false`) and must implement the scheduler's real constraint — for
-/// CDS, `DS(C_c) <= FBS` over every cluster. It is only consulted for
-/// masks whose footprints already fit the per-set allocators, and it
-/// must be *monotone*: a superset of an infeasible set stays
-/// infeasible (true for the paper's DS formula, where retaining more
-/// data only grows each cluster's footprint).
+/// CDS, `DS(C_c) <= FBS` over every cluster. An infeasible accept cuts
+/// its whole subtree, so [`SearchOutcome::optimal_proven`] holds only
+/// for a *monotone* predicate, where a superset of an infeasible set
+/// stays infeasible (true for the paper's DS formula, where retaining
+/// more data only grows each cluster's footprint).
 ///
-/// `observer` sees every expansion, prune, and rollback in
-/// deterministic order; pass a no-op closure when tracing is off.
+/// `observer` sees every expansion and prune in deterministic order;
+/// pass a no-op closure when tracing is off.
 pub fn search_retention(
-    items: &[SearchItem],
-    set_count: usize,
-    fbs: Words,
+    gains: &[u64],
+    greedy: &[bool],
     config: &SearchConfig,
     feasible: &mut dyn FnMut(&[bool]) -> bool,
     observer: &mut dyn FnMut(SearchEvent),
 ) -> SearchOutcome {
-    let n = items.len();
+    let n = gains.len();
+    debug_assert_eq!(greedy.len(), n, "one greedy verdict per candidate");
     let width = config.beam_width.max(1) as usize;
     let mut stats = SearchStats::default();
 
     // Admissible bound helper: gains of the still-undecided suffix.
-    // Duplicate keys are counted, which only loosens (never tightens)
-    // the bound, so it stays admissible.
     let mut suffix_gain = vec![0u64; n + 1];
     for i in (0..n).rev() {
-        suffix_gain[i] = suffix_gain[i + 1] + items[i].gain;
+        suffix_gain[i] = suffix_gain[i + 1] + gains[i];
     }
 
-    // Seed the incumbent with the greedy walk so the search result can
-    // never lose to greedy. This is the paper's CDS acceptance loop:
-    // take candidates in order, keep each one that still fits.
-    let mut arena = Arena::new(set_count, fbs);
-    let (greedy_mask, greedy_gain) = greedy_walk(items, &mut arena, feasible);
+    let greedy_gain = gains
+        .iter()
+        .zip(greedy)
+        .filter(|(_, &on)| on)
+        .map(|(g, _)| g)
+        .sum();
     let mut best = Node {
-        accept: greedy_mask,
+        accept: greedy.to_vec(),
         gain: greedy_gain,
     };
-    // Clear the greedy occupancy before the search proper.
-    while arena.pop().is_some() {}
 
     let mut beam = vec![Node {
         accept: vec![false; n],
@@ -296,48 +182,30 @@ pub fn search_retention(
                 stats.cap_hit = true;
                 break 'depths;
             }
-            arena.materialize(items, &node.accept, &mut stats, observer);
             stats.expansions += 1;
             observer(SearchEvent::Expand {
                 depth,
                 gain: node.gain,
                 bound: node.gain + suffix_gain[depth],
             });
-            let item = &items[depth];
-            let duplicate = (0..depth).any(|j| node.accept[j] && items[j].key == item.key);
-            // Accept child (skipped entirely for duplicate keys, like
-            // greedy's silent `continue`).
-            if !duplicate {
-                let bound = node.gain + item.gain + suffix_gain[depth + 1];
-                if bound <= best.gain {
-                    stats.prunes += 1;
-                    observer(SearchEvent::Prune {
-                        depth,
-                        bound,
-                        reason: PruneReason::Bounded,
+            // Accept child.
+            let bound = node.gain + gains[depth] + suffix_gain[depth + 1];
+            if bound <= best.gain {
+                stats.prunes += 1;
+                observer(SearchEvent::Prune {
+                    depth,
+                    bound,
+                    reason: PruneReason::Bounded,
+                });
+            } else {
+                let mut accept = node.accept.clone();
+                accept[depth] = true;
+                if feasible(&accept) {
+                    children.push(Node {
+                        accept,
+                        gain: node.gain + gains[depth],
                     });
-                } else if arena.push(depth, item) {
-                    let mut accept = node.accept.clone();
-                    accept[depth] = true;
-                    if feasible(&accept) {
-                        children.push(Node {
-                            accept,
-                            gain: node.gain + item.gain,
-                        });
-                    } else {
-                        stats.prunes += 1;
-                        observer(SearchEvent::Prune {
-                            depth,
-                            bound,
-                            reason: PruneReason::Infeasible,
-                        });
-                    }
-                    if arena.pop().is_some() {
-                        stats.rollbacks += 1;
-                        observer(SearchEvent::Rollback { depth });
-                    }
                 } else {
-                    // Footprint does not even fit the set's allocator.
                     stats.prunes += 1;
                     observer(SearchEvent::Prune {
                         depth,
@@ -356,7 +224,7 @@ pub fn search_retention(
                     reason: PruneReason::Bounded,
                 });
             } else {
-                children.push(node.clone_with_reject());
+                children.push(node.clone());
             }
         }
         // Leaves reached? (depth was the last decision)
@@ -386,8 +254,6 @@ pub fn search_retention(
         }
         beam = children;
     }
-    // Unwind whatever prefix is still materialized.
-    while arena.pop().is_some() {}
 
     let optimal_proven = !stats.beam_overflowed && !stats.cap_hit;
     SearchOutcome {
@@ -399,86 +265,48 @@ pub fn search_retention(
     }
 }
 
-impl Node {
-    fn clone_with_reject(&self) -> Node {
-        Node {
-            accept: self.accept.clone(),
-            gain: self.gain,
-        }
-    }
-}
-
-/// The paper's greedy acceptance loop over `items`, run against the
-/// arena's allocators and the caller's feasibility predicate. Returns
-/// the accept mask and its gain, leaving the arena holding the greedy
-/// occupancy (callers unwind it).
-fn greedy_walk(
-    items: &[SearchItem],
-    arena: &mut Arena,
-    feasible: &mut dyn FnMut(&[bool]) -> bool,
-) -> (Vec<bool>, u64) {
-    let n = items.len();
-    let mut accept = vec![false; n];
-    let mut gain = 0u64;
-    for (i, item) in items.iter().enumerate() {
-        let duplicate = (0..i).any(|j| accept[j] && items[j].key == item.key);
-        if duplicate {
-            continue;
-        }
-        if !arena.push(i, item) {
-            continue;
-        }
-        accept[i] = true;
-        if feasible(&accept) {
-            gain += item.gain;
-        } else {
-            accept[i] = false;
-            arena.pop();
-        }
-    }
-    (accept, gain)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn item(key: u64, size: u64, gain: u64) -> SearchItem {
-        SearchItem {
-            key: (key, 0),
-            set: 0,
-            size: Words::new(size),
-            gain,
-        }
-    }
-
     /// Feasibility = total accepted size fits `cap` (a knapsack).
-    fn knapsack(items: Vec<SearchItem>, cap: u64) -> impl FnMut(&[bool]) -> bool {
+    fn knapsack(sizes: &[u64], cap: u64) -> impl FnMut(&[bool]) -> bool + '_ {
         move |mask: &[bool]| {
-            let used: u64 = mask
+            let used: u64 = sizes
                 .iter()
-                .zip(&items)
-                .filter(|(&m, _)| m)
-                .map(|(_, it)| it.size.get())
+                .zip(mask)
+                .filter(|(_, &m)| m)
+                .map(|(s, _)| s)
                 .sum();
             used <= cap
         }
     }
 
+    /// The greedy walk: keep each item, in order, while it still fits.
+    fn greedy(sizes: &[u64], cap: u64) -> Vec<bool> {
+        let mut fits = knapsack(sizes, cap);
+        let mut accept = vec![false; sizes.len()];
+        for i in 0..accept.len() {
+            accept[i] = true;
+            accept[i] = fits(&accept);
+        }
+        accept
+    }
+
+    /// `items` are `(size, gain)` pairs.
     fn run(
-        items: &[SearchItem],
-        fbs: u64,
+        items: &[(u64, u64)],
         cap: u64,
         config: SearchConfig,
     ) -> (SearchOutcome, Vec<SearchEvent>) {
-        let mut feasible = knapsack(items.to_vec(), cap);
+        let (sizes, gains): (Vec<u64>, Vec<u64>) = items.iter().copied().unzip();
+        let seed = greedy(&sizes, cap);
         let mut events = Vec::new();
         let outcome = search_retention(
-            items,
-            1,
-            Words::new(fbs),
+            &gains,
+            &seed,
             &config,
-            &mut feasible,
+            &mut knapsack(&sizes, cap),
             &mut |ev| events.push(ev),
         );
         (outcome, events)
@@ -488,45 +316,35 @@ mod tests {
     fn beats_greedy_on_the_knapsack_trap() {
         // Greedy takes the 6-word/10-gain candidate first and blocks
         // the two 4-word/8-gain ones; optimal rejects it.
-        let items = vec![item(1, 6, 10), item(2, 4, 8), item(3, 4, 8)];
-        let (outcome, _) = run(&items, 8, 8, SearchConfig::default());
+        let items = [(6, 10), (4, 8), (4, 8)];
+        let (outcome, _) = run(&items, 8, SearchConfig::default());
         assert_eq!(outcome.greedy_gain, 10);
         assert_eq!(outcome.gain, 16);
         assert_eq!(outcome.accept, vec![false, true, true]);
         assert!(outcome.optimal_proven);
-        assert!(outcome.stats.rollbacks > 0, "branches were rolled back");
+        assert!(outcome.stats.prunes > 0, "infeasible branches were cut");
     }
 
     #[test]
     fn beam_width_one_reproduces_greedy() {
-        let items = vec![item(1, 6, 10), item(2, 4, 8), item(3, 4, 8)];
+        let items = [(6, 10), (4, 8), (4, 8)];
         let config = SearchConfig {
             beam_width: 1,
             max_expansions: 0,
         };
-        let (outcome, _) = run(&items, 8, 8, config);
+        let (outcome, _) = run(&items, 8, config);
         assert_eq!(outcome.gain, outcome.greedy_gain);
         assert_eq!(outcome.accept, vec![true, false, false]);
     }
 
     #[test]
-    fn duplicate_keys_are_force_skipped() {
-        // The same (data, set) candidate appears twice; accepting both
-        // would double-count its gain.
-        let items = vec![item(1, 2, 5), item(1, 2, 5), item(2, 2, 3)];
-        let (outcome, _) = run(&items, 16, 16, SearchConfig::default());
-        assert_eq!(outcome.gain, 8);
-        assert_eq!(outcome.accept, vec![true, false, true]);
-    }
-
-    #[test]
     fn expansion_cap_reports_incumbent() {
-        let items: Vec<_> = (0..12).map(|i| item(i, 1 + i % 3, 2 + i % 5)).collect();
+        let items: Vec<_> = (0..12).map(|i| (1 + i % 3, 2 + i % 5)).collect();
         let config = SearchConfig {
             beam_width: 64,
             max_expansions: 3,
         };
-        let (outcome, _) = run(&items, 64, 9, config);
+        let (outcome, _) = run(&items, 9, config);
         assert!(outcome.stats.cap_hit);
         assert!(!outcome.optimal_proven);
         assert!(outcome.gain >= outcome.greedy_gain);
@@ -534,11 +352,9 @@ mod tests {
 
     #[test]
     fn events_are_deterministic() {
-        let items: Vec<_> = (0..8)
-            .map(|i| item(i, 1 + i % 4, 1 + (i * 7) % 5))
-            .collect();
-        let (a, ev_a) = run(&items, 10, 7, SearchConfig::default());
-        let (b, ev_b) = run(&items, 10, 7, SearchConfig::default());
+        let items: Vec<_> = (0..8).map(|i| (1 + i % 4, 1 + (i * 7) % 5)).collect();
+        let (a, ev_a) = run(&items, 7, SearchConfig::default());
+        let (b, ev_b) = run(&items, 7, SearchConfig::default());
         assert_eq!(a, b);
         assert_eq!(ev_a, ev_b);
     }

@@ -351,7 +351,8 @@ pub struct ScheduleSpec {
     /// (default 1).
     pub fb_kw: Option<u64>,
     /// Scheduler name (`basic`, `ds`, `cds`, `search`,
-    /// `search:<beam>[:<max-expansions>]`; default `cds`).
+    /// `search:<beam>[:<max-expansions>]`; default `cds`). The server
+    /// refuses an expansion cap of 0 (unlimited) or above 100,000.
     pub scheduler: Option<String>,
     /// Per-request deadline in milliseconds; the pipeline abandons the
     /// run at the next stage boundary once it expires.

@@ -270,6 +270,13 @@ const MEMO_CAP: usize = 16 * 1024;
 /// bounds what one request can make the planner allocate.
 const MAX_ITERATION_KERNELS: u64 = 1 << 20;
 
+/// The largest expansion cap a `search:<beam>:<cap>` request may ask for
+/// (100,000, the cap of `BENCH_search.json`'s committed grid). The
+/// search is exponential in the candidates, cap 0 means unlimited, and
+/// cancellation is polled only between pipeline stages, so a deadline
+/// cannot stop a search once it runs.
+const MAX_SEARCH_EXPANSIONS: u32 = 100_000;
+
 /// One admitted computation.
 struct Job {
     resolved: Arc<Resolved>,
@@ -2165,6 +2172,14 @@ fn resolve(spec: ScheduleSpec) -> Result<Resolved, String> {
         .unwrap_or("cds")
         .parse()
         .map_err(|e: McdsError| e.to_string())?;
+    if let SchedulerKind::Search { max_expansions, .. } = kind {
+        if max_expansions == 0 || max_expansions > MAX_SEARCH_EXPANSIONS {
+            return Err(format!(
+                "search expansion cap {max_expansions} is outside 1..={MAX_SEARCH_EXPANSIONS} \
+                 (0 is unlimited)"
+            ));
+        }
+    }
     let arch = match spec.arch {
         Some(arch) => arch,
         None => {
@@ -2262,6 +2277,21 @@ mod tests {
         };
         assert_eq!(rejected(inline(1 << 18)), None);
         assert!(rejected(inline((1 << 18) + 1)).is_some());
+    }
+
+    #[test]
+    fn resolve_bounds_search_expansions() {
+        let search = |name: &str| ScheduleSpec {
+            scheduler: Some(name.to_owned()),
+            ..ScheduleSpec::workload("e1")
+        };
+        for name in ["search", "search:1", "search:32:100000"] {
+            assert!(resolve(search(name)).is_ok(), "{name}");
+        }
+        for name in ["search:4294967295:0", "search:8:100001"] {
+            let message = resolve(search(name)).err().expect("over the limit");
+            assert!(message.contains("1..=100000"), "{message}");
+        }
     }
 
     #[test]

@@ -164,6 +164,46 @@ impl SyntheticGenerator {
     }
 }
 
+/// A knapsack trap for the paper's greedy TF walk: clusters C0 and C4
+/// (both on set 0) share three external inputs, `big` and `b1`/`b2` of
+/// `shared` words each, while the set-0 cluster C2 between them holds a
+/// private `bulk` input the retained copies must coexist with. The four
+/// intermediates are `inter` words each. With `big` > `shared`, TF
+/// ranks `big` first; at the right Frame Buffer size greedy retains it
+/// and then rejects both smaller inputs, though the pair would avoid
+/// more traffic (60/40/150/10 words: 60 avoided words against 80).
+///
+/// # Errors
+///
+/// Propagates model validation (never fails for non-zero sizes and
+/// `iterations`).
+pub fn knapsack_trap(
+    big: u64,
+    shared: u64,
+    bulk: u64,
+    inter: u64,
+    iterations: u64,
+) -> Result<(Application, ClusterSchedule), ModelError> {
+    let mut b = ApplicationBuilder::new("trap");
+    let big = b.data("big", Words::new(big), DataKind::ExternalInput);
+    let b1 = b.data("b1", Words::new(shared), DataKind::ExternalInput);
+    let b2 = b.data("b2", Words::new(shared), DataKind::ExternalInput);
+    let bulk = b.data("bulk", Words::new(bulk), DataKind::ExternalInput);
+    let m0 = b.data("m0", Words::new(inter), DataKind::Intermediate);
+    let m1 = b.data("m1", Words::new(inter), DataKind::Intermediate);
+    let m2 = b.data("m2", Words::new(inter), DataKind::Intermediate);
+    let m3 = b.data("m3", Words::new(inter), DataKind::Intermediate);
+    let f = b.data("f", Words::new(10), DataKind::FinalResult);
+    let k0 = b.kernel("k0", 8, Cycles::new(100), &[big, b1, b2], &[m0]);
+    let k1 = b.kernel("k1", 8, Cycles::new(100), &[m0], &[m1]);
+    let k2 = b.kernel("k2", 8, Cycles::new(100), &[bulk, m1], &[m2]);
+    let k3 = b.kernel("k3", 8, Cycles::new(100), &[m2], &[m3]);
+    let k4 = b.kernel("k4", 8, Cycles::new(100), &[big, b1, b2, m3], &[f]);
+    let app = b.iterations(iterations).build()?;
+    let sched = ClusterSchedule::new(&app, vec![vec![k0], vec![k1], vec![k2], vec![k3], vec![k4]])?;
+    Ok((app, sched))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -18,10 +18,9 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use mcds_core::{MetricsRegistry, Pipeline, SchedulerKind};
-use mcds_model::{
-    Application, ApplicationBuilder, ArchParams, ClusterSchedule, Cycles, DataKind, Words,
-};
+use mcds_model::{Application, ArchParams, ClusterSchedule, Words};
 use mcds_sweep::{SweepReport, SweepSpec, SweepWorkload};
+use mcds_workloads::synthetic::knapsack_trap;
 use mcds_workloads::table1::{table1_experiments, Experiment};
 
 /// The snapshotted workloads: one small pipeline and one real-media
@@ -43,39 +42,6 @@ fn experiments() -> Vec<Experiment> {
         .collect();
     assert_eq!(exps.len(), GOLDEN.len(), "both golden workloads found");
     exps
-}
-
-/// A knapsack trap for the greedy TF walk: clusters C0 and C4 (both
-/// set 0) share `big`, `b1` and `b2`, while the set-0 cluster C2
-/// between them holds a private `bulk` input the retained copies must
-/// coexist with. `b1` and `b2` are `shared` words each; the four
-/// intermediates are `inter` words each.
-fn knapsack_trap(
-    big: u64,
-    shared: u64,
-    bulk: u64,
-    inter: u64,
-    iterations: u64,
-) -> (Application, ClusterSchedule) {
-    let mut b = ApplicationBuilder::new("trap");
-    let big = b.data("big", Words::new(big), DataKind::ExternalInput);
-    let b1 = b.data("b1", Words::new(shared), DataKind::ExternalInput);
-    let b2 = b.data("b2", Words::new(shared), DataKind::ExternalInput);
-    let bulk = b.data("bulk", Words::new(bulk), DataKind::ExternalInput);
-    let m0 = b.data("m0", Words::new(inter), DataKind::Intermediate);
-    let m1 = b.data("m1", Words::new(inter), DataKind::Intermediate);
-    let m2 = b.data("m2", Words::new(inter), DataKind::Intermediate);
-    let m3 = b.data("m3", Words::new(inter), DataKind::Intermediate);
-    let f = b.data("f", Words::new(10), DataKind::FinalResult);
-    let k0 = b.kernel("k0", 8, Cycles::new(100), &[big, b1, b2], &[m0]);
-    let k1 = b.kernel("k1", 8, Cycles::new(100), &[m0], &[m1]);
-    let k2 = b.kernel("k2", 8, Cycles::new(100), &[bulk, m1], &[m2]);
-    let k3 = b.kernel("k3", 8, Cycles::new(100), &[m2], &[m3]);
-    let k4 = b.kernel("k4", 8, Cycles::new(100), &[big, b1, b2, m3], &[f]);
-    let app = b.iterations(iterations).build().expect("valid");
-    let sched = ClusterSchedule::new(&app, vec![vec![k0], vec![k1], vec![k2], vec![k3], vec![k4]])
-        .expect("valid");
-    (app, sched)
 }
 
 /// One snapshotted workload and the schedulers whose logs are pinned.
@@ -107,7 +73,7 @@ fn golden_cases() -> Vec<GoldenCase> {
     // `search-bench`'s trap at 250 words: the searched set wins (80
     // against 60 words/iter avoided), so this log narrates a searched
     // pick by replaying its accepts.
-    let (app, sched) = knapsack_trap(60, 40, 150, 10, 4);
+    let (app, sched) = knapsack_trap(60, 40, 150, 10, 4).expect("valid");
     cases.push(GoldenCase {
         name: "trap250",
         app,
@@ -118,7 +84,7 @@ fn golden_cases() -> Vec<GoldenCase> {
     // The never-worse guard: the searched RF-2 rung ties RF 1's cycles
     // with less retention, so the search falls back to greedy's RF-1
     // pick and narrates the greedy walk.
-    let (app, sched) = knapsack_trap(50, 30, 50, 30, 2);
+    let (app, sched) = knapsack_trap(50, 30, 50, 30, 2).expect("valid");
     cases.push(GoldenCase {
         name: "trap-guard",
         app,

@@ -3,11 +3,13 @@
 
 use mcds_core::{
     all_fit, cluster_peak, ds_formula, evaluate, find_candidates_with, max_common_rf,
-    AllocationWalk, BasicScheduler, CdsScheduler, DataScheduler, DsScheduler, Event,
-    FootprintModel, Lifetimes, Observer, RetentionSet, ScheduleAnalysis, VecSink,
+    AllocationWalk, BasicScheduler, Candidate, CdsScheduler, DataScheduler, DsScheduler, Event,
+    FootprintModel, Lifetimes, MetricsRegistry, Observer, RetentionSet, ScheduleAnalysis,
+    SchedulerKind, VecSink,
 };
 use mcds_model::{Application, ArchParams, ClusterId, ClusterSchedule, Words};
-use mcds_workloads::synthetic::{SyntheticConfig, SyntheticGenerator};
+use mcds_search::{search_retention, PruneReason, SearchConfig, SearchEvent, SearchOutcome};
+use mcds_workloads::synthetic::{knapsack_trap, SyntheticConfig, SyntheticGenerator};
 use proptest::prelude::*;
 
 /// The footprint oracle: walks `1 + rf·m` execution steps of cluster
@@ -89,6 +91,285 @@ fn walk_peak(
         peak.max(live)
     });
     Words::new(u64::try_from(peak).expect("never negative")) + passthrough * rf
+}
+
+/// The exhaustive oracle for the retention search. It ranks the
+/// sharing candidates in TF order and decides a retention mask the way
+/// the paper states the rule: every cluster's [`walk_peak`] under the
+/// Replacement model is at most FBS. It shares no code with the
+/// planner's fit table.
+struct SearchOracle<'a> {
+    app: &'a Application,
+    sched: &'a ClusterSchedule,
+    lifetimes: Lifetimes,
+    ranked: Vec<Candidate>,
+    /// Words per iteration each ranked candidate avoids.
+    gains: Vec<u64>,
+    fbs: Words,
+}
+
+/// Beyond this many ranked candidates the oracle does not enumerate.
+const ORACLE_MAX_CANDIDATES: usize = 14;
+
+/// The oracle checks RFs up to this one.
+const ORACLE_MAX_RF: u64 = 16;
+
+impl<'a> SearchOracle<'a> {
+    /// `None` when the input has more than [`ORACLE_MAX_CANDIDATES`].
+    fn new(app: &'a Application, sched: &'a ClusterSchedule, arch: &ArchParams) -> Option<Self> {
+        let lifetimes = Lifetimes::analyze(app, sched);
+        let ranked = find_candidates_with(app, sched, &lifetimes, arch.fb_cross_set_access());
+        let gains = ranked.iter().map(|c| c.avoided_per_iter().get()).collect();
+        (ranked.len() <= ORACLE_MAX_CANDIDATES).then_some(SearchOracle {
+            app,
+            sched,
+            lifetimes,
+            ranked,
+            gains,
+            fbs: arch.fb_set_words(),
+        })
+    }
+
+    fn gain(&self, mask: &[bool]) -> u64 {
+        self.gains
+            .iter()
+            .zip(mask)
+            .filter(|(_, &on)| on)
+            .map(|(g, _)| g)
+            .sum()
+    }
+
+    fn retention(&self, mask: &[bool]) -> RetentionSet {
+        let mut set = RetentionSet::empty();
+        for (cand, _) in self.ranked.iter().zip(mask).filter(|(_, &on)| on) {
+            set.add(cand.clone());
+        }
+        set
+    }
+
+    /// The paper's rule: `DS(C_c) <= FBS` for every cluster at `rf`.
+    fn fits(&self, mask: &[bool], rf: u64) -> bool {
+        let retention = self.retention(mask);
+        self.sched.clusters().iter().all(|cl| {
+            walk_peak(
+                self.app,
+                self.sched,
+                &self.lifetimes,
+                &retention,
+                cl.id(),
+                rf,
+                FootprintModel::Replacement,
+            ) <= self.fbs
+        })
+    }
+
+    /// The TF walk: keep each candidate, in ranking order, while every
+    /// cluster still fits.
+    fn tf_walk(&self, rf: u64) -> Vec<bool> {
+        let mut mask = vec![false; self.ranked.len()];
+        for i in 0..mask.len() {
+            mask[i] = true;
+            mask[i] = self.fits(&mask, rf);
+        }
+        mask
+    }
+
+    /// The largest gain of any feasible mask at `rf`, by enumerating
+    /// every mask. `floor` is the gain of a mask known to be feasible;
+    /// only masks that gain more are checked.
+    fn optimum(&self, rf: u64, floor: u64) -> u64 {
+        let n = self.ranked.len();
+        let mut best = floor;
+        for bits in 0u32..1 << n {
+            let mask: Vec<bool> = (0..n).map(|i| bits >> i & 1 == 1).collect();
+            let gain = self.gain(&mask);
+            if gain > best && self.fits(&mask, rf) {
+                best = gain;
+            }
+        }
+        best
+    }
+
+    /// `true` when no candidate is read across sets, which is when the
+    /// rule is taken to be monotone in the retained set: a superset of an
+    /// infeasible mask stays infeasible. Retaining a copy read across
+    /// sets frees words on its readers' set, so with one it is not. The
+    /// proofs check 2 holds to the enumerated optimum test this.
+    fn monotone(&self) -> bool {
+        !self.ranked.iter().any(Candidate::is_cross_set)
+    }
+
+    /// The engine under test, seeded with `seed` and deciding accepts by
+    /// the oracle's rule. The flag is the proof the planner claims: an
+    /// exhaustive search proves its gain optimal if the rule is monotone
+    /// or the search cut no accept as infeasible.
+    fn search(&self, rf: u64, seed: &[bool], config: &SearchConfig) -> (SearchOutcome, bool) {
+        let mut cut_infeasible = false;
+        let outcome = search_retention(
+            &self.gains,
+            seed,
+            config,
+            &mut |mask: &[bool]| self.fits(mask, rf),
+            &mut |event| {
+                cut_infeasible |= matches!(
+                    event,
+                    SearchEvent::Prune {
+                        reason: PruneReason::Infeasible,
+                        ..
+                    }
+                );
+            },
+        );
+        let proven = outcome.optimal_proven && (self.monotone() || !cut_infeasible);
+        (outcome, proven)
+    }
+}
+
+/// The planner's search configurations, as `search` and
+/// `search:32:100000` name them, then a small beam that hits its cap.
+const ORACLE_SEARCHES: [(u32, u32); 3] = [(8, 10_000), (32, 100_000), (2, 50)];
+
+/// Runs the oracle's three checks on one input and returns what failed:
+///
+/// 1. the CDS plan retains exactly the TF walk at the plan's RF;
+/// 2. at every RF up to `max_common_rf` with nothing retained (at most
+///    [`ORACLE_MAX_RF`]), the search seeded with the TF walk returns a
+///    feasible mask that never gains less, gains the enumerated optimum
+///    whenever it proves optimality, and returns the TF walk at beam 1;
+/// 3. the Search plans' retentions fit at their RF, and where the
+///    oracle covered every rung, the plan's search counters equal the
+///    oracle's searches: rungs, expansions, prunes and proven rungs.
+fn search_oracle_failures(
+    label: &str,
+    app: &Application,
+    sched: &ClusterSchedule,
+    arch: &ArchParams,
+) -> Vec<String> {
+    let mut failures = Vec::new();
+    let Some(oracle) = SearchOracle::new(app, sched, arch) else {
+        return failures;
+    };
+    let candidates = |mask: &[bool]| oracle.retention(mask).candidates().to_vec();
+    let analysis = ScheduleAnalysis::new(app, sched);
+    if let Ok(plan) = CdsScheduler::new().plan_with_analysis(app, sched, arch, &analysis) {
+        if plan.retention().candidates() != candidates(&oracle.tf_walk(plan.rf())) {
+            failures.push(format!("{label} rf={}: CDS is not the TF walk", plan.rf()));
+        }
+    }
+    let empty = RetentionSet::empty();
+    let rf_max = max_common_rf(
+        app,
+        sched,
+        &oracle.lifetimes,
+        &empty,
+        FootprintModel::Replacement,
+        oracle.fbs,
+    )
+    .unwrap_or(0);
+    // Per configuration: rungs, expansions, prunes and proven rungs.
+    let mut totals = [[0u64; 4]; ORACLE_SEARCHES.len()];
+    for rf in 1..=rf_max.min(ORACLE_MAX_RF) {
+        let seed = oracle.tf_walk(rf);
+        let seed_gain = oracle.gain(&seed);
+        let optimum = oracle.optimum(rf, seed_gain);
+        for ((beam_width, max_expansions), total) in ORACLE_SEARCHES.into_iter().zip(&mut totals) {
+            let config = SearchConfig {
+                beam_width,
+                max_expansions,
+            };
+            let (outcome, proven) = oracle.search(rf, &seed, &config);
+            let point = format!("{label} rf={rf} search:{beam_width}:{max_expansions}");
+            if outcome.gain < seed_gain {
+                failures.push(format!(
+                    "{point}: gains {} < the TF walk's {seed_gain}",
+                    outcome.gain
+                ));
+            }
+            if proven && outcome.gain != optimum {
+                failures.push(format!(
+                    "{point}: proven optimal at {}, the optimum is {optimum}",
+                    outcome.gain
+                ));
+            }
+            if outcome.gain != oracle.gain(&outcome.accept) || !oracle.fits(&outcome.accept, rf) {
+                failures.push(format!(
+                    "{point}: returned an infeasible or misreported mask"
+                ));
+            }
+            let stats = outcome.stats;
+            for (sum, add) in
+                total
+                    .iter_mut()
+                    .zip([1, stats.expansions, stats.prunes, u64::from(proven)])
+            {
+                *sum += add;
+            }
+        }
+        let (beam1, _) = oracle.search(
+            rf,
+            &seed,
+            &SearchConfig {
+                beam_width: 1,
+                max_expansions: 0,
+            },
+        );
+        if beam1.accept != seed {
+            failures.push(format!("{label} rf={rf} search:1: is not the TF walk"));
+        }
+    }
+    for ((beam_width, max_expansions), total) in ORACLE_SEARCHES.into_iter().zip(totals).take(2) {
+        let kind = SchedulerKind::Search {
+            beam_width,
+            max_expansions,
+        };
+        let metrics = MetricsRegistry::new();
+        let observer = Observer::new(None, Some(&metrics));
+        let Ok(plan) = kind
+            .instantiate(Default::default())
+            .plan_observed(app, sched, arch, &analysis, observer)
+        else {
+            continue;
+        };
+        if !oracle.fits(&oracle_mask(&oracle, plan.retention()), plan.rf()) {
+            failures.push(format!(
+                "{label} {kind}: retention overflows at rf={}",
+                plan.rf()
+            ));
+        }
+        let counters = [
+            "search.rungs",
+            "search.expansions",
+            "search.prunes",
+            "search.rungs_proven",
+        ]
+        .map(|name| metrics.get(name).unwrap_or(0));
+        if rf_max <= ORACLE_MAX_RF && counters != total {
+            failures.push(format!(
+                "{label} {kind}: rungs, expansions, prunes, proven {counters:?}, \
+                 the oracle's {total:?}"
+            ));
+        }
+    }
+    failures
+}
+
+/// `retention`'s candidates as a mask over the oracle's ranking.
+fn oracle_mask(oracle: &SearchOracle<'_>, retention: &RetentionSet) -> Vec<bool> {
+    oracle
+        .ranked
+        .iter()
+        .map(|c| retention.candidates().contains(c))
+        .collect()
+}
+
+fn assert_search_oracle(
+    inputs: impl IntoIterator<Item = (String, Application, ClusterSchedule, ArchParams)>,
+) {
+    let failures: Vec<String> = inputs
+        .into_iter()
+        .flat_map(|(label, app, sched, arch)| search_oracle_failures(&label, &app, &sched, &arch))
+        .collect();
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
 }
 
 fn config_strategy() -> impl Strategy<Value = (u64, SyntheticConfig)> {
@@ -186,6 +467,114 @@ fn closed_form_footprint_matches_walk_on_the_catalog() {
             closed_form_matches_walk(&app, &sched);
         }
     }
+}
+
+/// `mcds search-bench`'s high-sharing family at its two FB sizes, with
+/// cross-set access off and on.
+#[test]
+fn search_oracle_on_high_sharing_synthetics() {
+    let config = SyntheticConfig {
+        clusters: 6,
+        share_probability: 0.9,
+        cross_probability: 0.6,
+        data_words: (64, 512),
+        ..SyntheticConfig::default()
+    };
+    assert_search_oracle((1..=12).flat_map(|seed| {
+        let (app, sched) = SyntheticGenerator::new(seed)
+            .generate(&config)
+            .expect("valid");
+        [1, 2].into_iter().flat_map(move |kw| {
+            let (app, sched) = (app.clone(), sched.clone());
+            [false, true].map(move |cross| {
+                let arch = ArchParams::m1_with_fb(Words::kilo(kw))
+                    .to_builder()
+                    .fb_cross_set_access(cross)
+                    .build();
+                (
+                    format!("synthetic-{seed}@{kw}K cross={cross}"),
+                    app.clone(),
+                    sched.clone(),
+                    arch,
+                )
+            })
+        })
+    }));
+}
+
+/// The knapsack trap across the window where greedy's TF order loses,
+/// with cross-set access off and on.
+#[test]
+fn search_oracle_on_the_knapsack_trap() {
+    let (app, sched) = knapsack_trap(60, 40, 150, 10, 4).expect("valid");
+    assert_search_oracle((200..=320).step_by(10).flat_map(|fb| {
+        let (app, sched) = (app.clone(), sched.clone());
+        [false, true].map(move |cross| {
+            let arch = ArchParams::m1_with_fb(Words::new(fb))
+                .to_builder()
+                .fb_cross_set_access(cross)
+                .build();
+            (
+                format!("trap@{fb}w cross={cross}"),
+                app.clone(),
+                sched.clone(),
+                arch,
+            )
+        })
+    }));
+}
+
+/// The catalog at 1, 2 and 8 iterations over the FB sizes of
+/// `mcds search-bench`, with cross-set access off and on.
+#[test]
+fn search_oracle_on_the_catalog() {
+    let mut inputs = Vec::new();
+    for name in mcds_workloads::mix::CATALOG {
+        for iterations in [1, 2, 8] {
+            let (app, sched) = mcds_workloads::mix::by_name(name, iterations).expect("catalog");
+            for kw in [1, 2, 3, 8] {
+                for cross in [false, true] {
+                    let arch = ArchParams::m1_with_fb(Words::kilo(kw))
+                        .to_builder()
+                        .fb_cross_set_access(cross)
+                        .build();
+                    let label = format!("{name} x{iterations}@{kw}K cross={cross}");
+                    inputs.push((label, app.clone(), sched.clone(), arch));
+                }
+            }
+        }
+    }
+    assert_search_oracle(inputs);
+}
+
+/// An input where the retained words of one set sum past FBS while no
+/// cluster's `DS(C_c)` does: a search that also requires the per-set
+/// sum to fit cuts a mask the paper accepts.
+#[test]
+fn search_oracle_where_set_sums_exceed_fbs() {
+    let config = SyntheticConfig {
+        clusters: 8,
+        kernels_per_cluster: (1, 2),
+        data_words: (16, 128),
+        share_probability: 1.0,
+        cross_probability: 0.9,
+        ..SyntheticConfig::default()
+    };
+    let (app, sched) = SyntheticGenerator::new(603)
+        .generate(&config)
+        .expect("valid");
+    assert_search_oracle([false, true].map(|cross| {
+        let arch = ArchParams::m1_with_fb(Words::new(384))
+            .to_builder()
+            .fb_cross_set_access(cross)
+            .build();
+        (
+            format!("synthetic-603@384w cross={cross}"),
+            app.clone(),
+            sched.clone(),
+            arch,
+        )
+    }));
 }
 
 proptest! {
@@ -355,5 +744,27 @@ proptest! {
                 .sum();
             prop_assert_eq!(sum, plan.dt_avoided_per_iter());
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The search oracle over random structures at small Frame Buffers,
+    /// where retention verdicts are tight. Up to eleven clusters give
+    /// up to about a dozen candidates.
+    #[test]
+    fn search_oracle_on_random_synthetics(
+        (seed, cfg) in config_strategy_with(2..12),
+        fb in 256u64..2048,
+        cross in any::<bool>(),
+    ) {
+        let (app, sched) = SyntheticGenerator::new(seed).generate(&cfg).expect("valid");
+        let arch = ArchParams::m1_with_fb(Words::new(fb))
+            .to_builder()
+            .fb_cross_set_access(cross)
+            .build();
+        let failures = search_oracle_failures("random", &app, &sched, &arch);
+        prop_assert!(failures.is_empty(), "{}", failures.join("\n"));
     }
 }
