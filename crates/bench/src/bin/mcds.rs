@@ -11,7 +11,6 @@
 //! mcds explore  <app.json> [options]       # kernel-scheduler partition search
 //! mcds sweep    [app.json …] [options]     # parallel design-space sweep
 //! mcds serve    [options]                  # scheduling service (versioned newline-delimited JSON over TCP)
-//! mcds client   [options]                  # single-process load client; prints a JSON report
 //! mcds load     [options]                  # scaled multi-process load harness; prints a merged JSON report
 //! mcds chaos    [options]                  # deterministic fault-injection soak; prints JSON per seed
 //! mcds crashdrill [options]                # kill -9 durability drill; prints a JSON evidence report
@@ -66,7 +65,7 @@
 //!   --fsync P              store sync policy: always | interval[:ms] | never
 //!                          (default: always; requires --store-dir)
 //!
-//! client options:
+//! load options:
 //!   --addr A:P             server address (default: 127.0.0.1:7171)
 //!   --connections N        concurrent connections (default: 4)
 //!   --requests M           total requests across both phases (default: 200)
@@ -77,9 +76,6 @@
 //!   --deadline-ms D        per-request deadline (default: none)
 //!   --retries N            re-queues per failed request (default: 3)
 //!   --class C              admission class: priority|standard|batch (default: standard)
-//!   --legacy               send deprecated un-versioned frames (compat-shim exercise)
-//!
-//! load options (all client options, plus):
 //!   --procs P              driver processes (default: 2); reports are merged
 //!                          exactly — percentiles over the combined latency
 //!                          histogram, outcome digests cross-checked per key
@@ -161,7 +157,7 @@ fn main() -> ExitCode {
 fn run(args: &[String]) -> Result<(), McdsError> {
     let Some(cmd) = args.first() else {
         return Err(McdsError::spec(
-            "usage: mcds <sample-app|inspect|plan|run|explore|sweep|serve|client|load|chaos|crashdrill|overload|hotpath|search-bench> …",
+            "usage: mcds <sample-app|inspect|plan|run|explore|sweep|serve|load|chaos|crashdrill|overload|hotpath|search-bench> …",
         ));
     };
     match cmd.as_str() {
@@ -175,7 +171,6 @@ fn run(args: &[String]) -> Result<(), McdsError> {
         "explore" => explore(&args[1..]),
         "sweep" => sweep(&args[1..]),
         "serve" => serve(&args[1..]),
-        "client" => client(&args[1..]),
         "load" => load(&args[1..]),
         "chaos" => chaos(&args[1..]),
         "crashdrill" => crashdrill(&args[1..]),
@@ -637,7 +632,6 @@ fn load_config_from(args: &[String]) -> Result<LoadConfig, McdsError> {
         scheduler: opt(args, "--scheduler").map(str::to_owned),
         deadline_ms: parsed_opt(args, "--deadline-ms")?,
         class: class_from(args)?,
-        legacy: flag(args, "--legacy"),
         ..LoadConfig::default()
     };
     if let Some(connections) = parsed_opt(args, "--connections")? {
@@ -659,52 +653,6 @@ fn load_config_from(args: &[String]) -> Result<LoadConfig, McdsError> {
         config.retries = retries;
     }
     Ok(config)
-}
-
-/// `mcds client` output: the load report's fields flattened at the top
-/// level (shape-compatible with earlier releases) plus the server's
-/// `serve.store.*` persistence counters when a durable store is
-/// attached.
-#[derive(serde::Serialize)]
-struct ClientReport {
-    #[serde(flatten)]
-    load: LoadReport,
-    /// `serve.store.*` counters snapshotted over the wire after the
-    /// run — journal bytes, snapshot epoch, recovery counts. Empty
-    /// when the server runs without `--store-dir`.
-    store: Vec<StatEntry>,
-}
-
-/// Snapshots the server's `serve.store.*` counters over the wire.
-/// Best-effort: an unreachable server or failed `stats` verb yields an
-/// empty list rather than failing the report.
-fn store_stats(addr: &str) -> Vec<StatEntry> {
-    let Ok(mut client) = ClientConfig::new(addr).connect() else {
-        return Vec::new();
-    };
-    match client.stats() {
-        Ok(reply) => reply
-            .entries
-            .into_iter()
-            .filter(|e| e.name.starts_with("serve.store."))
-            .collect(),
-        Err(_) => Vec::new(),
-    }
-}
-
-fn client(args: &[String]) -> Result<(), McdsError> {
-    let config = load_config_from(args)?;
-    let mut report = run_load(&config)?;
-    report.strip_raw();
-    let report = ClientReport {
-        store: store_stats(&config.addr),
-        load: report,
-    };
-    println!(
-        "{}",
-        serde_json::to_string_pretty(&report).map_err(|e| McdsError::spec(e.to_string()))?
-    );
-    Ok(())
 }
 
 /// The scaled load harness. With `--procs P > 1` the parent re-executes
@@ -751,9 +699,6 @@ fn load(args: &[String]) -> Result<(), McdsError> {
             }
             if let Some(c) = config.class {
                 cmd.args(["--class", c.as_str()]);
-            }
-            if config.legacy {
-                cmd.arg("--legacy");
             }
             children.push(cmd.spawn()?);
         }
@@ -1211,7 +1156,7 @@ fn crashdrill(args: &[String]) -> Result<(), McdsError> {
     let mut recovered_served = 0u64;
     let mut recomputes = 0u64;
     let mut byte_identical = true;
-    {
+    let stats = {
         let mut client = ClientConfig::new(&survivor.addr)
             .connect()
             .map_err(|e| McdsError::spec(format!("replay connection: {e}")))?;
@@ -1234,8 +1179,13 @@ fn crashdrill(args: &[String]) -> Result<(), McdsError> {
                 recomputes += 1;
             }
         }
-    }
-    let stats = store_stats(&survivor.addr);
+        // Recovery totals, over the wire. A failed `stats` leaves them
+        // at zero, which fails the drill below.
+        client
+            .stats()
+            .map(|reply| reply.entries)
+            .unwrap_or_default()
+    };
     let stat = |name: &str| stats.iter().find(|e| e.name == name).map_or(0, |e| e.value);
     let tail_garbage_tolerated = stat("serve.store.recovered") >= committed.len() as u64
         && stat("serve.store.dropped") >= garbage.len() as u64

@@ -9,7 +9,8 @@
 //! reproduce future-work       # §7: cross-set retention extension
 //! reproduce gantt             # pipeline Gantt charts for the three schedulers
 //! reproduce json              # Table 1 as machine-readable JSON
-//! reproduce all               # everything above
+//! reproduce ablations         # CDS design choices: ranking, context policy, RF cap
+//! reproduce all               # everything above except json
 //! ```
 //!
 //! Every plan is produced through the [`Pipeline`] facade (or the
@@ -17,13 +18,14 @@
 
 use mcds_bench::{measure_all, pct};
 use mcds_core::{
-    table_header, AllocationWalk, FootprintModel, Lifetimes, McdsError, Pipeline, ScheduleError,
-    SchedulerKind,
+    table_header, AllocationWalk, ContextPolicy, FootprintModel, Lifetimes, McdsError, Pipeline,
+    RetentionRanking, ScheduleError, SchedulerConfig, SchedulerKind,
 };
 use mcds_model::{ArchParams, Words};
 use mcds_sweep::{SweepSpec, SweepWorkload};
 use mcds_workloads::e_series::e1;
 use mcds_workloads::mpeg::{mpeg_app, mpeg_schedule};
+use mcds_workloads::table1::{table1_experiments, Experiment};
 
 fn main() {
     let mode = std::env::args().nth(1).unwrap_or_else(|| "all".to_owned());
@@ -36,6 +38,7 @@ fn main() {
         "future-work" => future_work(),
         "gantt" => gantt(),
         "json" => json(),
+        "ablations" => ablations(),
         "all" => {
             table1();
             println!();
@@ -50,6 +53,8 @@ fn main() {
             future_work();
             println!();
             gantt();
+            println!();
+            ablations();
         }
         other => {
             eprintln!("unknown mode `{other}`; see the module docs for the list");
@@ -211,7 +216,7 @@ fn future_work() {
         "{:<11} {:>8} {:>11} {:>9}",
         "experiment", "M1", "dual-port", "extra DT"
     );
-    for e in mcds_workloads::table1::table1_experiments() {
+    for e in table1_experiments() {
         let compare = |arch: ArchParams| {
             Pipeline::new(e.app.clone())
                 .arch(arch)
@@ -248,4 +253,76 @@ fn json() {
         "{}",
         serde_json::to_string_pretty(&rows).expect("rows serialize")
     );
+}
+
+fn cds_pipeline(e: &Experiment, config: SchedulerConfig) -> Pipeline {
+    Pipeline::new(e.app.clone())
+        .arch(e.arch)
+        .schedule(e.sched.clone())
+        .scheduler(SchedulerKind::Cds)
+        .config(config)
+}
+
+/// Ablations of the Complete Data Scheduler's design choices:
+///
+/// * **TF ranking** vs size-descending vs FIFO retention ordering;
+/// * **context policy**: per-activation reload (the paper's model) vs
+///   LRU Context Memory residency;
+/// * **RF cap**: how much of the win is loop fission alone.
+fn ablations() {
+    println!("=== Ablation: retention ranking (CDS improvement over Basic, %) ===");
+    println!(
+        "{:<11} {:>6} {:>9} {:>6}",
+        "experiment", "TF", "SizeDesc", "FIFO"
+    );
+    for e in table1_experiments() {
+        let Ok(t_basic) = cds_pipeline(&e, SchedulerConfig::default())
+            .scheduler(SchedulerKind::Basic)
+            .run()
+            .map(|r| r.into_parts().2)
+        else {
+            continue;
+        };
+        let run = |ranking: RetentionRanking| -> String {
+            cds_pipeline(&e, SchedulerConfig::new().with_retention_ranking(ranking))
+                .run()
+                .map(|r| format!("{:.0}%", r.report().improvement_over(&t_basic) * 100.0))
+                .unwrap_or_else(|_| "-".to_owned())
+        };
+        println!(
+            "{:<11} {:>6} {:>9} {:>6}",
+            e.name,
+            run(RetentionRanking::Tf),
+            run(RetentionRanking::SizeDesc),
+            run(RetentionRanking::Fifo),
+        );
+    }
+
+    println!("\n=== Ablation: context policy / RF cap (CDS improvement, %) ===");
+    println!(
+        "{:<11} {:>7} {:>7} {:>7}",
+        "experiment", "paper", "lru-cm", "rf<=1"
+    );
+    for e in table1_experiments() {
+        let Ok(t_basic) = cds_pipeline(&e, SchedulerConfig::default())
+            .scheduler(SchedulerKind::Basic)
+            .run()
+            .map(|r| r.into_parts().2)
+        else {
+            continue;
+        };
+        let run = |config: SchedulerConfig| -> String {
+            cds_pipeline(&e, config)
+                .run()
+                .map(|r| format!("{:.0}%", r.report().improvement_over(&t_basic) * 100.0))
+                .unwrap_or_else(|_| "-".to_owned())
+        };
+        println!(
+            "{:<11} {:>7} {:>7} {:>7}",
+            e.name,
+            run(SchedulerConfig::default()),
+            run(SchedulerConfig::new().with_context_policy(ContextPolicy::LruResidency)),
+            run(SchedulerConfig::new().with_max_rf(Some(1))),
+        );
+    }
 }

@@ -1,5 +1,5 @@
 //! Experiment-reproduction helpers shared by the `reproduce` binary,
-//! the Criterion benches and the integration tests.
+//! the `mcds` CLI and the integration tests.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -173,12 +173,6 @@ impl<'a> FitTable<'a> {
         fbs: Words,
     ) -> Self {
         let ranked = rank_candidates(candidates, ranking, &|d| app.size_of(d));
-        debug_assert!(
-            ranked.iter().enumerate().all(|(i, a)| ranked[..i]
-                .iter()
-                .all(|b| (a.data(), a.set()) != (b.data(), b.set()))),
-            "one candidate per (object, set)"
-        );
         FitTable {
             app,
             sched,

@@ -7,8 +7,6 @@
 //! less TF. If `DS(C_c) > FBS` for some shared data or results, these
 //! are not kept."
 
-use std::collections::HashSet;
-
 use mcds_model::{ClusterId, ClusterSchedule, DataId, FbSet, Words};
 use serde::{Deserialize, Serialize};
 
@@ -222,7 +220,8 @@ impl RetentionSet {
 /// whose addition still satisfies `fits` (typically "every cluster's
 /// footprint at the chosen RF stays within the FB set").
 ///
-/// Candidates are deduplicated per `(data, set)` pair in ranking order,
+/// `candidates` holds at most one candidate per `(data, set)` pair, as
+/// [`find_candidates_with`](crate::find_candidates_with) returns them,
 /// so a table consumed on both Frame Buffer sets may be retained once
 /// per set.
 #[must_use]
@@ -277,17 +276,11 @@ pub fn select_greedy_with(
     let ordered = rank_candidates(candidates, ranking, &sizes);
 
     let mut set = RetentionSet::empty();
-    let mut taken: HashSet<(DataId, FbSet)> = HashSet::new();
     for cand in ordered {
-        if taken.contains(&(cand.data(), cand.set())) {
-            continue;
-        }
         set.add(cand.clone());
         let accepted = fits(&set);
         decision(cand, &set, accepted);
-        if accepted {
-            taken.insert((cand.data(), cand.set()));
-        } else {
+        if !accepted {
             set.pop();
         }
     }
@@ -296,6 +289,8 @@ pub fn select_greedy_with(
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashSet;
+
     use super::*;
     use crate::{find_candidates, Lifetimes};
     use mcds_model::{Application, ApplicationBuilder, Cycles, DataKind};

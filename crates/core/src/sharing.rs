@@ -129,6 +129,11 @@ pub fn find_candidates(
 /// clusters on the *other* set may read a retained copy too, so one
 /// group spans all consumers and a shared result's store can be avoided
 /// even when cross-set clusters consume it.
+///
+/// Emits at most one candidate per `(object, set)` pair: an external
+/// input gets one consumer group per set (one in all with `cross_set`),
+/// a result one group. The greedy walk and the fit table rely on it, so
+/// neither deduplicates.
 #[must_use]
 pub fn find_candidates_with(
     app: &Application,
@@ -223,6 +228,12 @@ pub fn find_candidates_with(
             .then_with(|| a.data.cmp(&b.data))
             .then_with(|| a.set.cmp(&b.set))
     });
+    debug_assert!(
+        out.iter()
+            .enumerate()
+            .all(|(i, a)| out[..i].iter().all(|b| (a.data, a.set) != (b.data, b.set))),
+        "one candidate per (object, set)"
+    );
     out
 }
 

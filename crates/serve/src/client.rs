@@ -397,7 +397,7 @@ impl Client {
 
     /// Sends one hand-written wire line (no retries, no rewriting) and
     /// decodes the typed response — the escape hatch for exercising
-    /// frames the typed surface cannot produce: legacy envelopes,
+    /// frames the typed surface cannot produce: un-versioned envelopes,
     /// malformed JSON, unknown verbs.
     ///
     /// # Errors

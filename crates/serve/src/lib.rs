@@ -71,7 +71,7 @@ pub use load::{
 pub use protocol::{
     decode_request, format_key, parse_key, render_scheduled, ErrorCode, FrameBuffer, FrameError,
     Outcome, QosClass, RequestError, ResponseError, ResponseFrame, ScheduleSpec, Scheduled,
-    ServeError, ServeRequest, ServeResponse, StatEntry, StatsReply, WireVersion,
+    ServeError, ServeRequest, ServeResponse, StatEntry, StatsReply,
 };
 pub use server::{ServeConfig, ServeSummary, Server};
 pub use store::{

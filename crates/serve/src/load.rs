@@ -57,10 +57,6 @@ pub struct LoadConfig {
     /// transport failures and typed retryable failures (overload,
     /// deadline, faults) retry; deterministic failures never do.
     pub retries: u32,
-    /// Encode requests in the deprecated un-versioned legacy shape
-    /// (exercises the server's compat shim; counts under
-    /// `serve.legacy_frames`).
-    pub legacy: bool,
 }
 
 impl Default for LoadConfig {
@@ -76,7 +72,6 @@ impl Default for LoadConfig {
             deadline_ms: None,
             class: None,
             retries: 3,
-            legacy: false,
         }
     }
 }
@@ -115,12 +110,7 @@ impl KeySpace {
                     deadline_ms: config.deadline_ms,
                     class: config.class,
                 };
-                let request = ServeRequest::Schedule(spec);
-                let mut line = if config.legacy {
-                    request.encode_legacy()
-                } else {
-                    request.encode()
-                };
+                let mut line = ServeRequest::Schedule(spec).encode();
                 line.push('\n');
                 line
             })

@@ -18,24 +18,16 @@
 //! string from [`ErrorCode`]. See `DESIGN.md` §12 for the full wire
 //! table.
 //!
-//! ## Versioning and the compat window
+//! ## Versioning
 //!
-//! * A request whose `v` field is a number other than `1` is answered
-//!   with a typed [`ErrorCode::UnsupportedVersion`] error — the
-//!   connection stays open.
-//! * A request whose `v` field is missing (or `null`) is a **legacy
-//!   frame**: the un-versioned PR-3 protocol. Legacy frames are
-//!   accepted for one release behind [`decode_request`]'s compat shim
-//!   (they decode exactly like v1 frames) and are counted under
-//!   `serve.legacy_frames`. **Deprecated:** the shim will be removed in
-//!   the release after this one; clients should send `"v":1`.
+//! * A request whose `v` field is missing, `null` or a number other
+//!   than `1` is answered with a typed [`ErrorCode::UnsupportedVersion`]
+//!   error — the connection stays open.
 //! * A `v` of any other JSON type is malformed input
 //!   ([`ErrorCode::BadRequest`]) — never a panic, never a dropped
 //!   connection.
 //!
-//! Responses are always emitted in the v1 shape, which is a strict
-//! superset of the legacy response (legacy clients ignore the unknown
-//! `v` and `code` fields).
+//! Responses are always emitted in the v1 shape.
 
 use std::fmt;
 
@@ -264,11 +256,11 @@ impl fmt::Display for ErrorCode {
 /// queues in. Carried on the wire as the optional `class` field of the
 /// v1 envelope.
 ///
-/// Lane resolution is deliberately forgiving: a missing `class`, a
-/// legacy (pre-v1) frame, and an *unknown* class string all resolve to
-/// [`QosClass::Standard`] — an old client must never be rejected for
-/// not knowing about lanes, and a newer client's future class name
-/// must degrade to standard service rather than an error. Only a
+/// Lane resolution is deliberately forgiving: a missing `class` and an
+/// *unknown* class string both resolve to [`QosClass::Standard`] — an
+/// old client must never be rejected for not knowing about lanes, and
+/// a newer client's future class name must degrade to standard service
+/// rather than an error. Only a
 /// wrong-*typed* `class` field (a number, an object) is malformed,
 /// answered with [`ErrorCode::BadRequest`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
@@ -398,16 +390,6 @@ pub enum ServeRequest {
     Shutdown,
 }
 
-/// Which protocol revision a decoded request frame used.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WireVersion {
-    /// The current versioned envelope (`"v":1`).
-    V1,
-    /// An un-versioned PR-3 frame accepted through the compat shim
-    /// (deprecated; the shim lasts one release).
-    Legacy,
-}
-
 /// Why a request line could not be decoded into a [`ServeRequest`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
@@ -417,6 +399,9 @@ pub enum RequestError {
         /// The version the peer asked for.
         got: u64,
     },
+    /// The frame carried no `v` field, or `"v":null`: the un-versioned
+    /// pre-v1 protocol, which this server no longer speaks.
+    Unversioned,
     /// Malformed JSON, a wrong-typed `v` field, an unknown verb, or a
     /// frame violating the schema. Deterministic — never retryable.
     Malformed(String),
@@ -427,7 +412,9 @@ impl RequestError {
     #[must_use]
     pub fn code(&self) -> ErrorCode {
         match self {
-            RequestError::UnsupportedVersion { .. } => ErrorCode::UnsupportedVersion,
+            RequestError::UnsupportedVersion { .. } | RequestError::Unversioned => {
+                ErrorCode::UnsupportedVersion
+            }
             RequestError::Malformed(_) => ErrorCode::BadRequest,
         }
     }
@@ -442,6 +429,9 @@ impl fmt::Display for RequestError {
                     "unsupported protocol version {got} (this server speaks v1)"
                 )
             }
+            RequestError::Unversioned => {
+                f.write_str("missing protocol version `v` (this server speaks v1)")
+            }
             RequestError::Malformed(msg) => write!(f, "malformed request: {msg}"),
         }
     }
@@ -453,7 +443,7 @@ impl std::error::Error for RequestError {}
 /// is the wire field order.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct RequestFrame {
-    v: Option<u64>,
+    v: u64,
     verb: String,
     workload: Option<String>,
     iterations: Option<u64>,
@@ -475,13 +465,13 @@ impl ServeRequest {
         }
     }
 
-    fn to_frame(&self, v: Option<u64>) -> RequestFrame {
+    fn to_frame(&self) -> RequestFrame {
         let spec = match self {
             ServeRequest::Schedule(spec) => spec.clone(),
             _ => ScheduleSpec::default(),
         };
         RequestFrame {
-            v,
+            v: 1,
             verb: self.verb().to_owned(),
             workload: spec.workload,
             iterations: spec.iterations,
@@ -498,41 +488,36 @@ impl ServeRequest {
     /// newline).
     #[must_use]
     pub fn encode(&self) -> String {
-        serde_json::to_string(&self.to_frame(Some(1))).expect("request frames serialize")
-    }
-
-    /// Serializes this request in the deprecated un-versioned legacy
-    /// shape (`v` emitted as `null`, which the shim treats as absent).
-    /// Exists for the compat-window tests; new code sends
-    /// [`encode`](Self::encode).
-    #[must_use]
-    pub fn encode_legacy(&self) -> String {
-        serde_json::to_string(&self.to_frame(None)).expect("request frames serialize")
+        serde_json::to_string(&self.to_frame()).expect("request frames serialize")
     }
 }
 
 /// Decodes one request line: version sniff first, then the typed
-/// frame. Legacy (un-versioned) frames pass through the compat shim
-/// and decode identically to v1, tagged [`WireVersion::Legacy`].
+/// frame.
 ///
 /// # Errors
 ///
 /// [`RequestError::UnsupportedVersion`] for a numeric `v` other than 1;
-/// [`RequestError::Malformed`] for anything else that does not decode
-/// (including wrong-typed `v` fields — never a panic).
-pub fn decode_request(line: &str) -> Result<(ServeRequest, WireVersion), RequestError> {
+/// [`RequestError::Unversioned`] for an object whose `v` is missing or
+/// `null`; [`RequestError::Malformed`] for anything else that does not
+/// decode (including wrong-typed `v` fields — never a panic).
+pub fn decode_request(line: &str) -> Result<ServeRequest, RequestError> {
     let value: Value =
         serde_json::from_str(line).map_err(|e| RequestError::Malformed(e.to_string()))?;
-    let version = match value.get("v") {
-        None | Some(Value::Null) => WireVersion::Legacy,
-        Some(Value::UInt(1)) => WireVersion::V1,
+    match value.get("v") {
+        Some(Value::UInt(1)) => {}
         Some(Value::UInt(n)) => return Err(RequestError::UnsupportedVersion { got: *n }),
+        None | Some(Value::Null) if matches!(value, Value::Map(_)) => {
+            return Err(RequestError::Unversioned)
+        }
+        // Not an object at all: `from_value` below says why.
+        None => {}
         Some(_) => {
             return Err(RequestError::Malformed(
                 "the `v` field must be an unsigned integer".to_owned(),
             ))
         }
-    };
+    }
     let frame =
         RequestFrame::from_value(&value).map_err(|e| RequestError::Malformed(e.to_string()))?;
     let request = match frame.verb.as_str() {
@@ -557,7 +542,7 @@ pub fn decode_request(line: &str) -> Result<(ServeRequest, WireVersion), Request
             )))
         }
     };
-    Ok((request, version))
+    Ok(request)
 }
 
 /// The condensed result of one scheduling run — everything the
@@ -977,34 +962,30 @@ mod tests {
         spec.deadline_ms = Some(250);
         let line = ServeRequest::Schedule(spec.clone()).encode();
         assert!(line.contains("\"v\":1"), "envelope carries the version");
-        let (back, version) = decode_request(&line).expect("decodes");
-        assert_eq!(version, WireVersion::V1);
-        match back {
+        match decode_request(&line).expect("decodes") {
             ServeRequest::Schedule(s) => assert_eq!(s, spec),
             other => panic!("wrong variant: {other:?}"),
         }
-        let (_, v) = decode_request(r#"{"v":1,"verb":"ping"}"#).expect("minimal v1 ping");
-        assert_eq!(v, WireVersion::V1);
+        let ping = decode_request(r#"{"v":1,"verb":"ping"}"#).expect("minimal v1 ping");
+        assert_eq!(ping, ServeRequest::Ping);
     }
 
     #[test]
-    fn legacy_frames_pass_the_compat_shim() {
-        // The PR-3 wire shape: no `v` key at all.
-        let legacy = r#"{"verb":"schedule","workload":"mpeg","iterations":8,"fb_kw":8}"#;
-        let (request, version) = decode_request(legacy).expect("shim accepts legacy frames");
-        assert_eq!(version, WireVersion::Legacy);
-        match request {
-            ServeRequest::Schedule(s) => {
-                assert_eq!(s.workload.as_deref(), Some("mpeg"));
-                assert_eq!(s.iterations, Some(8));
-            }
-            other => panic!("wrong variant: {other:?}"),
+    fn unversioned_frames_get_unsupported_version() {
+        // The pre-v1 wire shape (no `v` key at all) and an explicit
+        // `"v":null` are both refused with the typed version code.
+        for frame in [
+            r#"{"verb":"schedule","workload":"mpeg","iterations":8,"fb_kw":8}"#,
+            r#"{"verb":"ping"}"#,
+            r#"{"v":null,"verb":"ping"}"#,
+        ] {
+            let err = decode_request(frame).expect_err("un-versioned frames are refused");
+            assert_eq!(err, RequestError::Unversioned, "{frame}");
+            assert_eq!(err.code(), ErrorCode::UnsupportedVersion, "{frame}");
         }
-        // encode_legacy emits `v:null`, which the shim also treats as
-        // absent.
-        let line = ServeRequest::Ping.encode_legacy();
-        let (_, version) = decode_request(&line).expect("null v is legacy");
-        assert_eq!(version, WireVersion::Legacy);
+        // JSON that is not an object stays malformed, version or not.
+        let err = decode_request("[1]").expect_err("not an object");
+        assert_eq!(err.code(), ErrorCode::BadRequest);
     }
 
     #[test]
@@ -1042,20 +1023,19 @@ mod tests {
         spec.class = Some(QosClass::Priority);
         let line = ServeRequest::Schedule(spec.clone()).encode();
         assert!(line.contains("\"class\":\"priority\""));
-        match decode_request(&line).expect("decodes").0 {
+        match decode_request(&line).expect("decodes") {
             ServeRequest::Schedule(s) => {
                 assert_eq!(s, spec);
                 assert_eq!(s.qos(), QosClass::Priority);
             }
             other => panic!("wrong variant: {other:?}"),
         }
-        // Absent class (v1 and legacy alike): standard lane, no error.
+        // Absent class: standard lane, no error.
         for frame in [
             r#"{"v":1,"verb":"schedule","workload":"e1"}"#,
-            r#"{"verb":"schedule","workload":"e1"}"#,
             r#"{"v":1,"verb":"schedule","workload":"e1","class":null}"#,
         ] {
-            match decode_request(frame).expect("decodes").0 {
+            match decode_request(frame).expect("decodes") {
                 ServeRequest::Schedule(s) => {
                     assert_eq!(s.class, None, "{frame}");
                     assert_eq!(s.qos(), QosClass::Standard, "{frame}");
@@ -1065,7 +1045,7 @@ mod tests {
         }
         // Unknown class *names* degrade to standard…
         let future = r#"{"v":1,"verb":"schedule","workload":"e1","class":"platinum"}"#;
-        match decode_request(future).expect("decodes").0 {
+        match decode_request(future).expect("decodes") {
             ServeRequest::Schedule(s) => assert_eq!(s.class, Some(QosClass::Standard)),
             other => panic!("wrong variant: {other:?}"),
         }

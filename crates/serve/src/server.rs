@@ -57,7 +57,6 @@ use crate::cache::{
 use crate::protocol::{
     decode_request, render_scheduled, ErrorCode, FrameBuffer, FrameError, Outcome, QosClass,
     ScheduleSpec, Scheduled, ServeError, ServeRequest, ServeResponse, StatEntry, StatsReply,
-    WireVersion,
 };
 use crate::store::{OutcomeStore, StoreConfig};
 use crate::sys::{PollSet, Waker};
@@ -176,10 +175,6 @@ pub struct ServeSummary {
     /// Faults the attached [`FaultPlan`] injected (all seams).
     #[serde(default)]
     pub faults_injected: u64,
-    /// Un-versioned frames accepted through the legacy compat shim
-    /// (deprecated — the shim lasts one release).
-    #[serde(default)]
-    pub legacy_frames: u64,
     /// Computations that reused a memoized analysis (arch-only
     /// variants of an already-analyzed workload structure).
     #[serde(default)]
@@ -250,15 +245,8 @@ struct Resolved {
 /// parse/resolve stage, which is a pure function of the line).
 #[derive(Clone)]
 enum Memo {
-    Good {
-        resolved: Arc<Resolved>,
-        legacy: bool,
-    },
-    Bad {
-        code: ErrorCode,
-        message: Arc<str>,
-        legacy: bool,
-    },
+    Good(Arc<Resolved>),
+    Bad { code: ErrorCode, message: Arc<str> },
 }
 
 /// Parse-memo capacity; lines beyond this are simply not memoized.
@@ -441,7 +429,6 @@ struct Counters {
     errors: Counter,
     worker_restarts: Counter,
     degraded: Counter,
-    legacy: Counter,
     analysis_hits: Counter,
     analysis_misses: Counter,
     latency: Histogram,
@@ -474,7 +461,6 @@ impl Counters {
             errors: metrics.counter("serve.errors"),
             worker_restarts: metrics.counter("serve.worker_restarts"),
             degraded: metrics.counter("serve.degraded"),
-            legacy: metrics.counter("serve.legacy_frames"),
             analysis_hits: metrics.counter("serve.analysis.hits"),
             analysis_misses: metrics.counter("serve.analysis.misses"),
             latency: metrics.histogram("serve.latency_us"),
@@ -675,7 +661,6 @@ impl Server {
                 .faults
                 .as_ref()
                 .map_or(0, |f| f.snapshot().total_fired()),
-            legacy_frames: count("serve.legacy_frames"),
             analysis_hits: count("serve.analysis.hits"),
             analysis_misses: count("serve.analysis.misses"),
             reactor_restarts: count("serve.reactor_restarts"),
@@ -1217,27 +1202,15 @@ impl<'a> Reactor<'a> {
         self.ctx.counters.requests.incr();
         if let Some(memo) = self.memo.get(line.as_bytes()).cloned() {
             match memo {
-                Memo::Good { resolved, legacy } => {
-                    if legacy {
-                        self.ctx.counters.legacy.incr();
-                    }
-                    self.handle_schedule(conn, started, &resolved);
-                }
-                Memo::Bad {
-                    code,
-                    message,
-                    legacy,
-                } => {
-                    if legacy {
-                        self.ctx.counters.legacy.incr();
-                    }
+                Memo::Good(resolved) => self.handle_schedule(conn, started, &resolved),
+                Memo::Bad { code, message } => {
                     self.ctx.counters.errors.incr();
                     self.respond_failed(conn, started, code, &message, "schedule", None);
                 }
             }
             return;
         }
-        let (request, version) = match decode_request(line) {
+        let request = match decode_request(line) {
             Ok(decoded) => decoded,
             Err(err) => {
                 self.ctx.counters.errors.incr();
@@ -1248,17 +1221,12 @@ impl<'a> Reactor<'a> {
                     Memo::Bad {
                         code,
                         message: Arc::from(message.as_str()),
-                        legacy: false,
                     },
                 );
                 self.respond_failed(conn, started, code, &message, "unknown", None);
                 return;
             }
         };
-        let legacy = version == WireVersion::Legacy;
-        if legacy {
-            self.ctx.counters.legacy.incr();
-        }
         match request {
             ServeRequest::Ping => {
                 let latency_us = self.observed_latency(started);
@@ -1322,13 +1290,7 @@ impl<'a> Reactor<'a> {
             ServeRequest::Schedule(spec) => match resolve(spec) {
                 Ok(resolved) => {
                     let resolved = Arc::new(resolved);
-                    self.memo_insert(
-                        line,
-                        Memo::Good {
-                            resolved: Arc::clone(&resolved),
-                            legacy,
-                        },
-                    );
+                    self.memo_insert(line, Memo::Good(Arc::clone(&resolved)));
                     self.handle_schedule(conn, started, &resolved);
                 }
                 Err(message) => {
@@ -1338,7 +1300,6 @@ impl<'a> Reactor<'a> {
                         Memo::Bad {
                             code: ErrorCode::BadRequest,
                             message: Arc::from(message.as_str()),
-                            legacy,
                         },
                     );
                     self.respond_failed(

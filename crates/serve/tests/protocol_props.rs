@@ -4,11 +4,11 @@
 //! request, and must behave identically regardless of how the byte
 //! stream is chunked (TCP segmentation must not change protocol
 //! behavior). The version field in particular is fuzzed: any `v` other
-//! than `1` or absent must produce a *typed* rejection, never a panic.
+//! than `1` must produce a *typed* rejection, never a panic.
 
 use mcds_serve::{
     decode_request, ErrorCode, FrameBuffer, FrameError, QosClass, RequestError, ScheduleSpec,
-    ServeRequest, ServeResponse, WireVersion,
+    ServeRequest, ServeResponse,
 };
 use proptest::prelude::*;
 
@@ -100,7 +100,7 @@ proptest! {
 
     /// Decoding arbitrary frames never panics, and garbage never yields
     /// a well-formed request by accident: every failure is one of the
-    /// two typed [`RequestError`]s.
+    /// typed [`RequestError`]s.
     #[test]
     fn malformed_frames_never_parse_to_spurious_requests(
         bytes in prop::collection::vec(any::<u8>(), 0..200),
@@ -111,17 +111,19 @@ proptest! {
             // `verb` member — but if they do, the parse is honest, so
             // only assert the non-JSON case.
             Ok(_) => prop_assert!(text.trim_start().starts_with('{')),
-            Err(RequestError::Malformed(_)) | Err(RequestError::UnsupportedVersion { .. }) => {}
+            Err(
+                RequestError::Malformed(_)
+                | RequestError::UnsupportedVersion { .. }
+                | RequestError::Unversioned,
+            ) => {}
             Err(other) => panic!("untyped failure: {other:?}"),
         }
     }
 
     /// The version field never panics the decoder, whatever JSON value
-    /// it holds: `1` decodes as [`WireVersion::V1`], absence or `null`
-    /// as [`WireVersion::Legacy`] (the one-release compat window), any
-    /// other integer as a typed `unsupported_version`, and any
-    /// non-integer as a typed `bad_request` — all without reading the
-    /// rest of the frame.
+    /// it holds: only `1` decodes, `null` and any other integer are a
+    /// typed `unsupported_version`, and any other non-integer is a typed
+    /// `bad_request` — all without reading the rest of the frame.
     #[test]
     fn version_field_fuzzing_yields_typed_decisions(
         version_json in prop_oneof![
@@ -138,19 +140,15 @@ proptest! {
     ) {
         let line = format!(r#"{{"v":{version_json},"verb":"ping"}}"#);
         match decode_request(&line) {
-            Ok((request, version)) => {
+            Ok(request) => {
                 prop_assert_eq!(request, ServeRequest::Ping);
-                // Only `1` or `null` may decode; anything else must
-                // have been rejected.
-                prop_assert!(
-                    (version == WireVersion::V1 && version_json == "1")
-                        || (version == WireVersion::Legacy && version_json == "null")
-                );
+                prop_assert_eq!(version_json, "1", "only v1 may decode");
             }
             Err(RequestError::UnsupportedVersion { got }) => {
                 prop_assert!(got != 1, "v1 must never be rejected");
                 prop_assert_eq!(got.to_string(), version_json);
             }
+            Err(RequestError::Unversioned) => prop_assert_eq!(version_json, "null"),
             Err(RequestError::Malformed(_)) => {
                 prop_assert!(version_json != "1" && version_json != "null");
             }
@@ -170,10 +168,11 @@ proptest! {
     }
 
     /// QoS lane resolution is total over class *strings*: the three
-    /// known names map to their lanes, and every other string — on v1
-    /// and legacy frames alike — degrades to the standard lane rather
-    /// than an error, so a newer client's future class name can never
-    /// get its request rejected by an older server.
+    /// known names map to their lanes, and every other string degrades
+    /// to the standard lane rather than an error, so a newer client's
+    /// future class name can never get its request rejected by an older
+    /// server. Without `v` the same frame is refused for its version,
+    /// whatever its class.
     #[test]
     fn any_class_string_resolves_to_a_lane(
         name in prop_oneof![
@@ -184,34 +183,30 @@ proptest! {
             Just(String::new()),
             Just("PRIORITY".to_owned()), // case-sensitive: unknown
         ],
-        legacy in any::<bool>(),
+        versioned in any::<bool>(),
     ) {
-        let v = if legacy { "" } else { r#""v":1,"# };
+        let v = if versioned { r#""v":1,"# } else { "" };
         let line = format!(r#"{{{v}"verb":"schedule","workload":"e1","class":"{name}"}}"#);
-        let (request, version) = decode_request(&line).expect("a class string never fails decode");
-        prop_assert_eq!(
-            version,
-            if legacy { WireVersion::Legacy } else { WireVersion::V1 }
-        );
-        let ServeRequest::Schedule(spec) = request else {
-            panic!("schedule frames decode to Schedule");
-        };
-        match QosClass::from_wire(&name) {
-            Some(known) => prop_assert_eq!(spec.qos(), known),
-            None => prop_assert_eq!(spec.qos(), QosClass::Standard),
+        match decode_request(&line) {
+            Ok(ServeRequest::Schedule(spec)) if versioned => match QosClass::from_wire(&name) {
+                Some(known) => prop_assert_eq!(spec.qos(), known),
+                None => prop_assert_eq!(spec.qos(), QosClass::Standard),
+            },
+            Err(err) if !versioned => prop_assert_eq!(err.code(), ErrorCode::UnsupportedVersion),
+            other => panic!("versioned {versioned}: {other:?}"),
         }
     }
 
     /// Frames that omit `class` entirely (the whole pre-lane installed
-    /// base, v1 and legacy alike) land on the standard lane with no
-    /// error, whatever else the spec carries.
+    /// base) land on the standard lane with no error, whatever else the
+    /// spec carries; without `v` they are refused for their version.
     #[test]
     fn absent_class_is_standard_on_every_frame_shape(
         iterations in prop_oneof![Just(None), (1u64..64).prop_map(Some)],
         deadline in prop_oneof![Just(None), (1u64..10_000).prop_map(Some)],
-        legacy in any::<bool>(),
+        versioned in any::<bool>(),
     ) {
-        let v = if legacy { "" } else { r#""v":1,"# };
+        let v = if versioned { r#""v":1,"# } else { "" };
         let mut body = format!(r#"{{{v}"verb":"schedule","workload":"e1""#);
         if let Some(i) = iterations {
             body.push_str(&format!(r#","iterations":{i}"#));
@@ -220,12 +215,14 @@ proptest! {
             body.push_str(&format!(r#","deadline_ms":{d}"#));
         }
         body.push('}');
-        let (request, _) = decode_request(&body).expect("classless frames decode");
-        let ServeRequest::Schedule(spec) = request else {
-            panic!("schedule frames decode to Schedule");
-        };
-        prop_assert_eq!(spec.class, None, "no class is invented");
-        prop_assert_eq!(spec.qos(), QosClass::Standard);
+        match decode_request(&body) {
+            Ok(ServeRequest::Schedule(spec)) if versioned => {
+                prop_assert_eq!(spec.class, None, "no class is invented");
+                prop_assert_eq!(spec.qos(), QosClass::Standard);
+            }
+            Err(err) if !versioned => prop_assert_eq!(err.code(), ErrorCode::UnsupportedVersion),
+            other => panic!("versioned {versioned}: {other:?}"),
+        }
     }
 
     /// A wrong-*typed* `class` field (number, bool, array, object —

@@ -95,7 +95,6 @@ fn load_run_hits_the_cache_and_drains_cleanly() {
     let summary = handle.join().expect("no panic").expect("clean drain");
     assert_eq!(summary.cache_hits, report.cache_hits);
     assert_eq!(summary.errors, 0);
-    assert_eq!(summary.legacy_frames, 0, "v1 clients leave no legacy marks");
 }
 
 #[test]
@@ -134,6 +133,21 @@ fn malformed_requests_poison_only_their_own_connection() {
         .raw_roundtrip(r#"{"v":1,"verb":"schedule"}"#)
         .expect("typed reply");
     assert_eq!(failure_code(&incomplete), Some(ErrorCode::BadRequest));
+    // Frames without a version, or with `"v":null`, get the typed
+    // version refusal; a repeat is answered from the parse memo alike.
+    for unversioned in [
+        r#"{"verb":"ping"}"#,
+        r#"{"v":null,"verb":"schedule","workload":"e1","iterations":8}"#,
+    ] {
+        for _ in 0..2 {
+            let reply = bad.raw_roundtrip(unversioned).expect("typed reply");
+            assert_eq!(
+                failure_code(&reply),
+                Some(ErrorCode::UnsupportedVersion),
+                "{unversioned}"
+            );
+        }
+    }
     // A request too large to plan is refused before any planning.
     let oversized = bad
         .raw_roundtrip(
@@ -329,39 +343,6 @@ fn pipelined_frames_come_back_in_request_order() {
 
     client.shutdown().expect("drain");
     handle.join().expect("no panic").expect("clean drain");
-}
-
-#[test]
-fn legacy_and_v1_frames_share_the_cache_and_count_separately() {
-    let (addr, handle) = start(ServeConfig::default());
-
-    // A legacy (un-versioned) client and a v1 client request the same
-    // work: one computation, byte-identical outcomes, and the compat
-    // shim counts exactly the legacy frames.
-    let spec = ScheduleSpec {
-        iterations: Some(12),
-        ..ScheduleSpec::workload("mpeg")
-    };
-    let mut legacy = connect(addr);
-    let legacy_line = mcds_serve::ServeRequest::Schedule(spec.clone()).encode_legacy();
-    let first = legacy.raw_roundtrip(&legacy_line).expect("typed reply");
-    let mcds_serve::ServeResponse::Scheduled(first) = first else {
-        panic!("legacy frame must be served: {first:?}");
-    };
-    assert!(!first.cache_hit);
-
-    let mut modern = connect(addr);
-    let second = modern.schedule(&spec).expect("v1 frame");
-    assert!(second.cache_hit, "legacy and v1 map to the same key");
-    assert_eq!(second.outcome, first.outcome, "identical bytes either way");
-    assert_eq!(second.key, first.key);
-
-    modern.shutdown().expect("drain");
-    let summary = handle.join().expect("no panic").expect("clean drain");
-    assert_eq!(
-        summary.legacy_frames, 1,
-        "only the un-versioned frame counts"
-    );
 }
 
 #[test]
