@@ -1670,30 +1670,29 @@ fn search_point(
     beam: u32,
     cap: u32,
 ) -> Option<SearchPoint> {
-    use mcds_core::{evaluate, CdsScheduler, DataScheduler, Observer, ScheduleAnalysis};
+    use mcds_core::{Observer, ScheduleAnalysis, SchedulerConfig};
 
+    let config = SchedulerConfig::default();
     let analysis = ScheduleAnalysis::new(app, sched);
-    let cds = CdsScheduler::new()
-        .plan_with_analysis(app, sched, arch, &analysis)
+    let cds = SchedulerKind::Cds
+        .plan_observed(app, sched, arch, &config, &analysis, Observer::none())
         .ok()?;
     let metrics = MetricsRegistry::new();
-    let search = mcds_core::SearchScheduler::new(beam, cap)
-        .plan_observed(
-            app,
-            sched,
-            arch,
-            &analysis,
-            Observer::new(None, Some(&metrics)),
-        )
-        .expect("search feasibility equals greedy CDS feasibility");
-    let cds_cycles = evaluate(&cds, arch)
-        .expect("planned schedules simulate")
-        .total()
-        .get();
-    let search_cycles = evaluate(&search, arch)
-        .expect("planned schedules simulate")
-        .total()
-        .get();
+    let search = SchedulerKind::Search {
+        beam_width: beam,
+        max_expansions: cap,
+    }
+    .plan_observed(
+        app,
+        sched,
+        arch,
+        &config,
+        &analysis,
+        Observer::new(None, Some(&metrics)),
+    )
+    .expect("search feasibility equals greedy CDS feasibility");
+    let cds_cycles = cds.report().total().get();
+    let search_cycles = search.report().total().get();
     let snap = metrics.snapshot();
     let counter = |n: &str| snap.iter().find(|(k, _)| k == n).map_or(0, |&(_, v)| v);
     let rungs = counter("search.rungs");

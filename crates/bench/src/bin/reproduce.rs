@@ -195,13 +195,10 @@ fn gantt() {
         match result {
             Ok(run) => {
                 let plan = run.plan();
-                let report = mcds_sim::Simulator::new(arch)
-                    .run(plan.ops())
-                    .expect("plans simulate");
                 println!("-- {} (RF = {}) --", plan.scheduler(), plan.rf());
                 println!(
                     "{}",
-                    mcds_sim::render_gantt(plan.ops(), report.timeline(), 100)
+                    mcds_sim::render_gantt(plan.ops(), plan.report().timeline(), 100)
                 );
             }
             Err(e) => println!("{e}"),
@@ -225,20 +222,19 @@ fn future_work() {
                 .expect("fixed schedules always resolve")
         };
         let m1 = compare(e.arch);
-        let Ok((_, t_basic)) = &m1.comparison().basic else {
+        let Ok(basic) = &m1.comparison().basic else {
             continue;
         };
         let dual = compare(e.arch.to_builder().fb_cross_set_access(true).build());
-        let (Ok((p_m1, t_m1)), Ok((p_dual, t_dual))) =
-            (&m1.comparison().cds, &dual.comparison().cds)
-        else {
+        let (Ok(p_m1), Ok(p_dual)) = (&m1.comparison().cds, &dual.comparison().cds) else {
             continue;
         };
+        let t_basic = basic.report();
         println!(
             "{:<11} {:>7.0}% {:>10.0}% {:>9}",
             e.name,
-            t_m1.improvement_over(t_basic) * 100.0,
-            t_dual.improvement_over(t_basic) * 100.0,
+            p_m1.report().improvement_over(t_basic) * 100.0,
+            p_dual.report().improvement_over(t_basic) * 100.0,
             (p_dual
                 .dt_avoided_per_iter()
                 .saturating_sub(p_m1.dt_avoided_per_iter()))
@@ -276,17 +272,17 @@ fn ablations() {
         "experiment", "TF", "SizeDesc", "FIFO"
     );
     for e in table1_experiments() {
-        let Ok(t_basic) = cds_pipeline(&e, SchedulerConfig::default())
+        let Ok(basic) = cds_pipeline(&e, SchedulerConfig::default())
             .scheduler(SchedulerKind::Basic)
             .run()
-            .map(|r| r.into_parts().2)
         else {
             continue;
         };
+        let t_basic = basic.report();
         let run = |ranking: RetentionRanking| -> String {
             cds_pipeline(&e, SchedulerConfig::new().with_retention_ranking(ranking))
                 .run()
-                .map(|r| format!("{:.0}%", r.report().improvement_over(&t_basic) * 100.0))
+                .map(|r| format!("{:.0}%", r.report().improvement_over(t_basic) * 100.0))
                 .unwrap_or_else(|_| "-".to_owned())
         };
         println!(
@@ -304,17 +300,17 @@ fn ablations() {
         "experiment", "paper", "lru-cm", "rf<=1"
     );
     for e in table1_experiments() {
-        let Ok(t_basic) = cds_pipeline(&e, SchedulerConfig::default())
+        let Ok(basic) = cds_pipeline(&e, SchedulerConfig::default())
             .scheduler(SchedulerKind::Basic)
             .run()
-            .map(|r| r.into_parts().2)
         else {
             continue;
         };
+        let t_basic = basic.report();
         let run = |config: SchedulerConfig| -> String {
             cds_pipeline(&e, config)
                 .run()
-                .map(|r| format!("{:.0}%", r.report().improvement_over(&t_basic) * 100.0))
+                .map(|r| format!("{:.0}%", r.report().improvement_over(t_basic) * 100.0))
                 .unwrap_or_else(|_| "-".to_owned())
         };
         println!(

@@ -30,11 +30,7 @@ pub struct MeasuredRow {
 #[must_use]
 pub fn measure(e: &Experiment) -> MeasuredRow {
     let cmp = Comparison::run(&e.app, &e.sched, &e.arch);
-    let splits = cmp
-        .cds
-        .as_ref()
-        .map(|(p, _)| p.allocation().splits())
-        .unwrap_or(0);
+    let splits = cmp.cds.as_ref().map_or(0, |p| p.allocation().splits());
     MeasuredRow {
         row: cmp.to_row(e.name, &e.app, &e.sched, &e.arch),
         paper_ds: e.paper.ds_improvement,

@@ -23,8 +23,7 @@ use crate::{
 
 /// One memoized reuse-factor evaluation: the stage plan, the emitted
 /// operation schedule, and the simulated makespan for one rung of the
-/// RF ladder that every [`DataScheduler`](crate::DataScheduler) in this
-/// crate climbs.
+/// RF ladder that every [`SchedulerKind`](crate::SchedulerKind) climbs.
 ///
 /// The triple is a pure function of the workload structure plus the
 /// inputs in its [`LadderKey`]; notably it never reads the Frame Buffer
@@ -36,8 +35,8 @@ pub struct LadderEval {
     /// The operation schedule emitted from those stages.
     pub ops: OpSchedule,
     /// The full simulation report of `ops` — kept whole (not just the
-    /// makespan) so the final evaluation of the chosen rung can reuse
-    /// it instead of re-simulating.
+    /// makespan) because the chosen rung's plan carries it as its
+    /// [`report`](crate::SchedulePlan::report).
     pub report: SimReport,
 }
 
@@ -114,16 +113,6 @@ impl ScheduleAnalysis {
             candidates: [OnceLock::new(), OnceLock::new()],
             evals: Mutex::new(HashMap::new()),
         }
-    }
-
-    /// The memoized RF-ladder evaluation under `key`, if present.
-    #[must_use]
-    pub fn ladder_hit(&self, key: &LadderKey) -> Option<Arc<LadderEval>> {
-        self.evals
-            .lock()
-            .expect("not poisoned")
-            .get(key)
-            .map(Arc::clone)
     }
 
     /// The memoized RF-ladder evaluation under `key`, computing it via
@@ -227,11 +216,11 @@ mod tests {
         set
     }
 
-    /// Looks `key` up in `analysis`, reporting whether it had to be
-    /// computed.
-    fn missed(analysis: &ScheduleAnalysis, key: LadderKey) -> bool {
+    /// Looks `key` up in `analysis`: the memoized rung, and whether it
+    /// had to be computed.
+    fn lookup(analysis: &ScheduleAnalysis, key: LadderKey) -> (Arc<LadderEval>, bool) {
         let mut computed = false;
-        analysis
+        let eval = analysis
             .ladder_eval(key, || -> Result<LadderEval, mcds_sim::SimError> {
                 computed = true;
                 let ops = mcds_sim::OpScheduleBuilder::new().build()?;
@@ -243,7 +232,11 @@ mod tests {
                 })
             })
             .expect("computes");
-        computed
+        (eval, computed)
+    }
+
+    fn missed(analysis: &ScheduleAnalysis, key: LadderKey) -> bool {
+        lookup(analysis, key).1
     }
 
     #[test]
@@ -257,10 +250,11 @@ mod tests {
         let a = LadderKey::new(4, &coef_first, &config, &arch);
         let b = LadderKey::new(4, &r_first, &config, &arch);
         assert_eq!(a, b);
-        assert!(missed(&analysis, a.clone()));
-        assert!(!missed(&analysis, b.clone()), "same skips, same rung");
-        let eval = |key| analysis.ladder_hit(&key).expect("memoized");
-        assert!(Arc::ptr_eq(&eval(a), &eval(b)));
+        let (first, computed) = lookup(&analysis, a);
+        assert!(computed);
+        let (second, computed) = lookup(&analysis, b);
+        assert!(!computed, "same skips, same rung");
+        assert!(Arc::ptr_eq(&first, &second));
         // The Frame Buffer size is no input of a rung.
         let bigger = ArchParams::m1_with_fb(Words::kilo(8));
         assert!(!missed(

@@ -298,7 +298,7 @@ impl fmt::Display for CodeOpDisplay<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CdsScheduler, DataScheduler, DsScheduler};
+    use crate::SchedulerKind;
     use mcds_model::{ApplicationBuilder, ArchParams, Cycles, DataKind, Words};
 
     fn fixture() -> (Application, ClusterSchedule, ArchParams) {
@@ -318,7 +318,7 @@ mod tests {
     #[test]
     fn program_structure() {
         let (app, sched, arch) = fixture();
-        let plan = DsScheduler::new().plan(&app, &sched, &arch).expect("fits");
+        let plan = SchedulerKind::Ds.plan(&app, &sched, &arch).expect("fits");
         let prog = generate_program(&app, &sched, &plan).expect("generates");
         assert!(!prog.warmup().is_empty());
         assert!(!prog.steady().is_empty());
@@ -337,8 +337,8 @@ mod tests {
     #[test]
     fn retention_removes_dma_ins() {
         let (app, sched, arch) = fixture();
-        let ds = DsScheduler::new().plan(&app, &sched, &arch).expect("fits");
-        let cds = CdsScheduler::new().plan(&app, &sched, &arch).expect("fits");
+        let ds = SchedulerKind::Ds.plan(&app, &sched, &arch).expect("fits");
+        let cds = SchedulerKind::Cds.plan(&app, &sched, &arch).expect("fits");
         let count_in = |plan: &SchedulePlan| {
             let prog = generate_program(&app, &sched, plan).expect("generates");
             prog.steady()
@@ -358,7 +358,7 @@ mod tests {
         // programs, and the steady round's operand table is
         // self-consistent.
         let (app, sched, arch) = fixture();
-        let plan = CdsScheduler::new().plan(&app, &sched, &arch).expect("fits");
+        let plan = SchedulerKind::Cds.plan(&app, &sched, &arch).expect("fits");
         let p1 = generate_program(&app, &sched, &plan).expect("generates");
         let p2 = generate_program(&app, &sched, &plan).expect("generates");
         assert_eq!(p1, p2);
@@ -375,8 +375,8 @@ mod tests {
         // equal the plan's per-stage volumes for that round.
         let (app, sched, arch) = fixture();
         for plan in [
-            DsScheduler::new().plan(&app, &sched, &arch).expect("fits"),
-            CdsScheduler::new().plan(&app, &sched, &arch).expect("fits"),
+            SchedulerKind::Ds.plan(&app, &sched, &arch).expect("fits"),
+            SchedulerKind::Cds.plan(&app, &sched, &arch).expect("fits"),
         ] {
             let prog = generate_program(&app, &sched, &plan).expect("generates");
             let total_rounds = app.iterations().div_ceil(plan.rf());
@@ -426,7 +426,7 @@ mod tests {
     #[test]
     fn display_is_readable() {
         let (app, sched, arch) = fixture();
-        let plan = CdsScheduler::new().plan(&app, &sched, &arch).expect("fits");
+        let plan = SchedulerKind::Cds.plan(&app, &sched, &arch).expect("fits");
         let prog = generate_program(&app, &sched, &plan).expect("generates");
         let listing: Vec<String> = prog
             .warmup()

@@ -9,21 +9,23 @@
 //! All three consume the same inputs — an [`Application`], a
 //! [`ClusterSchedule`] from the kernel scheduler, and the
 //! [`ArchParams`] of the target — and produce a [`SchedulePlan`]: the
-//! complete transfer/compute program that [`mcds_sim`] executes.
+//! complete transfer/compute program that [`mcds_sim`] executes, with
+//! its simulation. Each is a [`SchedulerKind`], and
+//! [`SchedulerKind::plan`] climbs one RF ladder for all of them.
 //!
-//! * [`BasicScheduler`] (Maestre et al., DATE 2000): contexts are
+//! * [`SchedulerKind::Basic`] (Maestre et al., DATE 2000): contexts are
 //!   reloaded on every cluster activation (`RF = 1`), every cluster
 //!   loads all of its inputs and stores all of its outward results every
 //!   iteration, and the Frame Buffer holds a cluster's entire working
 //!   set at once (no in-place replacement).
-//! * [`DsScheduler`] (the *Data Scheduler*, ISSS 2001): dead inputs and
-//!   consumed intermediates are replaced in place, shrinking the
-//!   footprint [`cluster_peak`]; the freed space batches data for
+//! * [`SchedulerKind::Ds`] (the *Data Scheduler*, ISSS 2001): dead
+//!   inputs and consumed intermediates are replaced in place, shrinking
+//!   the footprint [`cluster_peak`]; the freed space batches data for
 //!   [`max_common_rf`] consecutive iterations so contexts are reloaded
 //!   only `n/RF` times (loop fission, Figure 3 of the paper).
-//! * [`CdsScheduler`] (the paper's contribution): additionally detects
-//!   *shared data* and *shared results* among clusters on the same
-//!   Frame Buffer set, ranks them by the time factor
+//! * [`SchedulerKind::Cds`] (the paper's contribution): additionally
+//!   detects *shared data* and *shared results* among clusters on the
+//!   same Frame Buffer set, ranks them by the time factor
 //!   [`Candidate::tf`], and retains the best-ranked ones in the FB while
 //!   every affected cluster still fits — avoiding `N−1` loads per shared
 //!   datum and `N+1` transfers per shared result.
@@ -31,7 +33,7 @@
 //! # Example
 //!
 //! ```
-//! use mcds_core::{BasicScheduler, CdsScheduler, DataScheduler, evaluate};
+//! use mcds_core::SchedulerKind;
 //! use mcds_model::{ApplicationBuilder, ArchParams, ClusterSchedule, Cycles, DataKind, Words};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -50,12 +52,10 @@
 //! let sched = ClusterSchedule::new(&app, vec![vec![k0], vec![k1]])?;
 //! let arch = ArchParams::m1();
 //!
-//! let basic = BasicScheduler::new().plan(&app, &sched, &arch)?;
-//! let cds = CdsScheduler::new().plan(&app, &sched, &arch)?;
+//! let basic = SchedulerKind::Basic.plan(&app, &sched, &arch)?;
+//! let cds = SchedulerKind::Cds.plan(&app, &sched, &arch)?;
 //! assert!(cds.retention().is_empty());
-//! let t_basic = evaluate(&basic, &arch)?;
-//! let t_cds = evaluate(&cds, &arch)?;
-//! assert!(t_cds.total() <= t_basic.total());
+//! assert!(cds.report().total() <= basic.report().total());
 //! # Ok(())
 //! # }
 //! ```
@@ -107,10 +107,7 @@ pub use plan::{build_stages, SchedulePlan, StagePlan};
 pub use report::{table_header, Comparison, ExperimentRow};
 pub use retention::{select_greedy, select_greedy_with, RetentionRanking, RetentionSet};
 pub use rf::max_common_rf;
-pub use scheduler::{
-    evaluate, evaluate_observed, evaluate_with_analysis, BasicScheduler, CdsScheduler,
-    ContextPolicy, DataScheduler, DsScheduler, SchedulerConfig, SearchScheduler,
-};
+pub use scheduler::{evaluate_observed, ContextPolicy, SchedulerConfig};
 pub use sharing::{find_candidates, find_candidates_with, Candidate, RetainedKind};
 pub use trace::{
     render_explain, Counter, Event, Histogram, JsonLinesSink, MetricsRegistry, NullSink, Observer,

@@ -1,8 +1,9 @@
 //! The end-to-end scheduling pipeline behind one facade.
 //!
-//! Every consumer used to hand-wire the same four stages: pick a
-//! cluster schedule (kernel scheduling), plan data movement
-//! ([`DataScheduler`]), and evaluate the plan on the simulator.
+//! Every consumer used to hand-wire the same stages: pick a cluster
+//! schedule (kernel scheduling), plan data movement
+//! ([`SchedulerKind::plan_observed`], which simulates the chosen rung),
+//! and report the plan's evaluation ([`evaluate_observed`]).
 //! [`Pipeline`] owns that wiring:
 //!
 //! ```
@@ -37,10 +38,9 @@ use mcds_sim::SimReport;
 use serde::{Deserialize, Serialize};
 
 use crate::{
-    evaluate_with_analysis, render_explain, BasicScheduler, CancelToken, CdsScheduler, Comparison,
-    DataScheduler, DsScheduler, ExperimentRow, Fault, FaultDecider, FaultPlan, FaultScope,
-    McdsError, MetricsRegistry, Observer, ScheduleAnalysis, SchedulePlan, SchedulerConfig, Seam,
-    SearchScheduler, TraceSink, VecSink,
+    evaluate_observed, render_explain, CancelToken, Comparison, ExperimentRow, Fault, FaultDecider,
+    FaultPlan, FaultScope, McdsError, MetricsRegistry, Observer, ScheduleAnalysis, SchedulePlan,
+    SchedulerConfig, Seam, TraceSink, VecSink,
 };
 
 /// How a pipeline consumes fault decisions: straight off the shared
@@ -100,20 +100,36 @@ impl ClusterProvider for SingletonClusters {
     }
 }
 
-/// Which data scheduler a [`Pipeline`] (or sweep point) runs.
+/// A data scheduler: one setting of the RF ladder that
+/// [`plan`](SchedulerKind::plan) and
+/// [`plan_observed`](SchedulerKind::plan_observed) climb to turn an
+/// application, cluster schedule and architecture into a complete
+/// [`SchedulePlan`]. A [`Pipeline`] (or sweep point) runs one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 #[non_exhaustive]
 pub enum SchedulerKind {
-    /// The Basic Scheduler (DATE 2000 baseline).
+    /// The Basic Scheduler of Maestre et al. (DATE 2000): `RF = 1`, no
+    /// in-place replacement, no retention — the baseline both the Data
+    /// Scheduler and the Complete Data Scheduler are measured against.
     Basic,
-    /// The Data Scheduler (ISSS 2001).
+    /// The Data Scheduler of Sanchez-Elez et al. (ISSS 2001): in-place
+    /// replacement within clusters plus loop fission at the highest
+    /// common reuse factor; no inter-cluster retention.
     Ds,
-    /// The Complete Data Scheduler — the paper's contribution.
+    /// The Complete Data Scheduler — the paper's contribution:
+    /// replacement, loop fission, *and* TF-ranked retention of shared
+    /// data and shared results among same-set clusters.
     Cds,
     /// Beam-search / branch-and-bound retention over the CDS candidate
-    /// list (`mcds-search`). Never returns a worse schedule than
-    /// [`Cds`](SchedulerKind::Cds); with `beam_width <= 1` it *is*
-    /// greedy CDS, byte-identical outcomes and all.
+    /// list (`mcds-search`) — the extension beyond the paper. At every
+    /// RF rung it runs the greedy walk *and* explores accept/reject
+    /// alternatives (every accept decided by the paper's
+    /// `DS(C_c) <= FBS` constraint alone, an admissible bound pruning
+    /// against the greedy incumbent), and keeps a rung's searched
+    /// retention only when it avoids strictly more external traffic
+    /// without costing cycles. Never returns a worse schedule than
+    /// [`Cds`](SchedulerKind::Cds); with `beam_width <= 1` it skips the
+    /// search and *is* greedy CDS, byte-identical outcomes and all.
     Search {
         /// Beam nodes kept per candidate depth (`1` reproduces greedy).
         beam_width: u32,
@@ -153,20 +169,6 @@ impl SchedulerKind {
             SchedulerKind::Ds => "ds",
             SchedulerKind::Cds => "cds",
             SchedulerKind::Search { .. } => "search",
-        }
-    }
-
-    /// Instantiates the scheduler with `config`.
-    #[must_use]
-    pub fn instantiate(self, config: SchedulerConfig) -> Box<dyn DataScheduler + Send + Sync> {
-        match self {
-            SchedulerKind::Basic => Box::new(BasicScheduler::with_config(config)),
-            SchedulerKind::Ds => Box::new(DsScheduler::with_config(config)),
-            SchedulerKind::Cds => Box::new(CdsScheduler::with_config(config)),
-            SchedulerKind::Search {
-                beam_width,
-                max_expansions,
-            } => Box::new(SearchScheduler::new(beam_width, max_expansions).with_config(config)),
         }
     }
 }
@@ -291,9 +293,8 @@ impl Pipeline {
     }
 
     /// Attaches a [`TraceSink`]: every decision [`Event`](crate::Event)
-    /// of subsequent [`plan`](Pipeline::plan) / [`run`](Pipeline::run)
-    /// calls is recorded into it. Without a sink the instrumented paths
-    /// are allocation-free no-ops.
+    /// of subsequent [`run`](Pipeline::run) calls is recorded into it.
+    /// Without a sink the instrumented paths are allocation-free no-ops.
     #[must_use]
     pub fn trace(mut self, sink: impl TraceSink + 'static) -> Self {
         self.sink = Some(Arc::new(sink));
@@ -308,12 +309,12 @@ impl Pipeline {
         self
     }
 
-    /// Attaches a [`CancelToken`]: [`plan`](Pipeline::plan),
-    /// [`run`](Pipeline::run) and [`explain`](Pipeline::explain) poll
-    /// it at every stage boundary (admission, after clustering, after
-    /// planning, before evaluation) and abandon the request with
-    /// [`McdsError::Cancelled`] once it trips — the serving layer's
-    /// per-request deadline enforcement.
+    /// Attaches a [`CancelToken`]: [`run`](Pipeline::run),
+    /// [`run_prepared`](Pipeline::run_prepared) and
+    /// [`explain`](Pipeline::explain) poll it at every stage boundary
+    /// (admission, after clustering, after planning) and abandon the
+    /// request with [`McdsError::Cancelled`] once it trips — the serving
+    /// layer's per-request deadline enforcement.
     #[must_use]
     pub fn cancellation(mut self, token: CancelToken) -> Self {
         self.cancel = Some(token);
@@ -391,29 +392,6 @@ impl Pipeline {
     /// Whatever the [`ClusterProvider`] reports.
     pub fn resolve_clusters(&self) -> Result<ClusterSchedule, McdsError> {
         self.clustering.clusters(&self.app, &self.arch)
-    }
-
-    /// Runs the chain up to planning: clustering and data scheduling,
-    /// but no simulation. The plan-cost benchmarks use this.
-    ///
-    /// # Errors
-    ///
-    /// Clustering or planning errors, unified as [`McdsError`].
-    pub fn plan(&self) -> Result<SchedulePlan, McdsError> {
-        self.checkpoint(Seam::PipelineAdmission)?;
-        let schedule = self.resolve_clusters()?;
-        self.checkpoint(Seam::PipelineClustering)?;
-        let analysis = ScheduleAnalysis::new(&self.app, &schedule);
-        let scheduler = self.scheduler.instantiate(self.config);
-        Ok(
-            scheduler.plan_observed(
-                &self.app,
-                &schedule,
-                &self.arch,
-                &analysis,
-                self.observer(),
-            )?,
-        )
     }
 
     /// Runs the arch-independent front half of the chain — cluster
@@ -507,23 +485,29 @@ impl Pipeline {
     }
 
     /// The back half every run shares: data scheduling (with its
-    /// allocation walk), the planning checkpoint, and evaluation of the
-    /// plan through the analysis that produced it. A borrowed
-    /// `schedule` is cloned into the run only once it succeeds.
+    /// allocation walk and the simulation of its chosen rung), the
+    /// planning checkpoint, and the report of that evaluation. A
+    /// borrowed `schedule` is cloned into the run only once it
+    /// succeeds.
     fn plan_and_evaluate(
         &self,
         schedule: Cow<'_, ClusterSchedule>,
         analysis: &ScheduleAnalysis,
         observer: Observer<'_>,
     ) -> Result<PipelineRun, McdsError> {
-        let scheduler = self.scheduler.instantiate(self.config);
-        let plan = scheduler.plan_observed(&self.app, &schedule, &self.arch, analysis, observer)?;
+        let plan = self.scheduler.plan_observed(
+            &self.app,
+            &schedule,
+            &self.arch,
+            &self.config,
+            analysis,
+            observer,
+        )?;
         self.checkpoint(Seam::PipelinePlanning)?;
-        let report = evaluate_with_analysis(&plan, &self.arch, &self.config, analysis, observer)?;
+        evaluate_observed(&plan, &self.arch, observer)?;
         Ok(PipelineRun {
             schedule: schedule.into_owned(),
             plan,
-            report,
         })
     }
 
@@ -605,7 +589,6 @@ impl PreparedSchedule {
 pub struct PipelineRun {
     schedule: ClusterSchedule,
     plan: SchedulePlan,
-    report: SimReport,
 }
 
 impl PipelineRun {
@@ -621,16 +604,11 @@ impl PipelineRun {
         &self.plan
     }
 
-    /// The simulation report.
+    /// The simulation report: the plan's own
+    /// ([`SchedulePlan::report`]).
     #[must_use]
     pub fn report(&self) -> &SimReport {
-        &self.report
-    }
-
-    /// Decomposes into (schedule, plan, report).
-    #[must_use]
-    pub fn into_parts(self) -> (ClusterSchedule, SchedulePlan, SimReport) {
-        (self.schedule, self.plan, self.report)
+        self.plan.report()
     }
 }
 
@@ -665,7 +643,7 @@ impl PipelineComparison {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{evaluate, Event};
+    use crate::Event;
     use mcds_model::{ApplicationBuilder, Cycles, DataKind, Words};
 
     fn app() -> Application {
@@ -684,10 +662,10 @@ mod tests {
         let application = app();
         let sched = ClusterSchedule::singletons(&application).expect("valid");
         let arch = ArchParams::m1();
-        let direct = DsScheduler::new()
+        let direct = SchedulerKind::Ds
             .plan(&application, &sched, &arch)
             .expect("fits");
-        let direct_total = evaluate(&direct, &arch).expect("runs").total();
+        let direct_total = direct.report().total();
 
         let run = Pipeline::new(application)
             .scheduler(SchedulerKind::Ds)

@@ -1,10 +1,12 @@
 //! Schedule plans: the structured output of a data scheduler.
 
+use std::sync::Arc;
+
 use mcds_model::{Application, ClusterId, ClusterSchedule, Words};
-use mcds_sim::OpSchedule;
+use mcds_sim::{OpSchedule, SimReport};
 use serde::{Deserialize, Serialize};
 
-use crate::{AllocationReport, Lifetimes, RetentionSet};
+use crate::{AllocationReport, LadderEval, Lifetimes, RetentionSet};
 
 /// One pipeline stage: `iters` consecutive iterations of one cluster,
 /// with the transfers that serve it.
@@ -125,14 +127,16 @@ pub fn build_stages(
 }
 
 /// A complete data schedule: stages, retained objects, the op-level
-/// program for the simulator, and the §5 allocation outcome.
+/// program for the simulator and its simulation, and the §5 allocation
+/// outcome.
 #[derive(Debug, Clone)]
 pub struct SchedulePlan {
     scheduler: String,
     rf: u64,
-    stages: Vec<StagePlan>,
     retention: RetentionSet,
-    ops: OpSchedule,
+    /// The chosen rung of the RF ladder — its stages, ops and simulation
+    /// — shared with the rung memo of the analysis that planned it.
+    rung: Arc<LadderEval>,
     allocation: AllocationReport,
 }
 
@@ -140,17 +144,15 @@ impl SchedulePlan {
     pub(crate) fn new(
         scheduler: String,
         rf: u64,
-        stages: Vec<StagePlan>,
         retention: RetentionSet,
-        ops: OpSchedule,
+        rung: Arc<LadderEval>,
         allocation: AllocationReport,
     ) -> Self {
         SchedulePlan {
             scheduler,
             rf,
-            stages,
             retention,
-            ops,
+            rung,
             allocation,
         }
     }
@@ -170,7 +172,7 @@ impl SchedulePlan {
     /// The pipeline stages in execution order.
     #[must_use]
     pub fn stages(&self) -> &[StagePlan] {
-        &self.stages
+        &self.rung.stages
     }
 
     /// The retained shared objects (empty for Basic/DS).
@@ -182,7 +184,14 @@ impl SchedulePlan {
     /// The op-level program for [`mcds_sim`].
     #[must_use]
     pub fn ops(&self) -> &OpSchedule {
-        &self.ops
+        &self.rung.ops
+    }
+
+    /// The simulation of [`ops`](Self::ops) on the target architecture:
+    /// the evaluation that chose this plan's rung.
+    #[must_use]
+    pub fn report(&self) -> &SimReport {
+        &self.rung.report
     }
 
     /// The Frame Buffer allocation outcome (§5 of the paper).
@@ -201,7 +210,7 @@ impl SchedulePlan {
     /// Total external data traffic over the whole execution.
     #[must_use]
     pub fn total_data_words(&self) -> Words {
-        self.stages
+        self.stages()
             .iter()
             .map(|s| s.load_words() + s.store_words())
             .sum()
@@ -210,7 +219,7 @@ impl SchedulePlan {
     /// Total context words transferred over the whole execution.
     #[must_use]
     pub fn total_context_words(&self) -> u64 {
-        self.stages
+        self.stages()
             .iter()
             .map(|s| u64::from(s.context_words()))
             .sum()

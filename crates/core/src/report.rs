@@ -3,24 +3,22 @@
 use std::fmt;
 
 use mcds_model::{Application, ArchParams, ClusterSchedule, Words};
-use mcds_sim::SimReport;
 use serde::{Deserialize, Serialize};
 
 use crate::{
-    evaluate_with_analysis, DataScheduler, Observer, ScheduleAnalysis, ScheduleError, SchedulePlan,
-    SchedulerConfig, SchedulerKind,
+    Observer, ScheduleAnalysis, ScheduleError, SchedulePlan, SchedulerConfig, SchedulerKind,
 };
 
 /// The outcome of running all three schedulers on one experiment.
 #[derive(Debug)]
 #[non_exhaustive]
 pub struct Comparison {
-    /// The Basic Scheduler's result, or the reason it could not run.
-    pub basic: Result<(SchedulePlan, SimReport), ScheduleError>,
-    /// The Data Scheduler's result.
-    pub ds: Result<(SchedulePlan, SimReport), ScheduleError>,
-    /// The Complete Data Scheduler's result.
-    pub cds: Result<(SchedulePlan, SimReport), ScheduleError>,
+    /// The Basic Scheduler's plan, or the reason it could not run.
+    pub basic: Result<SchedulePlan, ScheduleError>,
+    /// The Data Scheduler's plan.
+    pub ds: Result<SchedulePlan, ScheduleError>,
+    /// The Complete Data Scheduler's plan.
+    pub cds: Result<SchedulePlan, ScheduleError>,
 }
 
 impl Comparison {
@@ -40,15 +38,13 @@ impl Comparison {
         config: SchedulerConfig,
     ) -> Self {
         let analysis = ScheduleAnalysis::new(app, sched);
-        let go = |s: &dyn DataScheduler| -> Result<(SchedulePlan, SimReport), ScheduleError> {
-            let plan = s.plan_with_analysis(app, sched, arch, &analysis)?;
-            let report = evaluate_with_analysis(&plan, arch, &config, &analysis, Observer::none())?;
-            Ok((plan, report))
+        let go = |kind: SchedulerKind| {
+            kind.plan_observed(app, sched, arch, &config, &analysis, Observer::none())
         };
         Comparison {
-            basic: go(SchedulerKind::Basic.instantiate(config).as_ref()),
-            ds: go(SchedulerKind::Ds.instantiate(config).as_ref()),
-            cds: go(SchedulerKind::Cds.instantiate(config).as_ref()),
+            basic: go(SchedulerKind::Basic),
+            ds: go(SchedulerKind::Ds),
+            cds: go(SchedulerKind::Cds),
         }
     }
 
@@ -57,7 +53,7 @@ impl Comparison {
     #[must_use]
     pub fn ds_improvement(&self) -> Option<f64> {
         match (&self.basic, &self.ds) {
-            (Ok((_, b)), Ok((_, d))) => Some(d.improvement_over(b)),
+            (Ok(b), Ok(d)) => Some(d.report().improvement_over(b.report())),
             _ => None,
         }
     }
@@ -67,7 +63,7 @@ impl Comparison {
     #[must_use]
     pub fn cds_improvement(&self) -> Option<f64> {
         match (&self.basic, &self.cds) {
-            (Ok((_, b)), Ok((_, c))) => Some(c.improvement_over(b)),
+            (Ok(b), Ok(c)) => Some(c.report().improvement_over(b.report())),
             _ => None,
         }
     }
@@ -89,9 +85,8 @@ impl Comparison {
             dt_avoided: self
                 .cds
                 .as_ref()
-                .map(|(p, _)| p.dt_avoided_per_iter())
-                .unwrap_or(Words::ZERO),
-            rf: self.cds.as_ref().map(|(p, _)| p.rf()).unwrap_or(0),
+                .map_or(Words::ZERO, SchedulePlan::dt_avoided_per_iter),
+            rf: self.cds.as_ref().map_or(0, SchedulePlan::rf),
             fb_set: arch.fb_set_words(),
             basic_feasible: self.basic.is_ok(),
             ds_improvement: self.ds_improvement(),

@@ -1,11 +1,11 @@
 //! The paper's three data schedulers and the search extension: four
-//! settings of one RF ladder behind a common interface.
+//! settings of one RF ladder, planned through [`SchedulerKind`].
 
 use std::sync::Arc;
 
 use mcds_csched::ContextScheduler;
 use mcds_model::{Application, ArchParams, ClusterSchedule, Words};
-use mcds_sim::{SimReport, Simulator};
+use mcds_sim::Simulator;
 use serde::{Deserialize, Serialize};
 
 use mcds_search::{search_retention, PruneReason, SearchConfig, SearchEvent, SearchOutcome};
@@ -16,7 +16,7 @@ use crate::plan::build_stages;
 use crate::{
     all_fit, cluster_peak, first_unfit, max_common_rf, AllocationWalk, Candidate, Event,
     FootprintModel, LadderEval, LadderKey, Lifetimes, Observer, RetentionRanking, RetentionSet,
-    ScheduleAnalysis, ScheduleError, SchedulePlan,
+    ScheduleAnalysis, ScheduleError, SchedulePlan, SchedulerKind,
 };
 
 /// How context loads are planned per stage.
@@ -78,286 +78,82 @@ impl SchedulerConfig {
     }
 }
 
-/// A data scheduler: turns an application + cluster schedule +
-/// architecture into a complete [`SchedulePlan`].
-///
-/// Implementors provide [`plan_observed`](Self::plan_observed);
-/// [`plan`](Self::plan) and [`plan_with_analysis`](Self::plan_with_analysis)
-/// are conveniences over it.
-pub trait DataScheduler {
-    /// The scheduler's display name.
-    fn name(&self) -> &'static str;
-
-    /// Produces the transfer/compute plan, analyzing the (application,
-    /// schedule) pair from scratch.
+impl SchedulerKind {
+    /// Plans `app` under `sched` for `arch` with the default
+    /// [`SchedulerConfig`], analyzing the (application, schedule) pair
+    /// from scratch.
     ///
     /// # Errors
     ///
     /// Same as [`plan_observed`](Self::plan_observed).
-    fn plan(
-        &self,
+    pub fn plan(
+        self,
         app: &Application,
         sched: &ClusterSchedule,
         arch: &ArchParams,
     ) -> Result<SchedulePlan, ScheduleError> {
-        self.plan_with_analysis(app, sched, arch, &ScheduleAnalysis::new(app, sched))
+        let analysis = ScheduleAnalysis::new(app, sched);
+        self.plan_observed(
+            app,
+            sched,
+            arch,
+            &SchedulerConfig::default(),
+            &analysis,
+            Observer::none(),
+        )
     }
 
-    /// Produces the plan reusing a shared [`ScheduleAnalysis`] for the
-    /// expensive invariants (lifetimes, sharing candidates, simulated
-    /// RF-ladder rungs). Semantically identical to [`plan`](Self::plan);
-    /// sweeps call this so grid points over the same (application,
-    /// schedule) pair share work.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`plan_observed`](Self::plan_observed).
-    fn plan_with_analysis(
-        &self,
-        app: &Application,
-        sched: &ClusterSchedule,
-        arch: &ArchParams,
-        analysis: &ScheduleAnalysis,
-    ) -> Result<SchedulePlan, ScheduleError> {
-        self.plan_observed(app, sched, arch, analysis, Observer::none())
-    }
-
-    /// Like [`plan_with_analysis`](Self::plan_with_analysis), but also
-    /// streams decision [`Event`]s and metrics through `observer`. The
-    /// built-in schedulers report every RF evaluation, retention verdict
-    /// (with the violated `DS(C_c) ≤ FBS` constraint on rejection) and
-    /// Frame Buffer placement.
+    /// Plans `app` under `sched` for `arch` with `config`, reusing the
+    /// shared `analysis` of that (application, schedule) pair
+    /// (lifetimes, sharing candidates, simulated RF-ladder rungs), and
+    /// streams decision [`Event`]s and metrics through `observer`: every
+    /// RF evaluation, retention verdict (with the violated
+    /// `DS(C_c) ≤ FBS` constraint on rejection) and Frame Buffer
+    /// placement. The plan carries the simulation of its chosen rung
+    /// ([`SchedulePlan::report`]).
     ///
     /// # Errors
     ///
     /// [`ScheduleError::Infeasible`] if some cluster cannot fit the
     /// Frame Buffer under this scheduler's footprint model, or a wrapped
     /// model/sim/allocation error.
-    fn plan_observed(
-        &self,
+    pub fn plan_observed(
+        self,
         app: &Application,
         sched: &ClusterSchedule,
         arch: &ArchParams,
-        analysis: &ScheduleAnalysis,
-        observer: Observer<'_>,
-    ) -> Result<SchedulePlan, ScheduleError>;
-}
-
-/// The Basic Scheduler of Maestre et al. (DATE 2000): `RF = 1`, no
-/// in-place replacement, no retention — the baseline both the Data
-/// Scheduler and the Complete Data Scheduler are measured against.
-#[derive(Debug, Clone, Default)]
-pub struct BasicScheduler {
-    config: SchedulerConfig,
-}
-
-impl BasicScheduler {
-    /// A Basic Scheduler with default configuration.
-    #[must_use]
-    pub fn new() -> Self {
-        BasicScheduler::default()
-    }
-
-    /// A Basic Scheduler with explicit configuration.
-    #[must_use]
-    pub fn with_config(config: SchedulerConfig) -> Self {
-        BasicScheduler { config }
-    }
-}
-
-impl DataScheduler for BasicScheduler {
-    fn name(&self) -> &'static str {
-        "basic"
-    }
-
-    fn plan_observed(
-        &self,
-        app: &Application,
-        sched: &ClusterSchedule,
-        arch: &ArchParams,
+        config: &SchedulerConfig,
         analysis: &ScheduleAnalysis,
         observer: Observer<'_>,
     ) -> Result<SchedulePlan, ScheduleError> {
-        plan_ladder(
-            self.name(),
-            app,
-            sched,
-            arch,
-            &self.config,
-            analysis,
-            Ladder::BASIC,
-            observer,
-        )
-    }
-}
-
-/// The Data Scheduler of Sanchez-Elez et al. (ISSS 2001): in-place
-/// replacement within clusters plus loop fission at the highest common
-/// reuse factor; no inter-cluster retention.
-#[derive(Debug, Clone, Default)]
-pub struct DsScheduler {
-    config: SchedulerConfig,
-}
-
-impl DsScheduler {
-    /// A Data Scheduler with default configuration.
-    #[must_use]
-    pub fn new() -> Self {
-        DsScheduler::default()
-    }
-
-    /// A Data Scheduler with explicit configuration.
-    #[must_use]
-    pub fn with_config(config: SchedulerConfig) -> Self {
-        DsScheduler { config }
-    }
-}
-
-impl DataScheduler for DsScheduler {
-    fn name(&self) -> &'static str {
-        "ds"
-    }
-
-    fn plan_observed(
-        &self,
-        app: &Application,
-        sched: &ClusterSchedule,
-        arch: &ArchParams,
-        analysis: &ScheduleAnalysis,
-        observer: Observer<'_>,
-    ) -> Result<SchedulePlan, ScheduleError> {
-        plan_ladder(
-            self.name(),
-            app,
-            sched,
-            arch,
-            &self.config,
-            analysis,
-            Ladder::DS,
-            observer,
-        )
-    }
-}
-
-/// The Complete Data Scheduler — the paper's contribution: replacement,
-/// loop fission, *and* TF-ranked retention of shared data and shared
-/// results among same-set clusters.
-#[derive(Debug, Clone, Default)]
-pub struct CdsScheduler {
-    config: SchedulerConfig,
-}
-
-impl CdsScheduler {
-    /// A Complete Data Scheduler with default configuration.
-    #[must_use]
-    pub fn new() -> Self {
-        CdsScheduler::default()
-    }
-
-    /// A Complete Data Scheduler with explicit configuration.
-    #[must_use]
-    pub fn with_config(config: SchedulerConfig) -> Self {
-        CdsScheduler { config }
-    }
-}
-
-impl DataScheduler for CdsScheduler {
-    fn name(&self) -> &'static str {
-        "cds"
-    }
-
-    fn plan_observed(
-        &self,
-        app: &Application,
-        sched: &ClusterSchedule,
-        arch: &ArchParams,
-        analysis: &ScheduleAnalysis,
-        observer: Observer<'_>,
-    ) -> Result<SchedulePlan, ScheduleError> {
-        plan_ladder(
-            self.name(),
-            app,
-            sched,
-            arch,
-            &self.config,
-            analysis,
-            Ladder::CDS,
-            observer,
-        )
-    }
-}
-
-/// The beam-search / branch-and-bound retention scheduler — the
-/// `mcds-search` extension beyond the paper. It is the CDS ladder
-/// (footprint model, RF ladder, TF-ranked candidate list) with a
-/// different retention selector: at every RF rung it runs the greedy
-/// walk *and* explores accept/reject alternatives (every accept decided
-/// by the paper's `DS(C_c) <= FBS` constraint alone, an admissible
-/// bound pruning against the greedy incumbent), and keeps a rung's
-/// searched retention only when it avoids strictly more external
-/// traffic without costing cycles. `beam_width <= 1` skips the search entirely and runs the
-/// greedy walk, making outcomes byte-identical to CDS.
-#[derive(Debug, Clone)]
-pub struct SearchScheduler {
-    config: SchedulerConfig,
-    beam_width: u32,
-    max_expansions: u32,
-}
-
-impl SearchScheduler {
-    /// A search scheduler with the given beam width and expansion cap
-    /// (`0` = unlimited) and default configuration.
-    #[must_use]
-    pub fn new(beam_width: u32, max_expansions: u32) -> Self {
-        SearchScheduler {
-            config: SchedulerConfig::default(),
-            beam_width,
-            max_expansions,
-        }
-    }
-
-    /// Returns the scheduler with an explicit configuration.
-    #[must_use]
-    pub fn with_config(mut self, config: SchedulerConfig) -> Self {
-        self.config = config;
-        self
-    }
-}
-
-impl DataScheduler for SearchScheduler {
-    fn name(&self) -> &'static str {
-        "search"
-    }
-
-    fn plan_observed(
-        &self,
-        app: &Application,
-        sched: &ClusterSchedule,
-        arch: &ArchParams,
-        analysis: &ScheduleAnalysis,
-        observer: Observer<'_>,
-    ) -> Result<SchedulePlan, ScheduleError> {
-        // A width-1 beam *is* the greedy walk: climb the CDS ladder
-        // (under this scheduler's name), so outcomes and trace streams
-        // are byte-identical to `CdsScheduler`.
-        let retain = if self.beam_width <= 1 {
-            Retain::Greedy
-        } else {
-            Retain::Search(SearchConfig {
-                beam_width: self.beam_width,
-                max_expansions: self.max_expansions,
-            })
-        };
-        let ladder = Ladder {
-            retain,
-            ..Ladder::CDS
+        let ladder = match self {
+            SchedulerKind::Basic => Ladder::BASIC,
+            SchedulerKind::Ds => Ladder::DS,
+            SchedulerKind::Cds => Ladder::CDS,
+            // A width-1 beam *is* the greedy walk: climb the CDS ladder
+            // (under the search's name), so outcomes and trace streams
+            // are byte-identical to CDS.
+            SchedulerKind::Search {
+                beam_width,
+                max_expansions,
+            } => Ladder {
+                retain: if beam_width <= 1 {
+                    Retain::Greedy
+                } else {
+                    Retain::Search(SearchConfig {
+                        beam_width,
+                        max_expansions,
+                    })
+                },
+                ..Ladder::CDS
+            },
         };
         plan_ladder(
             self.name(),
             app,
             sched,
             arch,
-            &self.config,
+            config,
             analysis,
             ladder,
             observer,
@@ -717,9 +513,8 @@ fn plan_ladder(
     Ok(SchedulePlan::new(
         name.to_owned(),
         rf,
-        eval.stages.clone(),
         retention,
-        eval.ops.clone(),
+        eval,
         allocation,
     ))
 }
@@ -945,84 +740,34 @@ fn infeasible(
     }
 }
 
-/// Runs a plan on the M1 simulator.
+/// Reports a plan's evaluation on the M1 simulator through `observer`:
+/// the `sim.runs` and `sim.total_cycles` counters and the
+/// [`Event::SimCompleted`] event, all read from
+/// [`SchedulePlan::report`], the simulation that chose the plan's rung.
+/// Only with the `sim-op-events` feature and an active observer does it
+/// simulate the plan's ops again, to narrate every op's timeline span.
 ///
 /// # Errors
 ///
-/// Propagates simulator errors (none occur for plans produced by the
-/// schedulers in this crate).
-pub fn evaluate(plan: &SchedulePlan, arch: &ArchParams) -> Result<SimReport, ScheduleError> {
-    evaluate_observed(plan, arch, Observer::none())
-}
-
-/// Runs a plan on the M1 simulator, reporting completion (and, with the
-/// `sim-op-events` feature, every op's timeline span) through
-/// `observer`.
-///
-/// # Errors
-///
-/// Same as [`evaluate`].
+/// Propagates simulator errors from that narration (none occur for
+/// plans produced by this crate).
 pub fn evaluate_observed(
     plan: &SchedulePlan,
     arch: &ArchParams,
     observer: Observer<'_>,
-) -> Result<SimReport, ScheduleError> {
-    let simulator = Simulator::new(*arch);
-    let ops = plan.ops();
-    let report = if cfg!(feature = "sim-op-events") && observer.active() {
-        simulator.run_observed(ops, |i, start, finish| {
+) -> Result<(), ScheduleError> {
+    if cfg!(feature = "sim-op-events") && observer.active() {
+        let ops = plan.ops();
+        Simulator::new(*arch).run_observed(ops, |i, start, finish| {
             observer.emit(|| Event::SimOp {
                 index: i,
                 kind: ops.ops()[i].kind().to_string(),
                 start: start.get(),
                 finish: finish.get(),
             });
-        })?
-    } else {
-        simulator.run(ops)?
-    };
-    observer.count("sim.runs", 1);
-    observer.count("sim.total_cycles", report.total().get());
-    observer.emit(|| Event::SimCompleted {
-        scheduler: plan.scheduler().to_owned(),
-        total_cycles: report.total().get(),
-        dma_busy: report.dma_busy().get(),
-        rc_busy: report.rc_busy().get(),
-    });
-    Ok(report)
-}
-
-/// Runs a plan on the M1 simulator, reusing the rung evaluation
-/// memoized in `analysis` when its simulation report is already known.
-///
-/// The chosen plan's (rf, retention) rung was necessarily simulated
-/// during planning under the same `config` and `arch`, so outside the
-/// per-op event path (the `sim-op-events` feature with an active
-/// observer, which must drive the simulator to narrate each op's
-/// timeline span) this normally re-simulates nothing: the memoized
-/// report is the same bytes a fresh [`evaluate_observed`] would
-/// produce, and the completion counters and event are emitted
-/// identically. Plans that did not come out of this `analysis` (a memo
-/// miss) fall back to a fresh simulation.
-///
-/// # Errors
-///
-/// Same as [`evaluate`].
-pub fn evaluate_with_analysis(
-    plan: &SchedulePlan,
-    arch: &ArchParams,
-    config: &SchedulerConfig,
-    analysis: &ScheduleAnalysis,
-    observer: Observer<'_>,
-) -> Result<SimReport, ScheduleError> {
-    if cfg!(feature = "sim-op-events") && observer.active() {
-        return evaluate_observed(plan, arch, observer);
+        })?;
     }
-    let key = LadderKey::new(plan.rf(), plan.retention(), config, arch);
-    let Some(eval) = analysis.ladder_hit(&key) else {
-        return evaluate_observed(plan, arch, observer);
-    };
-    let report = eval.report.clone();
+    let report = plan.report();
     observer.count("sim.runs", 1);
     observer.count("sim.total_cycles", report.total().get());
     observer.emit(|| Event::SimCompleted {
@@ -1031,7 +776,7 @@ pub fn evaluate_with_analysis(
         dma_busy: report.dma_busy().get(),
         rc_busy: report.rc_busy().get(),
     });
-    Ok(report)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1063,39 +808,38 @@ mod tests {
         ArchParams::m1_with_fb(Words::new(fb))
     }
 
-    #[test]
-    fn evaluate_with_analysis_replays_the_chosen_rung() {
-        let (app, sched) = shared_app(16);
-        let (config, arch) = (SchedulerConfig::default(), arch(4096));
-        let analysis = ScheduleAnalysis::new(&app, &sched);
-        let plan = CdsScheduler::new()
-            .plan_with_analysis(&app, &sched, &arch, &analysis)
-            .expect("fits");
-        assert!(!plan.retention().is_empty());
-        let key = LadderKey::new(plan.rf(), plan.retention(), &config, &arch);
-        assert!(analysis.ladder_hit(&key).is_some(), "planning memoized it");
-        let fresh = evaluate(&plan, &arch).expect("runs");
-        let replayed = evaluate_with_analysis(&plan, &arch, &config, &analysis, Observer::none())
-            .expect("runs");
-        assert_eq!(replayed, fresh);
+    /// Plans under `config` over a fresh analysis, observing nothing.
+    fn plan_with(
+        kind: SchedulerKind,
+        config: SchedulerConfig,
+        app: &Application,
+        sched: &ClusterSchedule,
+        arch: &ArchParams,
+    ) -> Result<SchedulePlan, ScheduleError> {
+        let analysis = ScheduleAnalysis::new(app, sched);
+        kind.plan_observed(app, sched, arch, &config, &analysis, Observer::none())
+    }
 
-        // A replay never looks at the plan's ops: the same rung with no
-        // ops still reports the memoized simulation.
-        let hollow = SchedulePlan::new(
-            plan.scheduler().to_owned(),
-            plan.rf(),
-            plan.stages().to_vec(),
-            plan.retention().clone(),
-            mcds_sim::OpScheduleBuilder::new().build().expect("empty"),
-            plan.allocation().clone(),
-        );
-        assert_eq!(
-            evaluate(&hollow, &arch).expect("runs").total(),
-            Cycles::ZERO
-        );
-        let replayed = evaluate_with_analysis(&hollow, &arch, &config, &analysis, Observer::none())
-            .expect("runs");
-        assert_eq!(replayed, fresh);
+    #[test]
+    fn a_plans_report_is_the_simulation_of_its_ops() {
+        let (app, sched) = shared_app(16);
+        let kinds = [
+            SchedulerKind::Basic,
+            SchedulerKind::Ds,
+            SchedulerKind::Cds,
+            SchedulerKind::search_default(),
+            search(1, 10_000),
+        ];
+        for a in [
+            arch(4096),
+            arch(4096).to_builder().fb_cross_set_access(true).build(),
+        ] {
+            for kind in kinds {
+                let plan = kind.plan(&app, &sched, &a).expect("fits");
+                let simulated = Simulator::new(a).run(plan.ops()).expect("runs");
+                assert_eq!(plan.report(), &simulated, "{kind}");
+            }
+        }
     }
 
     /// With `sim-op-events`, an observed evaluation narrates every op:
@@ -1107,22 +851,10 @@ mod tests {
         use crate::VecSink;
 
         let (app, sched) = shared_app(8);
-        let (config, arch) = (SchedulerConfig::default(), arch(4096));
-        let analysis = ScheduleAnalysis::new(&app, &sched);
-        let plan = CdsScheduler::new()
-            .plan_with_analysis(&app, &sched, &arch, &analysis)
-            .expect("fits");
-        let report = evaluate(&plan, &arch).expect("runs");
+        let arch = arch(4096);
+        let plan = SchedulerKind::Cds.plan(&app, &sched, &arch).expect("fits");
         let sink = VecSink::new();
-        let observed = evaluate_with_analysis(
-            &plan,
-            &arch,
-            &config,
-            &analysis,
-            Observer::new(Some(&sink), None),
-        )
-        .expect("runs");
-        assert_eq!(observed, report);
+        evaluate_observed(&plan, &arch, Observer::new(Some(&sink), None)).expect("runs");
 
         let events: Vec<(usize, String, u64, u64)> = sink
             .events()
@@ -1138,7 +870,7 @@ mod tests {
             })
             .collect();
         let ops = plan.ops().ops();
-        let spans = report.timeline().spans();
+        let spans = plan.report().timeline().spans();
         assert_eq!(events.len(), ops.len());
         for (i, (index, kind, start, finish)) in events.into_iter().enumerate() {
             assert_eq!(index, i);
@@ -1154,7 +886,7 @@ mod tests {
     #[test]
     fn basic_plan_shape() {
         let (app, sched) = shared_app(8);
-        let plan = BasicScheduler::new()
+        let plan = SchedulerKind::Basic
             .plan(&app, &sched, &arch(4096))
             .expect("fits");
         assert_eq!(plan.scheduler(), "basic");
@@ -1167,10 +899,10 @@ mod tests {
     #[test]
     fn ds_raises_rf_with_memory() {
         let (app, sched) = shared_app(64);
-        let small = DsScheduler::new()
+        let small = SchedulerKind::Ds
             .plan(&app, &sched, &arch(256))
             .expect("fits");
-        let big = DsScheduler::new()
+        let big = SchedulerKind::Ds
             .plan(&app, &sched, &arch(2048))
             .expect("fits");
         assert!(
@@ -1188,8 +920,8 @@ mod tests {
     fn cds_retains_and_cuts_traffic() {
         let (app, sched) = shared_app(16);
         let a = arch(2048);
-        let ds = DsScheduler::new().plan(&app, &sched, &a).expect("fits");
-        let cds = CdsScheduler::new().plan(&app, &sched, &a).expect("fits");
+        let ds = SchedulerKind::Ds.plan(&app, &sched, &a).expect("fits");
+        let cds = SchedulerKind::Cds.plan(&app, &sched, &a).expect("fits");
         assert!(!cds.retention().is_empty());
         assert!(cds.dt_avoided_per_iter() > Words::ZERO);
         assert!(cds.total_data_words() < ds.total_data_words());
@@ -1200,10 +932,12 @@ mod tests {
     fn scheduler_dominance_in_time() {
         let (app, sched) = shared_app(32);
         let a = arch(1024);
-        let t = |p: &SchedulePlan| evaluate(p, &a).expect("runs").total();
-        let basic = t(&BasicScheduler::new().plan(&app, &sched, &a).expect("fits"));
-        let ds = t(&DsScheduler::new().plan(&app, &sched, &a).expect("fits"));
-        let cds = t(&CdsScheduler::new().plan(&app, &sched, &a).expect("fits"));
+        let t = |kind: SchedulerKind| kind.plan(&app, &sched, &a).expect("fits").report().total();
+        let (basic, ds, cds) = (
+            t(SchedulerKind::Basic),
+            t(SchedulerKind::Ds),
+            t(SchedulerKind::Cds),
+        );
         assert!(ds <= basic, "ds={ds} basic={basic}");
         assert!(cds <= ds, "cds={cds} ds={ds}");
     }
@@ -1211,7 +945,7 @@ mod tests {
     #[test]
     fn infeasible_at_tiny_memory() {
         let (app, sched) = shared_app(8);
-        let err = BasicScheduler::new()
+        let err = SchedulerKind::Basic
             .plan(&app, &sched, &arch(64))
             .unwrap_err();
         assert!(matches!(err, ScheduleError::Infeasible { .. }));
@@ -1235,22 +969,18 @@ mod tests {
         // nothing else at k0... exact value < 240 regardless).
         let a200 = arch(200);
         assert!(matches!(
-            BasicScheduler::new().plan(&app, &sched, &a200),
+            SchedulerKind::Basic.plan(&app, &sched, &a200),
             Err(ScheduleError::Infeasible { .. })
         ));
-        assert!(DsScheduler::new().plan(&app, &sched, &a200).is_ok());
-        assert!(CdsScheduler::new().plan(&app, &sched, &a200).is_ok());
+        assert!(SchedulerKind::Ds.plan(&app, &sched, &a200).is_ok());
+        assert!(SchedulerKind::Cds.plan(&app, &sched, &a200).is_ok());
     }
 
     #[test]
     fn rf_cap_config() {
         let (app, sched) = shared_app(64);
-        let capped = DsScheduler::with_config(SchedulerConfig {
-            max_rf: Some(2),
-            ..SchedulerConfig::default()
-        })
-        .plan(&app, &sched, &arch(4096))
-        .expect("fits");
+        let config = SchedulerConfig::new().with_max_rf(Some(2));
+        let capped = plan_with(SchedulerKind::Ds, config, &app, &sched, &arch(4096)).expect("fits");
         assert_eq!(capped.rf(), 2);
     }
 
@@ -1259,18 +989,15 @@ mod tests {
         let (app, sched) = shared_app(16);
         let a = arch(2048);
         // Cap RF at 2 so there are 8 rounds and residency matters.
-        let reload = DsScheduler::with_config(SchedulerConfig {
-            max_rf: Some(2),
-            ..SchedulerConfig::default()
-        })
-        .plan(&app, &sched, &a)
-        .expect("fits");
-        let lru = DsScheduler::with_config(SchedulerConfig {
-            context_policy: ContextPolicy::LruResidency,
-            max_rf: Some(2),
-            ..SchedulerConfig::default()
-        })
-        .plan(&app, &sched, &a)
+        let capped = SchedulerConfig::new().with_max_rf(Some(2));
+        let reload = plan_with(SchedulerKind::Ds, capped, &app, &sched, &a).expect("fits");
+        let lru = plan_with(
+            SchedulerKind::Ds,
+            capped.with_context_policy(ContextPolicy::LruResidency),
+            &app,
+            &sched,
+            &a,
+        )
         .expect("fits");
         // All three clusters (24 words each) fit the 512-word CM: under
         // LRU they are loaded exactly once; reload-per-activation pays
@@ -1286,17 +1013,15 @@ mod tests {
         let (app, sched) = shared_app(16);
         let m1 = arch(2048);
         let dual = m1.to_builder().fb_cross_set_access(true).build();
-        let plain = CdsScheduler::new().plan(&app, &sched, &m1).expect("fits");
-        let extended = CdsScheduler::new().plan(&app, &sched, &dual).expect("fits");
+        let plain = SchedulerKind::Cds.plan(&app, &sched, &m1).expect("fits");
+        let extended = SchedulerKind::Cds.plan(&app, &sched, &dual).expect("fits");
         assert!(
             extended.dt_avoided_per_iter() > plain.dt_avoided_per_iter(),
             "cross-set access must avoid more traffic: {} vs {}",
             extended.dt_avoided_per_iter(),
             plain.dt_avoided_per_iter()
         );
-        let t_plain = evaluate(&plain, &m1).expect("runs");
-        let t_ext = evaluate(&extended, &dual).expect("runs");
-        assert!(t_ext.total() <= t_plain.total());
+        assert!(extended.report().total() <= plain.report().total());
         assert!(extended
             .retention()
             .candidates()
@@ -1307,7 +1032,7 @@ mod tests {
     #[test]
     fn allocation_report_no_splits_on_clean_pipeline() {
         let (app, sched) = shared_app(16);
-        let plan = CdsScheduler::new()
+        let plan = SchedulerKind::Cds
             .plan(&app, &sched, &arch(2048))
             .expect("fits");
         assert_eq!(plan.allocation().splits(), 0);
@@ -1321,15 +1046,20 @@ mod tests {
         knapsack_trap(60, 40, 150, 10, 4).expect("valid")
     }
 
+    fn search(beam_width: u32, max_expansions: u32) -> SchedulerKind {
+        SchedulerKind::Search {
+            beam_width,
+            max_expansions,
+        }
+    }
+
     #[test]
     fn search_beam_one_matches_cds() {
         let (app, sched) = shared_app(16);
         for fb in [384, 512, 1024, 2048, 4096] {
             let a = arch(fb);
-            let cds = CdsScheduler::new().plan(&app, &sched, &a).expect("fits");
-            let search = SearchScheduler::new(1, 10_000)
-                .plan(&app, &sched, &a)
-                .expect("fits");
+            let cds = SchedulerKind::Cds.plan(&app, &sched, &a).expect("fits");
+            let search = search(1, 10_000).plan(&app, &sched, &a).expect("fits");
             assert_eq!(search.scheduler(), "search");
             assert_eq!(search.rf(), cds.rf(), "fb={fb}");
             assert_eq!(
@@ -1340,26 +1070,19 @@ mod tests {
             assert_eq!(search.stages(), cds.stages(), "fb={fb}");
             assert_eq!(search.dt_avoided_per_iter(), cds.dt_avoided_per_iter());
             assert_eq!(search.total_data_words(), cds.total_data_words());
-            let tc = evaluate(&cds, &a).expect("runs").total();
-            let ts = evaluate(&search, &a).expect("runs").total();
-            assert_eq!(ts, tc, "fb={fb}");
+            assert_eq!(search.report().total(), cds.report().total(), "fb={fb}");
         }
     }
 
     #[test]
     fn search_never_loses_and_beats_greedy_somewhere() {
         let (app, sched) = trap_app();
-        let config = SchedulerConfig {
-            max_rf: Some(1),
-            ..SchedulerConfig::default()
-        };
+        let config = SchedulerConfig::new().with_max_rf(Some(1));
         let mut won_at = Vec::new();
         for fb in (180..=320).step_by(5) {
             let a = arch(fb);
-            let cds = CdsScheduler::with_config(config).plan(&app, &sched, &a);
-            let search = SearchScheduler::new(8, 10_000)
-                .with_config(config)
-                .plan(&app, &sched, &a);
+            let cds = plan_with(SchedulerKind::Cds, config, &app, &sched, &a);
+            let search = plan_with(search(8, 10_000), config, &app, &sched, &a);
             match (cds, search) {
                 (Ok(c), Ok(s)) => {
                     assert!(
@@ -1368,8 +1091,7 @@ mod tests {
                         s.dt_avoided_per_iter(),
                         c.dt_avoided_per_iter()
                     );
-                    let tc = evaluate(&c, &a).expect("runs").total();
-                    let ts = evaluate(&s, &a).expect("runs").total();
+                    let (tc, ts) = (c.report().total(), s.report().total());
                     assert!(ts <= tc, "fb={fb}: search {ts} cycles > greedy {tc}");
                     if s.dt_avoided_per_iter() > c.dt_avoided_per_iter() {
                         won_at.push(fb);
@@ -1395,16 +1117,18 @@ mod tests {
     fn search_falls_back_to_greedy_when_a_searched_rung_ties_with_less_retention() {
         let (app, sched) = knapsack_trap(50, 30, 50, 30, 2).expect("valid");
         let a = arch(310);
+        let config = SchedulerConfig::default();
         let analysis = ScheduleAnalysis::new(&app, &sched);
-        let cds = CdsScheduler::new()
-            .plan_with_analysis(&app, &sched, &a, &analysis)
+        let cds = SchedulerKind::Cds
+            .plan_observed(&app, &sched, &a, &config, &analysis, Observer::none())
             .expect("fits");
         let metrics = crate::MetricsRegistry::new();
-        let search = SearchScheduler::new(8, 10_000)
+        let search = search(8, 10_000)
             .plan_observed(
                 &app,
                 &sched,
                 &a,
+                &config,
                 &analysis,
                 Observer::new(None, Some(&metrics)),
             )
@@ -1424,17 +1148,13 @@ mod tests {
     fn search_metrics_and_events_are_recorded() {
         let (app, sched) = trap_app();
         let a = arch(250);
-        let config = SchedulerConfig {
-            max_rf: Some(1),
-            ..SchedulerConfig::default()
-        };
+        let config = SchedulerConfig::new().with_max_rf(Some(1));
         let metrics = crate::MetricsRegistry::new();
         let sink = crate::VecSink::new();
         let analysis = ScheduleAnalysis::new(&app, &sched);
         let observer = Observer::new(Some(&sink), Some(&metrics));
-        SearchScheduler::new(8, 10_000)
-            .with_config(config)
-            .plan_observed(&app, &sched, &a, &analysis, observer)
+        search(8, 10_000)
+            .plan_observed(&app, &sched, &a, &config, &analysis, observer)
             .expect("fits");
         let snap = metrics.snapshot();
         let counter = |name: &str| snap.iter().find(|(n, _)| n == name).map_or(0, |&(_, v)| v);

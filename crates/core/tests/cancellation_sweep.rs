@@ -112,29 +112,6 @@ fn every_run_boundary_cancels_cleanly() {
     );
 }
 
-/// `plan()` polls at two boundaries (admission, post-clustering).
-#[test]
-fn every_plan_boundary_cancels_cleanly() {
-    let reference = Pipeline::new(app()).plan().expect("plans");
-    let mut first_ok = None;
-    for k in 0..6 {
-        let result = Pipeline::new(app())
-            .cancellation(CancelToken::after_checks(k))
-            .plan();
-        match result {
-            Err(err) => {
-                assert!(first_ok.is_none(), "monotone at boundary {k}");
-                assert!(matches!(err, McdsError::Cancelled(_)));
-            }
-            Ok(plan) => {
-                first_ok.get_or_insert(k);
-                assert_eq!(plan.rf(), reference.rf());
-            }
-        }
-    }
-    assert_eq!(first_ok, Some(2), "plan() has exactly two boundaries");
-}
-
 /// `explain()` has the same three boundaries as `run()` and must not
 /// leak a partial decision log on cancellation.
 #[test]

@@ -1,6 +1,6 @@
 //! The kernel scheduler: design-space exploration over partitions.
 
-use mcds_core::{evaluate, CdsScheduler, DataScheduler, DsScheduler};
+use mcds_core::SchedulerKind;
 use mcds_model::{Application, ArchParams, ClusterSchedule, Cycles, KernelId};
 
 use crate::estimate::estimate_round_time;
@@ -89,16 +89,14 @@ impl KernelScheduler {
     ) -> Option<Cycles> {
         match self.objective {
             Objective::Estimate => Some(estimate_round_time(app, sched, arch)),
-            Objective::SimulateDs => DsScheduler::new()
+            Objective::SimulateDs => SchedulerKind::Ds
                 .plan(app, sched, arch)
-                .and_then(|p| evaluate(&p, arch))
                 .ok()
-                .map(|r| r.total()),
-            Objective::SimulateCds => CdsScheduler::new()
+                .map(|p| p.report().total()),
+            Objective::SimulateCds => SchedulerKind::Cds
                 .plan(app, sched, arch)
-                .and_then(|p| evaluate(&p, arch))
                 .ok()
-                .map(|r| r.total()),
+                .map(|p| p.report().total()),
         }
     }
 
@@ -286,8 +284,8 @@ mod tests {
             .schedule(&app, &arch)
             .expect("feasible");
         let time = |s: &ClusterSchedule| {
-            let plan = CdsScheduler::new().plan(&app, s, &arch).expect("fits");
-            evaluate(&plan, &arch).expect("runs").total()
+            let plan = SchedulerKind::Cds.plan(&app, s, &arch).expect("fits");
+            plan.report().total()
         };
         assert!(time(&by_sim) <= time(&by_estimate));
     }

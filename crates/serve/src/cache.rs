@@ -400,8 +400,7 @@ impl OutcomeCache {
     }
 
     /// A read-only peek: the published entry, if any. Never leads and
-    /// never registers — the warm fast path when the caller cannot
-    /// take on a leader's obligations.
+    /// never registers.
     #[must_use]
     pub fn get(&self, key: u64) -> Option<CachedResult> {
         match self.shard(key).lock().expect("cache shard lock").get(&key) {

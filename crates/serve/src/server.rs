@@ -246,7 +246,13 @@ struct Resolved {
 #[derive(Clone)]
 enum Memo {
     Good(Arc<Resolved>),
-    Bad { code: ErrorCode, message: Arc<str> },
+    /// A refused line, with the verb its first reply echoed (`unknown`
+    /// for a decode failure, `schedule` for a resolve failure).
+    Bad {
+        code: ErrorCode,
+        message: Arc<str>,
+        verb: &'static str,
+    },
 }
 
 /// Parse-memo capacity; lines beyond this are simply not memoized.
@@ -1203,9 +1209,13 @@ impl<'a> Reactor<'a> {
         if let Some(memo) = self.memo.get(line.as_bytes()).cloned() {
             match memo {
                 Memo::Good(resolved) => self.handle_schedule(conn, started, &resolved),
-                Memo::Bad { code, message } => {
+                Memo::Bad {
+                    code,
+                    message,
+                    verb,
+                } => {
                     self.ctx.counters.errors.incr();
-                    self.respond_failed(conn, started, code, &message, "schedule", None);
+                    self.respond_failed(conn, started, code, &message, verb, None);
                 }
             }
             return;
@@ -1221,6 +1231,7 @@ impl<'a> Reactor<'a> {
                     Memo::Bad {
                         code,
                         message: Arc::from(message.as_str()),
+                        verb: "unknown",
                     },
                 );
                 self.respond_failed(conn, started, code, &message, "unknown", None);
@@ -1300,6 +1311,7 @@ impl<'a> Reactor<'a> {
                         Memo::Bad {
                             code: ErrorCode::BadRequest,
                             message: Arc::from(message.as_str()),
+                            verb: "schedule",
                         },
                     );
                     self.respond_failed(
@@ -1335,13 +1347,6 @@ impl<'a> Reactor<'a> {
         } else {
             resolved.key
         };
-        // Warm fast path: a published entry answers inline without
-        // touching single-flight bookkeeping.
-        if let Some(entry) = ctx.cache.get(entry_key) {
-            ctx.counters.hits.incr();
-            self.respond_entry(conn, started, entry_key, true, &entry);
-            return;
-        }
         let token = pack_token(conn.gen, conn.next_slot);
         match ctx.cache.lookup(entry_key, token) {
             Lookup::Hit(entry) => {

@@ -125,28 +125,46 @@ fn malformed_requests_poison_only_their_own_connection() {
     // client cannot produce.
     let garbage = bad.raw_roundtrip("this is not json").expect("typed reply");
     assert_eq!(failure_code(&garbage), Some(ErrorCode::BadRequest));
-    let unknown = bad
-        .raw_roundtrip(r#"{"v":1,"verb":"frobnicate"}"#)
-        .expect("typed reply");
-    assert_eq!(failure_code(&unknown), Some(ErrorCode::BadRequest));
-    let incomplete = bad
-        .raw_roundtrip(r#"{"v":1,"verb":"schedule"}"#)
-        .expect("typed reply");
-    assert_eq!(failure_code(&incomplete), Some(ErrorCode::BadRequest));
-    // Frames without a version, or with `"v":null`, get the typed
-    // version refusal; a repeat is answered from the parse memo alike.
-    for unversioned in [
-        r#"{"verb":"ping"}"#,
-        r#"{"v":null,"verb":"schedule","workload":"e1","iterations":8}"#,
+    // An unknown verb and a schedule that does not resolve are bad
+    // requests; frames without a version, or with `"v":null`, get the
+    // typed version refusal. A repeat is answered from the parse memo
+    // with the same reply as its first copy, bar the latency.
+    for (line, code, verb) in [
+        (
+            r#"{"v":1,"verb":"frobnicate"}"#,
+            ErrorCode::BadRequest,
+            "unknown",
+        ),
+        (
+            r#"{"v":1,"verb":"schedule"}"#,
+            ErrorCode::BadRequest,
+            "schedule",
+        ),
+        (
+            r#"{"verb":"ping"}"#,
+            ErrorCode::UnsupportedVersion,
+            "unknown",
+        ),
+        (
+            r#"{"v":null,"verb":"schedule","workload":"e1","iterations":8}"#,
+            ErrorCode::UnsupportedVersion,
+            "unknown",
+        ),
     ] {
-        for _ in 0..2 {
-            let reply = bad.raw_roundtrip(unversioned).expect("typed reply");
-            assert_eq!(
-                failure_code(&reply),
-                Some(ErrorCode::UnsupportedVersion),
-                "{unversioned}"
-            );
-        }
+        let replies: Vec<mcds_serve::ServeError> = (0..2)
+            .map(|_| match bad.raw_roundtrip(line).expect("typed reply") {
+                mcds_serve::ServeResponse::Failed(error) => error,
+                other => panic!("{line} must be refused, got {other:?}"),
+            })
+            .collect();
+        let (first, repeat) = (&replies[0], &replies[1]);
+        assert_eq!(first.code, code, "{line}");
+        assert_eq!(first.verb, verb, "{line}");
+        assert_eq!(
+            (&repeat.verb, repeat.code, &repeat.message, repeat.key),
+            (&first.verb, first.code, &first.message, first.key),
+            "{line}: the repeat must be answered as the first copy was"
+        );
     }
     // A request too large to plan is refused before any planning.
     let oversized = bad

@@ -147,7 +147,6 @@ pub(crate) fn run(spec: &SweepSpec) -> Result<SweepReport, McdsError> {
     let evaluate_task = |t: usize| {
         let cell = &cells[t / n_sched];
         let kind = spec.schedulers[t % n_sched];
-        let scheduler = kind.instantiate(spec.config);
         // Per-task sink (when explain capture is on) plus the shared
         // metrics registry; both optional, both allocation-free when
         // absent.
@@ -156,14 +155,21 @@ pub(crate) fn run(spec: &SweepSpec) -> Result<SweepReport, McdsError> {
             sink.as_ref().map(|s| s as &dyn TraceSink),
             spec.metrics.as_deref(),
         );
-        let result = scheduler
-            .plan_observed(cell.app, cell.sched, &cell.arch, cell.analysis, observer)
+        let result = kind
+            .plan_observed(
+                cell.app,
+                cell.sched,
+                &cell.arch,
+                &spec.config,
+                cell.analysis,
+                observer,
+            )
             .and_then(|plan| {
-                let report = evaluate_observed(&plan, &cell.arch, observer)?;
+                evaluate_observed(&plan, &cell.arch, observer)?;
                 Ok(PointMeasure {
                     rf: plan.rf(),
                     dt_avoided: plan.dt_avoided_per_iter(),
-                    total: report.total(),
+                    total: plan.report().total(),
                     explain: sink.as_ref().map(|s| render_explain(&s.take())),
                 })
             });

@@ -177,9 +177,7 @@ pub fn atr_fi_schedule(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mcds_core::{
-        find_candidates, CdsScheduler, DataScheduler, DsScheduler, Lifetimes, RetainedKind,
-    };
+    use mcds_core::{find_candidates, Lifetimes, RetainedKind, SchedulerKind};
     use mcds_model::ArchParams;
 
     #[test]
@@ -211,7 +209,7 @@ mod tests {
             SldSchedule::Skewed,
         ] {
             let sched = atr_sld_schedule(&app, which).expect("valid");
-            let plan = DsScheduler::new().plan(&app, &sched, &arch).expect("fits");
+            let plan = SchedulerKind::Ds.plan(&app, &sched, &arch).expect("fits");
             assert_eq!(plan.rf(), 1, "{which:?}: big data keeps RF at 1");
         }
     }
@@ -221,7 +219,7 @@ mod tests {
         let app = atr_sld_app(8).expect("valid");
         let arch = ArchParams::m1_with_fb(Words::kilo(8));
         let sched = atr_sld_schedule(&app, SldSchedule::PerChip).expect("valid");
-        let cds = CdsScheduler::new().plan(&app, &sched, &arch).expect("fits");
+        let cds = SchedulerKind::Cds.plan(&app, &sched, &arch).expect("fits");
         // DT must cover both template groups: ≥ 6K words per iteration.
         assert!(
             cds.dt_avoided_per_iter() >= Words::new(2 * TEMPLATE_WORDS),
@@ -251,7 +249,7 @@ mod tests {
         let app = atr_fi_app(32).expect("valid");
         let sched = atr_fi_schedule(&app, FiSchedule::Standard).expect("valid");
         let rf = |kw: u64| {
-            DsScheduler::new()
+            SchedulerKind::Ds
                 .plan(&app, &sched, &ArchParams::m1_with_fb(Words::kilo(kw)))
                 .expect("fits")
                 .rf()

@@ -139,11 +139,11 @@ pub fn e3(iterations: u64) -> Result<(Application, ClusterSchedule), ModelError>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mcds_core::{CdsScheduler, Comparison, DataScheduler, DsScheduler};
+    use mcds_core::{Comparison, SchedulerKind};
     use mcds_model::ArchParams;
 
     fn rf_of(app: &Application, sched: &ClusterSchedule, fb_kw: u64) -> u64 {
-        DsScheduler::new()
+        SchedulerKind::Ds
             .plan(app, sched, &ArchParams::m1_with_fb(Words::kilo(fb_kw)))
             .expect("fits")
             .rf()
@@ -171,7 +171,7 @@ mod tests {
     fn e1_retention_is_structurally_free() {
         let (app, sched) = e1(32).expect("valid");
         let arch = ArchParams::m1_with_fb(Words::kilo(2));
-        let plan = CdsScheduler::new().plan(&app, &sched, &arch).expect("fits");
+        let plan = SchedulerKind::Cds.plan(&app, &sched, &arch).expect("fits");
         // All three shared objects retained: sh0 + sh1 + x02.
         assert_eq!(plan.retention().candidates().len(), 3);
         // DT = 300 + 300 + (1+1)·100.

@@ -92,8 +92,8 @@ pub fn mpeg_schedule(app: &Application) -> Result<ClusterSchedule, ModelError> {
 mod tests {
     use super::*;
     use mcds_core::{
-        cluster_peak, find_candidates, BasicScheduler, CdsScheduler, DataScheduler, DsScheduler,
-        FootprintModel, Lifetimes, RetentionSet, ScheduleError,
+        cluster_peak, find_candidates, FootprintModel, Lifetimes, RetentionSet, ScheduleError,
+        SchedulerKind,
     };
     use mcds_model::{ArchParams, ClusterId, DataId};
 
@@ -113,13 +113,13 @@ mod tests {
         let arch_1k = ArchParams::m1_with_fb(Words::kilo(1));
         assert!(
             matches!(
-                BasicScheduler::new().plan(&app, &sched, &arch_1k),
+                SchedulerKind::Basic.plan(&app, &sched, &arch_1k),
                 Err(ScheduleError::Infeasible { .. })
             ),
             "Basic cannot execute MPEG if memory size is 1K"
         );
-        assert!(DsScheduler::new().plan(&app, &sched, &arch_1k).is_ok());
-        assert!(CdsScheduler::new().plan(&app, &sched, &arch_1k).is_ok());
+        assert!(SchedulerKind::Ds.plan(&app, &sched, &arch_1k).is_ok());
+        assert!(SchedulerKind::Cds.plan(&app, &sched, &arch_1k).is_ok());
     }
 
     #[test]
@@ -177,7 +177,7 @@ mod tests {
         let app = mpeg_app(32).expect("valid");
         let sched = mpeg_schedule(&app).expect("valid");
         let at = |kw: u64| {
-            DsScheduler::new()
+            SchedulerKind::Ds
                 .plan(&app, &sched, &ArchParams::m1_with_fb(Words::kilo(kw)))
                 .expect("fits")
                 .rf()

@@ -228,9 +228,12 @@ mod tests {
             let (app, sched) = SyntheticGenerator::new(seed).generate(&cfg).expect("valid");
             let arch = ArchParams::m1_with_fb(Words::kilo(4));
             let cmp = Comparison::run(&app, &sched, &arch);
-            let (_, basic) = cmp.basic.as_ref().expect("4K fits the default config");
-            let (_, cds) = cmp.cds.as_ref().expect("cds runs");
-            assert!(cds.total() <= basic.total(), "seed {seed}: dominance");
+            let basic = cmp.basic.as_ref().expect("4K fits the default config");
+            let cds = cmp.cds.as_ref().expect("cds runs");
+            assert!(
+                cds.report().total() <= basic.report().total(),
+                "seed {seed}: dominance"
+            );
         }
     }
 

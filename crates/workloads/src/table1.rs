@@ -205,11 +205,11 @@ mod tests {
     /// ranges in the root integration tests.)
     #[test]
     fn calibration_pins() {
-        use mcds_core::{CdsScheduler, DataScheduler};
+        use mcds_core::SchedulerKind;
         let exps = table1_experiments();
         let plan = |name: &str| {
             let e = exps.iter().find(|e| e.name == name).expect("row exists");
-            CdsScheduler::new()
+            SchedulerKind::Cds
                 .plan(&e.app, &e.sched, &e.arch)
                 .expect("feasible")
         };

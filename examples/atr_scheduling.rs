@@ -30,9 +30,10 @@ fn main() -> Result<(), McdsError> {
         let pipeline = Pipeline::new(app.clone()).arch(arch).schedule(sched);
         let cmp = pipeline.compare()?;
         let comparison = cmp.comparison();
-        let (cds, t_cds) = comparison.cds.as_ref().map_err(|e| e.clone())?;
-        let (_, t_basic) = comparison.basic.as_ref().map_err(|e| e.clone())?;
-        let (_, t_ds) = comparison.ds.as_ref().map_err(|e| e.clone())?;
+        let cds = comparison.cds.as_ref().map_err(|e| e.clone())?;
+        let t_cds = cds.report();
+        let t_basic = comparison.basic.as_ref().map_err(|e| e.clone())?.report();
+        let t_ds = comparison.ds.as_ref().map_err(|e| e.clone())?.report();
 
         println!("== {label}: {} clusters ==", cmp.schedule().len());
         println!(

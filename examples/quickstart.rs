@@ -62,10 +62,11 @@ fn main() -> Result<(), McdsError> {
     let basic_time = comparison
         .basic
         .as_ref()
-        .map(|(_, report)| report.total().get())
+        .map(|plan| plan.report().total().get())
         .ok();
     for result in [&comparison.basic, &comparison.ds, &comparison.cds] {
-        let (plan, report) = result.as_ref().map_err(|e| e.clone())?;
+        let plan = result.as_ref().map_err(|e| e.clone())?;
+        let report = plan.report();
         let improvement = match basic_time {
             Some(b) if plan.scheduler() != "basic" => {
                 (b as f64 - report.total().get() as f64) / b as f64 * 100.0

@@ -4,8 +4,8 @@
 //! regularity".
 
 use mcds_core::{
-    cluster_peak, AllocationWalk, CdsScheduler, DataScheduler, Event, FootprintModel, Lifetimes,
-    Observer, Pipeline, RetentionSet, SchedulerKind, VecSink,
+    cluster_peak, AllocationWalk, Event, FootprintModel, Lifetimes, Observer, Pipeline,
+    RetentionSet, SchedulerKind, VecSink,
 };
 use mcds_model::{Application, ArchParams, ClusterSchedule, Words};
 use mcds_workloads::synthetic::{SyntheticConfig, SyntheticGenerator};
@@ -16,7 +16,7 @@ use proptest::prelude::*;
 #[test]
 fn no_splits_in_any_experiment() {
     for e in table1_experiments() {
-        let plan = match CdsScheduler::new().plan(&e.app, &e.sched, &e.arch) {
+        let plan = match SchedulerKind::Cds.plan(&e.app, &e.sched, &e.arch) {
             Ok(p) => p,
             Err(err) => panic!("{}: CDS must run: {err}", e.name),
         };
@@ -34,7 +34,7 @@ fn no_splits_in_any_experiment() {
 #[test]
 fn peaks_bounded_by_analysis() {
     for e in table1_experiments() {
-        let plan = CdsScheduler::new()
+        let plan = SchedulerKind::Cds
             .plan(&e.app, &e.sched, &e.arch)
             .expect("runs");
         let lt = Lifetimes::analyze(&e.app, &e.sched);
@@ -76,7 +76,7 @@ fn peaks_bounded_by_analysis() {
 #[test]
 fn steady_state_placements_are_regular() {
     for e in table1_experiments() {
-        let plan = CdsScheduler::new()
+        let plan = SchedulerKind::Cds
             .plan(&e.app, &e.sched, &e.arch)
             .expect("runs");
         let report = plan.allocation();
@@ -102,7 +102,7 @@ fn steady_state_placements_are_regular() {
 #[test]
 fn allocation_walk_is_deterministic() {
     let e = &table1_experiments()[0];
-    let plan = CdsScheduler::new()
+    let plan = SchedulerKind::Cds
         .plan(&e.app, &e.sched, &e.arch)
         .expect("runs");
     let lt = Lifetimes::analyze(&e.app, &e.sched);
@@ -180,14 +180,15 @@ fn check_planned_walk(
     kind: SchedulerKind,
     what: &str,
 ) -> bool {
-    let Ok(plan) = Pipeline::new(app.clone())
+    let Ok(run) = Pipeline::new(app.clone())
         .schedule(sched.clone())
         .arch(arch)
         .scheduler(kind)
-        .plan()
+        .run()
     else {
         return false;
     };
+    let plan = run.plan();
     let model = if matches!(kind, SchedulerKind::Basic) {
         FootprintModel::NoReplacement
     } else {

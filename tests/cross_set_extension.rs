@@ -2,7 +2,7 @@
 //! across Frame Buffer sets on a dual-ported FB
 //! (`ArchParams::fb_cross_set_access`).
 
-use mcds_core::{evaluate, generate_program, CdsScheduler, Comparison, DataScheduler};
+use mcds_core::{generate_program, Comparison, SchedulerKind};
 use mcds_model::ArchParams;
 use mcds_workloads::mpeg::{mpeg_app, mpeg_schedule};
 use mcds_workloads::table1::table1_experiments;
@@ -17,15 +17,14 @@ fn dual(arch: &ArchParams) -> ArchParams {
 fn dual_port_dominates_m1_on_every_experiment() {
     let mut strictly_better = 0;
     for e in table1_experiments() {
-        let m1 = CdsScheduler::new()
+        let m1 = SchedulerKind::Cds
             .plan(&e.app, &e.sched, &e.arch)
             .expect("fits");
         let dual_arch = dual(&e.arch);
-        let ext = CdsScheduler::new()
+        let ext = SchedulerKind::Cds
             .plan(&e.app, &e.sched, &dual_arch)
             .expect("fits");
-        let t_m1 = evaluate(&m1, &e.arch).expect("runs");
-        let t_ext = evaluate(&ext, &dual_arch).expect("runs");
+        let (t_m1, t_ext) = (m1.report(), ext.report());
         assert!(
             t_ext.total() <= t_m1.total(),
             "{}: dual-ported FB slowed execution",
@@ -53,7 +52,7 @@ fn mpeg_qmat_retained_cross_set() {
     let app = mpeg_app(24).expect("valid");
     let sched = mpeg_schedule(&app).expect("valid");
     let arch = dual(&ArchParams::m1_with_fb(mcds_model::Words::kilo(2)));
-    let plan = CdsScheduler::new().plan(&app, &sched, &arch).expect("fits");
+    let plan = SchedulerKind::Cds.plan(&app, &sched, &arch).expect("fits");
     let names: Vec<&str> = plan
         .retention()
         .candidates()
@@ -80,11 +79,11 @@ fn dominance_and_codegen_under_extension() {
     let sched = mpeg_schedule(&app).expect("valid");
     let arch = dual(&ArchParams::m1_with_fb(mcds_model::Words::kilo(2)));
     let cmp = Comparison::run(&app, &sched, &arch);
-    let (_, basic) = cmp.basic.as_ref().expect("feasible");
-    let (_, ds) = cmp.ds.as_ref().expect("feasible");
-    let (cds_plan, cds) = cmp.cds.as_ref().expect("feasible");
-    assert!(ds.total() <= basic.total());
-    assert!(cds.total() <= ds.total());
+    let basic = cmp.basic.as_ref().expect("feasible");
+    let ds = cmp.ds.as_ref().expect("feasible");
+    let cds_plan = cmp.cds.as_ref().expect("feasible");
+    assert!(ds.report().total() <= basic.report().total());
+    assert!(cds_plan.report().total() <= ds.report().total());
 
     let prog = generate_program(&app, &sched, cds_plan).expect("generates");
     // The retained qmat must not be re-DMAed in the steady round at its

@@ -2,7 +2,7 @@
 //! context scheduling → data scheduling → allocation → simulation, all
 //! driven through the public APIs of the workspace crates.
 
-use mcds_core::{evaluate, BasicScheduler, CdsScheduler, Comparison, DataScheduler, DsScheduler};
+use mcds_core::{Comparison, SchedulerKind};
 use mcds_ksched::{KernelScheduler, SearchStrategy};
 use mcds_model::{ApplicationBuilder, ArchParams, Cycles, DataKind, Words};
 use mcds_workloads::mpeg::{mpeg_app, mpeg_schedule};
@@ -39,19 +39,17 @@ fn full_pipeline_with_kernel_scheduler() {
         .expect("feasible partition exists");
 
     // All three data schedulers produce valid plans that simulate.
-    let basic = BasicScheduler::new()
+    let basic = SchedulerKind::Basic
         .plan(&app, &sched, &arch)
         .expect("basic plan");
-    let ds = DsScheduler::new()
+    let ds = SchedulerKind::Ds
         .plan(&app, &sched, &arch)
         .expect("ds plan");
-    let cds = CdsScheduler::new()
+    let cds = SchedulerKind::Cds
         .plan(&app, &sched, &arch)
         .expect("cds plan");
 
-    let t_basic = evaluate(&basic, &arch).expect("basic runs");
-    let t_ds = evaluate(&ds, &arch).expect("ds runs");
-    let t_cds = evaluate(&cds, &arch).expect("cds runs");
+    let (t_basic, t_ds, t_cds) = (basic.report(), ds.report(), cds.report());
 
     assert!(t_ds.total() <= t_basic.total());
     assert!(t_cds.total() <= t_ds.total());
@@ -63,7 +61,7 @@ fn full_pipeline_with_kernel_scheduler() {
         .filter(|d| d.kind() == DataKind::FinalResult)
         .map(|d| d.size() * app.iterations())
         .sum();
-    for report in [&t_basic, &t_ds, &t_cds] {
+    for report in [t_basic, t_ds, t_cds] {
         assert!(report.data_words_stored() >= finals);
     }
 }
@@ -77,7 +75,8 @@ fn plan_and_simulation_volumes_agree() {
     let arch = ArchParams::m1_with_fb(Words::kilo(2));
     let cmp = Comparison::run(&app, &sched, &arch);
     for result in [&cmp.basic, &cmp.ds, &cmp.cds] {
-        let (plan, report) = result.as_ref().expect("feasible at 2K");
+        let plan = result.as_ref().expect("feasible at 2K");
+        let report = plan.report();
         assert_eq!(
             plan.total_data_words(),
             report.data_words_total(),
@@ -96,10 +95,10 @@ fn cds_traffic_reduction_matches_dt() {
     let sched = mpeg_schedule(&app).expect("valid");
     let arch = ArchParams::m1_with_fb(Words::kilo(2));
     let cmp = Comparison::run(&app, &sched, &arch);
-    let (ds_plan, ds_report) = cmp.ds.as_ref().expect("feasible");
-    let (cds_plan, cds_report) = cmp.cds.as_ref().expect("feasible");
+    let ds_plan = cmp.ds.as_ref().expect("feasible");
+    let cds_plan = cmp.cds.as_ref().expect("feasible");
     if cds_plan.rf() == ds_plan.rf() {
-        let saved = ds_report.data_words_total() - cds_report.data_words_total();
+        let saved = ds_plan.report().data_words_total() - cds_plan.report().data_words_total();
         assert_eq!(
             saved,
             cds_plan.dt_avoided_per_iter() * app.iterations(),
@@ -122,9 +121,10 @@ fn synthetic_sweep_end_to_end() {
             .expect("generator emits valid apps");
         let arch = ArchParams::m1_with_fb(Words::kilo(4));
         let cmp = Comparison::run(&app, &sched, &arch);
-        let (_, basic) = cmp.basic.as_ref().expect("4K fits default sizes");
-        let (ds_plan, ds) = cmp.ds.as_ref().expect("ds");
-        let (cds_plan, cds) = cmp.cds.as_ref().expect("cds");
+        let basic = cmp.basic.as_ref().expect("4K fits default sizes").report();
+        let ds_plan = cmp.ds.as_ref().expect("ds");
+        let cds_plan = cmp.cds.as_ref().expect("cds");
+        let (ds, cds) = (ds_plan.report(), cds_plan.report());
         assert!(ds.total() <= basic.total(), "seed {seed}");
         assert!(cds.total() <= ds.total(), "seed {seed}");
         assert!(ds_plan.rf() >= 1);

@@ -2,13 +2,13 @@
 //! workloads (invariants 1–6 of DESIGN.md).
 
 use mcds_core::{
-    all_fit, cluster_peak, ds_formula, evaluate, find_candidates_with, max_common_rf,
-    AllocationWalk, BasicScheduler, Candidate, CdsScheduler, DataScheduler, DsScheduler, Event,
-    FootprintModel, Lifetimes, MetricsRegistry, Observer, RetentionSet, ScheduleAnalysis,
-    SchedulerKind, VecSink,
+    all_fit, cluster_peak, ds_formula, find_candidates_with, max_common_rf, AllocationWalk,
+    Candidate, Event, FootprintModel, Lifetimes, MetricsRegistry, Observer, RetentionSet,
+    ScheduleAnalysis, SchedulePlan, SchedulerConfig, SchedulerKind, VecSink,
 };
 use mcds_model::{Application, ArchParams, ClusterId, ClusterSchedule, Words};
 use mcds_search::{search_retention, PruneReason, SearchConfig, SearchEvent, SearchOutcome};
+use mcds_sim::Simulator;
 use mcds_workloads::synthetic::{knapsack_trap, SyntheticConfig, SyntheticGenerator};
 use proptest::prelude::*;
 
@@ -250,8 +250,11 @@ fn search_oracle_failures(
         return failures;
     };
     let candidates = |mask: &[bool]| oracle.retention(mask).candidates().to_vec();
+    let config = SchedulerConfig::default();
     let analysis = ScheduleAnalysis::new(app, sched);
-    if let Ok(plan) = CdsScheduler::new().plan_with_analysis(app, sched, arch, &analysis) {
+    if let Ok(plan) =
+        SchedulerKind::Cds.plan_observed(app, sched, arch, &config, &analysis, Observer::none())
+    {
         if plan.retention().candidates() != candidates(&oracle.tf_walk(plan.rf())) {
             failures.push(format!("{label} rf={}: CDS is not the TF walk", plan.rf()));
         }
@@ -324,10 +327,7 @@ fn search_oracle_failures(
         };
         let metrics = MetricsRegistry::new();
         let observer = Observer::new(None, Some(&metrics));
-        let Ok(plan) = kind
-            .instantiate(Default::default())
-            .plan_observed(app, sched, arch, &analysis, observer)
-        else {
+        let Ok(plan) = kind.plan_observed(app, sched, arch, &config, &analysis, observer) else {
             continue;
         };
         if !oracle.fits(&oracle_mask(&oracle, plan.retention()), plan.rf()) {
@@ -454,6 +454,115 @@ fn closed_form_matches_walk(app: &Application, sched: &ClusterSchedule) {
             }
         }
     }
+}
+
+/// Every scheduler a plan report is checked under: the paper's three,
+/// the default search, a width-1 beam (greedy CDS under the search's
+/// name) and the search of `BENCH_search.json`'s committed grid.
+const REPORT_KINDS: [&str; 6] = [
+    "basic",
+    "ds",
+    "cds",
+    "search",
+    "search:1",
+    "search:32:100000",
+];
+
+/// The report oracle: every plan's report must be the simulation of
+/// its own ops, since every consumer reads the report the plan shares
+/// with the rung memo. Each (cross-set access, FB size, scheduler)
+/// point is planned from scratch and through one analysis that a pass
+/// at a 64 K-word Frame Buffer and every point before it warmed, so the
+/// warm plan reads rungs that other FB sizes, schedulers and cross-set
+/// settings memoized, as serve's analysis cache hands them out. Both
+/// must agree on feasibility, RF, retention, stages, ops and report.
+/// Returns the failures.
+fn plan_report_failures(
+    label: &str,
+    app: &Application,
+    sched: &ClusterSchedule,
+    fb_words: &[u64],
+) -> Vec<String> {
+    let config = SchedulerConfig::default();
+    let kinds = REPORT_KINDS.map(|k| k.parse::<SchedulerKind>().expect("parses"));
+    let arch = |words: u64, cross: bool| {
+        ArchParams::m1_with_fb(Words::new(words))
+            .to_builder()
+            .fb_cross_set_access(cross)
+            .build()
+    };
+    let warm = ScheduleAnalysis::new(app, sched);
+    for (cross, kind) in [false, true]
+        .into_iter()
+        .flat_map(|c| kinds.map(|k| (c, k)))
+    {
+        let roomy = arch(1 << 16, cross);
+        let _ = kind.plan_observed(app, sched, &roomy, &config, &warm, Observer::none());
+    }
+    let mut failures = Vec::new();
+    for cross in [false, true] {
+        for &words in fb_words {
+            let arch = arch(words, cross);
+            for kind in kinds {
+                let point = format!("{label}@{words}w cross={cross} {kind}");
+                let scratch = kind.plan(app, sched, &arch);
+                let warmed =
+                    kind.plan_observed(app, sched, &arch, &config, &warm, Observer::none());
+                let (scratch, warmed) = match (scratch, warmed) {
+                    (Ok(scratch), Ok(warmed)) => (scratch, warmed),
+                    (Err(_), Err(_)) => continue,
+                    (scratch, warmed) => {
+                        failures.push(format!(
+                            "{point}: feasibility differs: scratch {:?}, warm {:?}",
+                            scratch.err(),
+                            warmed.err()
+                        ));
+                        continue;
+                    }
+                };
+                let simulated = Simulator::new(arch)
+                    .run(scratch.ops())
+                    .expect("planned ops simulate");
+                if scratch.report() != &simulated {
+                    failures.push(format!("{point}: the report is not its ops' simulation"));
+                }
+                let parts = |p: &SchedulePlan| {
+                    (
+                        p.rf(),
+                        p.retention().candidates().to_vec(),
+                        p.stages().to_vec(),
+                        p.ops().clone(),
+                        p.report().clone(),
+                    )
+                };
+                if parts(&warmed) != parts(&scratch) {
+                    failures.push(format!("{point}: the warm plan differs from scratch"));
+                }
+            }
+        }
+    }
+    failures
+}
+
+/// The report oracle over the catalog at 1, 8 and 48 iterations, at
+/// the FB sizes of `mcds search-bench` (MPEG's Basic is infeasible at
+/// 1 K words).
+#[test]
+fn a_plans_report_is_its_simulation_on_the_catalog() {
+    let mut failures = Vec::new();
+    for name in mcds_workloads::mix::CATALOG {
+        for iterations in [1, 8, 48] {
+            let (app, sched) = mcds_workloads::mix::by_name(name, iterations).expect("catalog");
+            let label = format!("{name} x{iterations}");
+            failures.extend(plan_report_failures(
+                &label,
+                &app,
+                &sched,
+                &[1024, 2048, 3072, 8192],
+            ));
+        }
+    }
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
 }
 
 /// The catalog workloads reach what the synthetic family does not:
@@ -585,13 +694,11 @@ proptest! {
     fn dominance((seed, cfg) in config_strategy()) {
         let (app, sched) = SyntheticGenerator::new(seed).generate(&cfg).expect("valid");
         let arch = ArchParams::m1_with_fb(Words::kilo(4));
-        let basic = BasicScheduler::new().plan(&app, &sched, &arch);
-        let ds = DsScheduler::new().plan(&app, &sched, &arch);
-        let cds = CdsScheduler::new().plan(&app, &sched, &arch);
+        let basic = SchedulerKind::Basic.plan(&app, &sched, &arch);
+        let ds = SchedulerKind::Ds.plan(&app, &sched, &arch);
+        let cds = SchedulerKind::Cds.plan(&app, &sched, &arch);
         if let (Ok(b), Ok(d), Ok(c)) = (basic, ds, cds) {
-            let tb = evaluate(&b, &arch).expect("runs").total();
-            let td = evaluate(&d, &arch).expect("runs").total();
-            let tc = evaluate(&c, &arch).expect("runs").total();
+            let (tb, td, tc) = (b.report().total(), d.report().total(), c.report().total());
             prop_assert!(td <= tb, "ds {td} > basic {tb}");
             prop_assert!(tc <= td, "cds {tc} > ds {td}");
         }
@@ -636,9 +743,9 @@ proptest! {
         let (app, sched) = SyntheticGenerator::new(seed).generate(&cfg).expect("valid");
         let small = ArchParams::m1_with_fb(Words::kilo(2));
         let large = ArchParams::m1_with_fb(Words::kilo(8));
-        let at = |arch: &ArchParams| DsScheduler::new().plan(&app, &sched, arch).ok().map(|p| {
-            evaluate(&p, arch).expect("runs").total()
-        });
+        let at = |arch: &ArchParams| {
+            SchedulerKind::Ds.plan(&app, &sched, arch).ok().map(|p| p.report().total())
+        };
         if let (Some(t_s), Some(t_l)) = (at(&small), at(&large)) {
             prop_assert!(t_l <= t_s, "more memory slowed execution: {t_s} -> {t_l}");
         }
@@ -700,8 +807,8 @@ proptest! {
         let analysis = ScheduleAnalysis::new(&app, &sched);
         let sink = VecSink::new();
         let observer = Observer::new(Some(&sink), None);
-        if CdsScheduler::new()
-            .plan_observed(&app, &sched, &arch, &analysis, observer)
+        if SchedulerKind::Cds
+            .plan_observed(&app, &sched, &arch, &SchedulerConfig::default(), &analysis, observer)
             .is_ok()
         {
             let mut last_tf = f64::INFINITY;
@@ -723,6 +830,16 @@ proptest! {
         }
     }
 
+    /// The report oracle over random structures of two to eight
+    /// clusters, at Frame Buffers from tight (where Basic and some RFs
+    /// do not fit) to roomy.
+    #[test]
+    fn a_plans_report_is_its_simulation((seed, cfg) in config_strategy_with(2..9)) {
+        let (app, sched) = SyntheticGenerator::new(seed).generate(&cfg).expect("valid");
+        let failures = plan_report_failures("random", &app, &sched, &[256, 512, 1024, 4096]);
+        prop_assert!(failures.is_empty(), "{}", failures.join("\n"));
+    }
+
     /// Retention set feasibility: whatever the CDS retains still fits
     /// every cluster at the chosen RF, and the retained volume matches
     /// the DT metric.
@@ -730,7 +847,7 @@ proptest! {
     fn retention_stays_feasible((seed, cfg) in config_strategy()) {
         let (app, sched) = SyntheticGenerator::new(seed).generate(&cfg).expect("valid");
         let arch = ArchParams::m1_with_fb(Words::kilo(4));
-        if let Ok(plan) = CdsScheduler::new().plan(&app, &sched, &arch) {
+        if let Ok(plan) = SchedulerKind::Cds.plan(&app, &sched, &arch) {
             let lt = Lifetimes::analyze(&app, &sched);
             prop_assert!(all_fit(
                 &app, &sched, &lt, plan.retention(), plan.rf(),

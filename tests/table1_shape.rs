@@ -3,7 +3,7 @@
 //! feasibility boundary falls.
 
 use mcds_bench::{measure, measure_all};
-use mcds_core::{BasicScheduler, DataScheduler, ScheduleError};
+use mcds_core::{ScheduleError, SchedulerKind};
 use mcds_model::{ArchParams, Words};
 use mcds_workloads::mpeg::{mpeg_app, mpeg_schedule};
 use mcds_workloads::table1::table1_experiments;
@@ -99,7 +99,7 @@ fn mpeg_feasibility_boundary() {
     let sched = mpeg_schedule(&app).expect("valid");
     let at_1k = ArchParams::m1_with_fb(Words::kilo(1));
     assert!(matches!(
-        BasicScheduler::new().plan(&app, &sched, &at_1k),
+        SchedulerKind::Basic.plan(&app, &sched, &at_1k),
         Err(ScheduleError::Infeasible { .. })
     ));
     // DS/CDS run even slightly below 1K.
