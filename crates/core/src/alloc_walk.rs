@@ -7,8 +7,10 @@
 //! — the properties §6 of the paper reports on ("for all examples no
 //! data or result has to be split into several parts").
 
+use std::ops::Range;
+
 use mcds_fballoc::{
-    render_peak_map, AllocError, AllocHandle, Direction, FbAllocator, PlacementMemory,
+    render_peak_map, AllocError, AllocHandle, Allocation, Direction, FbAllocator, PlacementMemory,
 };
 use mcds_model::{Application, ClusterId, ClusterSchedule, DataId, Words};
 use serde::{Deserialize, Serialize};
@@ -201,17 +203,14 @@ impl<'a> AllocationWalk<'a> {
         let slots = self.rf.min(self.app.iterations());
         let mut state =
             WalkState::new(self.capacity, objects, slots, traced, record, self.observer);
-        let mut bufs = StageBuffers {
-            held: Vec::new(),
-            placed: vec![false; objects],
-            steps: Vec::new(),
-        };
+        let actions = self.stage_actions();
 
         let walked = (0..rounds).try_for_each(|round| {
             let iters = self.rf.min(self.app.iterations() - round * self.rf);
-            self.sched.clusters().iter().try_for_each(|cluster| {
-                self.walk_stage(&mut state, &mut bufs, round, cluster.id(), iters)
-            })
+            actions
+                .stages
+                .iter()
+                .try_for_each(|stage| self.walk_stage(&mut state, &actions, stage, round, iters))
         });
         // Counted once per walk, also when it ends on an error: the
         // totals then cover the events up to the failure.
@@ -222,109 +221,167 @@ impl<'a> AllocationWalk<'a> {
         Ok((state.into_report(traced), placements))
     }
 
+    /// Decides every cluster's stage once per walk: which Figure 4
+    /// branch places each object, and which objects a stage releases,
+    /// depend on the cluster and the retention set, not on the round.
+    fn stage_actions(&self) -> StageActions {
+        let replacement = self.model == FootprintModel::Replacement;
+        let mut actions = StageActions {
+            stages: Vec::with_capacity(self.sched.len()),
+            inputs: Vec::new(),
+            steps: Vec::new(),
+            pending: Vec::new(),
+            released: Vec::new(),
+        };
+        let mut held: Vec<(ClusterId, DataId)> = Vec::new();
+        let mut placed = vec![false; self.app.data().len()];
+        for cluster in self.sched.clusters() {
+            let c = cluster.id();
+            let set = self.sched.fb_set(c);
+            let si = set.index();
+            // A retained `d` whose last reader comes after `c` stays
+            // resident.
+            let kept_past_c = |d: DataId| {
+                self.retention
+                    .release_after(d, set)
+                    .is_some_and(|rel| rel > c)
+            };
+            let (inputs, steps, pending, released) = (
+                actions.inputs.len(),
+                actions.steps.len(),
+                actions.pending.len(),
+                actions.released.len(),
+            );
+
+            // (a) Shared data held by this cluster, farthest consumer
+            //     first ("For v = last cluster down to c+2 do
+            //     allocated_shared_data(c,v,RF)").
+            placed.fill(false);
+            held.clear();
+            held.extend(
+                self.retention
+                    .candidates()
+                    .iter()
+                    .filter(|cand| cand.holder() == c && cand.kind() == RetainedKind::SharedData)
+                    .map(|cand| (cand.last(), cand.data())),
+            );
+            held.sort_by_key(|&(last, _)| std::cmp::Reverse(last));
+            for &(_, d) in &held {
+                actions.inputs.push((d, PlacementRole::SharedData));
+                placed[d.index()] = true;
+            }
+
+            // (b) Remaining kernel input data, last kernel first ("For
+            //     k = last kernel down to first do
+            //     allocate_kernel_data(c,k,RF)"). A load retention
+            //     skips is resident already (possibly on the other set,
+            //     with cross-set access).
+            for &k in cluster.kernels().iter().rev() {
+                for &d in self.app.kernel(k).inputs() {
+                    if !self.lifetimes.loads(c).contains(&d)
+                        || std::mem::replace(&mut placed[d.index()], true)
+                        || self.retention.skips_load(c, d)
+                    {
+                        continue;
+                    }
+                    actions.inputs.push((d, PlacementRole::KernelData));
+                }
+            }
+
+            // (c) The execute sweep's per-slot steps, in kernel order:
+            //     allocate each output under its branch, and release
+            //     inputs after their last reader.
+            for (pos, &k) in cluster.kernels().iter().enumerate() {
+                let kernel = self.app.kernel(k);
+                for &d in kernel.outputs() {
+                    let shared_result =
+                        self.retention.interval(d, set).is_some_and(|(h, _)| h == c);
+                    let (dir, role) = if shared_result {
+                        (Direction::FromUpper, PlacementRole::SharedResult)
+                    } else if self.lifetimes.stores(c).contains(&d) {
+                        (Direction::FromLower, PlacementRole::FinalResult)
+                    } else {
+                        (Direction::FromLower, PlacementRole::Intermediate)
+                    };
+                    actions.steps.push(Step::Alloc(d, dir, role));
+                }
+                if replacement {
+                    for &d in kernel.inputs() {
+                        // Released after its last reader, unless
+                        // retained for a later cluster.
+                        if self.lifetimes.last_use_in(c, d) == Some(pos) && !kept_past_c(d) {
+                            actions.steps.push(Step::Release(d));
+                        }
+                    }
+                }
+            }
+
+            // (d) Stage end: results leaving the cluster become pending
+            //     stores, except retained ones; the basic model releases
+            //     its inputs and locals; retained objects whose last
+            //     consumer is `c` are released from the set their copy
+            //     lives on, which for a cross-set candidate differs from
+            //     this cluster's.
+            actions.pending.extend(
+                self.lifetimes
+                    .stores(c)
+                    .iter()
+                    .copied()
+                    .filter(|&d| !kept_past_c(d)),
+            );
+            if !replacement {
+                let loads = self.lifetimes.loads(c).iter().copied();
+                let dead = loads.filter(|&d| !kept_past_c(d));
+                let locals = self.lifetimes.locals(c).iter().copied();
+                actions.released.extend(dead.chain(locals).map(|d| (si, d)));
+            }
+            actions.released.extend(
+                self.retention
+                    .candidates()
+                    .iter()
+                    .filter(|cand| cand.last() == c)
+                    .map(|cand| (cand.set().index(), cand.data())),
+            );
+
+            actions.stages.push(StageRanges {
+                cluster: c,
+                set: si,
+                inputs: inputs..actions.inputs.len(),
+                steps: steps..actions.steps.len(),
+                pending: pending..actions.pending.len(),
+                released: released..actions.released.len(),
+            });
+        }
+        actions
+    }
+
     fn walk_stage(
         &self,
         state: &mut WalkState<'_>,
-        bufs: &mut StageBuffers,
+        actions: &StageActions,
+        stage: &StageRanges,
         round: u64,
-        c: ClusterId,
         iters: u64,
     ) -> Result<(), AllocError> {
-        state.at = (round, c);
-        let set = self.sched.fb_set(c);
-        let si = set.index();
-        let replacement = self.model == FootprintModel::Replacement;
-        // A retained `d` whose last reader comes after `c` stays resident.
-        let kept_past_c = |d: DataId| {
-            self.retention
-                .release_after(d, set)
-                .is_some_and(|rel| rel > c)
-        };
+        state.at = (round, stage.cluster);
+        let si = stage.set;
 
         // The previous same-set stage's stores have been drained by now.
         state.drain_pending(si)?;
 
-        // (a) Shared data held by this cluster, farthest consumer first
-        //     ("For v = last cluster down to c+2 do
-        //       allocated_shared_data(c,v,RF)").
-        bufs.placed.fill(false);
-        bufs.held.clear();
-        bufs.held.extend(
-            self.retention
-                .candidates()
-                .iter()
-                .filter(|cand| cand.holder() == c && cand.kind() == RetainedKind::SharedData)
-                .map(|cand| (cand.last(), cand.data())),
-        );
-        bufs.held.sort_by_key(|&(last, _)| std::cmp::Reverse(last));
-        for &(_, d) in &bufs.held {
-            state.alloc_instances(
-                self.app,
-                si,
-                d,
-                iters,
-                Direction::FromUpper,
-                PlacementRole::SharedData,
-            )?;
-            bufs.placed[d.index()] = true;
+        // (a), (b): every slot's copy of each input, unless a kernel
+        // input's retained copy is live on this set already.
+        for &(d, role) in &actions.inputs[stage.inputs.clone()] {
+            if role == PlacementRole::KernelData && state.is_live(si, d) {
+                continue;
+            }
+            state.alloc_instances(self.app, si, d, iters, Direction::FromUpper, role)?;
         }
 
-        // (b) Remaining kernel input data, last kernel first
-        //     ("For k = last kernel down to first do
-        //       allocate_kernel_data(c,k,RF)").
-        for &k in self.sched.cluster(c).kernels().iter().rev() {
-            for &d in self.app.kernel(k).inputs() {
-                if !self.lifetimes.loads(c).contains(&d)
-                    || std::mem::replace(&mut bufs.placed[d.index()], true)
-                {
-                    continue;
-                }
-                if self.retention.skips_load(c, d) || state.is_live(si, d) {
-                    // Retained copy already resident (possibly on the
-                    // other set, with cross-set access).
-                    continue;
-                }
-                state.alloc_instances(
-                    self.app,
-                    si,
-                    d,
-                    iters,
-                    Direction::FromUpper,
-                    PlacementRole::KernelData,
-                )?;
-            }
-        }
-
-        // (c) Execute: iteration-major kernel sweep, allocating results
-        //     and releasing dead objects. Which branch places an output
-        //     and which inputs die after a kernel do not depend on the
-        //     iteration slot, so they are decided once for the stage.
-        bufs.steps.clear();
-        for (pos, &k) in self.sched.cluster(c).kernels().iter().enumerate() {
-            let kernel = self.app.kernel(k);
-            for &d in kernel.outputs() {
-                let shared_result = self.retention.interval(d, set).is_some_and(|(h, _)| h == c);
-                let (dir, role) = if shared_result {
-                    (Direction::FromUpper, PlacementRole::SharedResult)
-                } else if self.lifetimes.stores(c).contains(&d) {
-                    (Direction::FromLower, PlacementRole::FinalResult)
-                } else {
-                    (Direction::FromLower, PlacementRole::Intermediate)
-                };
-                bufs.steps.push(Step::Alloc(d, dir, role));
-            }
-            if replacement {
-                for &d in kernel.inputs() {
-                    // Released after its last reader, unless retained
-                    // for a later cluster.
-                    if self.lifetimes.last_use_in(c, d) == Some(pos) && !kept_past_c(d) {
-                        bufs.steps.push(Step::Release(d));
-                    }
-                }
-            }
-        }
+        // (c) Execute: iteration-major kernel sweep.
+        let steps = &actions.steps[stage.steps.clone()];
         for slot in 0..iters {
-            for &step in &bufs.steps {
+            for &step in steps {
                 match step {
                     Step::Alloc(d, dir, role) => {
                         state.alloc_instance(self.app, si, d, slot, dir, role)?;
@@ -334,36 +391,13 @@ impl<'a> AllocationWalk<'a> {
             }
         }
 
-        // (d) Stage end: results leaving the cluster become pending
-        //     stores (their space frees once the DMA has drained them,
-        //     i.e. before the next same-set stage); everything dead is
-        //     released; retained objects whose last consumer was `c`
-        //     are released too.
-        for &d in self.lifetimes.stores(c) {
-            if kept_past_c(d) {
-                continue; // retained result stays resident
-            }
+        // (d) Stage end: pending stores free once the DMA has drained
+        //     them, i.e. before the next same-set stage.
+        for &d in &actions.pending[stage.pending.clone()] {
             state.make_pending(si, d, iters);
         }
-        if !replacement {
-            // Basic model: inputs and locals die at stage end.
-            for &d in self.lifetimes.loads(c) {
-                if kept_past_c(d) {
-                    continue;
-                }
-                state.free_all_instances(si, d, iters)?;
-            }
-            for &d in self.lifetimes.locals(c) {
-                state.free_all_instances(si, d, iters)?;
-            }
-        }
-        // Retained objects released after their last consumer. The
-        // retained copy lives on the candidate's set, which for a
-        // cross-set candidate differs from this cluster's set.
-        for cand in self.retention.candidates() {
-            if cand.last() == c {
-                state.free_all_instances(cand.set().index(), cand.data(), iters)?;
-            }
+        for &(set, d) in &actions.released[stage.released.clone()] {
+            state.free_all_instances(set, d, iters)?;
         }
         Ok(())
     }
@@ -378,21 +412,42 @@ enum Step {
     Release(DataId),
 }
 
-/// Buffers one stage fills and the next reuses, so a walk allocates
-/// them once.
-struct StageBuffers {
-    /// `(last consumer, object)` of the shared data the stage's
-    /// cluster holds.
-    held: Vec<(ClusterId, DataId)>,
-    /// Per object: already placed (or skipped) by this stage's input
-    /// phase.
-    placed: Vec<bool>,
-    /// The execute sweep's actions, in kernel order.
+/// Every cluster's stage actions, decided once per walk and replayed in
+/// each round: the clusters' lists back to back, and per cluster its
+/// ranges of them.
+struct StageActions {
+    stages: Vec<StageRanges>,
+    /// Inputs placed before the execute sweep, with their branch.
+    inputs: Vec<(DataId, PlacementRole)>,
+    /// The execute sweep's per-slot steps.
     steps: Vec<Step>,
+    /// Results that leave as pending stores.
+    pending: Vec<DataId>,
+    /// Objects released at stage end, with the set their copy is on.
+    released: Vec<(usize, DataId)>,
+}
+
+/// One cluster's stage: its set and its ranges of [`StageActions`].
+struct StageRanges {
+    cluster: ClusterId,
+    set: usize,
+    inputs: Range<usize>,
+    steps: Range<usize>,
+    pending: Range<usize>,
+    released: Range<usize>,
 }
 
 fn set_u8(si: usize) -> u8 {
     u8::try_from(si).expect("set index fits u8")
+}
+
+/// An allocation's segments as the `(start, len)` pairs events carry.
+fn event_segments(alloc: &Allocation) -> Vec<(u64, u64)> {
+    alloc
+        .segments()
+        .iter()
+        .map(|s| (s.start, s.len.get()))
+        .collect()
 }
 
 /// Mutable walk state: allocators, live instances, deferred frees.
@@ -479,8 +534,8 @@ impl<'a> WalkState<'a> {
         (si * self.objects + d.index()) * self.slots + slot
     }
 
-    fn insert_live(&mut self, si: usize, d: DataId, slot: u64, handle: AllocHandle) {
-        let i = self.instance(si, d, slot);
+    /// Enters `handle` as the live copy of instance `i` of (set, object).
+    fn insert_live(&mut self, si: usize, d: DataId, i: usize, handle: AllocHandle) {
         let prev = self.live[i].replace(handle);
         debug_assert!(prev.is_none(), "instance double-allocated");
         if prev.is_none() {
@@ -496,37 +551,26 @@ impl<'a> WalkState<'a> {
     }
 
     fn drain_pending(&mut self, si: usize) -> Result<(), AllocError> {
-        for handle in std::mem::take(&mut self.pending[si]) {
-            self.free_traced(si, handle)?;
-        }
-        Ok(())
+        // Drained through a taken list that goes back afterwards, so
+        // the next stage reuses its room.
+        let mut pending = std::mem::take(&mut self.pending[si]);
+        let drained = pending
+            .drain(..)
+            .try_for_each(|handle| self.free_traced(si, handle));
+        self.pending[si] = pending;
+        drained
     }
 
-    /// Frees `handle`, emitting the [`Event::FbFree`] (label and
-    /// segments must be captured *before* the release).
+    /// Frees `handle`, emitting the [`Event::FbFree`] from the
+    /// allocation the release hands back.
     fn free_traced(&mut self, si: usize, handle: AllocHandle) -> Result<(), AllocError> {
-        let released = if self.observer.active() {
-            self.fbs[si].allocation(handle).map(|a| {
-                (
-                    a.label().to_owned(),
-                    a.segments()
-                        .iter()
-                        .map(|s| (s.start, s.len.get()))
-                        .collect::<Vec<_>>(),
-                )
-            })
-        } else {
-            None
-        };
-        self.fbs[si].free_handle(handle)?;
-        if let Some((label, segments)) = released {
-            self.observer.emit(|| Event::FbFree {
-                set: set_u8(si),
-                label,
-                segments,
-                free_hash: self.fbs[si].free_list_hash(),
-            });
-        }
+        let freed = self.fbs[si].free(handle)?;
+        self.observer.emit(|| Event::FbFree {
+            set: set_u8(si),
+            label: freed.label().to_owned(),
+            segments: event_segments(&freed),
+            free_hash: self.fbs[si].free_list_hash(),
+        });
         Ok(())
     }
 
@@ -571,26 +615,27 @@ impl<'a> WalkState<'a> {
             None => {}
         }
         let key = self.instance(si, d, slot);
-        let alloc = match self
-            .placement
-            .alloc(&mut self.fbs[si], key, label.clone(), size, dir)
-        {
-            Ok(a) => a,
+        let fb = &mut self.fbs[si];
+        let handle = match self.placement.alloc(fb, key, &label, size, dir) {
+            Ok(handle) => handle,
             Err(AllocError::NoContiguousBlock { .. }) => {
                 // Last resort: split across free blocks.
-                self.fbs[si].alloc_split(label.clone(), size, dir)?
+                fb.alloc_split(&label, size, dir)?
             }
             Err(e) => return Err(e),
         };
+        // The live table holds the label and segments; events and
+        // records read them from there, and only when one is wanted.
+        let placed = || {
+            self.fbs[si]
+                .allocation(handle)
+                .expect("a handle just placed is live")
+        };
         self.observer.emit(|| Event::FbAlloc {
             set: set_u8(si),
-            label: label.clone(),
+            label: placed().label().to_owned(),
             role: format!("{role:?}"),
-            segments: alloc
-                .segments()
-                .iter()
-                .map(|s| (s.start, s.len.get()))
-                .collect(),
+            segments: event_segments(placed()),
             side: match dir {
                 Direction::FromUpper => "upper",
                 Direction::FromLower => "lower",
@@ -599,6 +644,7 @@ impl<'a> WalkState<'a> {
             free_hash: self.fbs[si].free_list_hash(),
         });
         if self.record {
+            let segments = placed().segments().to_vec();
             self.placements.push(PlacementRecord {
                 round: self.at.0,
                 cluster: self.at.1,
@@ -609,11 +655,11 @@ impl<'a> WalkState<'a> {
                 } else {
                     mcds_model::FbSet::Set1
                 },
-                segments: alloc.segments().to_vec(),
+                segments,
                 role,
             });
         }
-        self.insert_live(si, d, slot, alloc.handle());
+        self.insert_live(si, d, key, handle);
         Ok(())
     }
 

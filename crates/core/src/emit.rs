@@ -32,7 +32,20 @@ pub fn emit_ops(
     sched: &ClusterSchedule,
     stages: &[StagePlan],
 ) -> Result<OpSchedule, SimError> {
-    let mut b = OpScheduleBuilder::new();
+    // Room for every op the stages can emit: each stage's nonempty
+    // transfers and one compute per kernel. A first compute waits on
+    // its stage's loads and every other op on at most one, so the
+    // dependencies never outnumber the ops, and the builder never grows.
+    let ops: usize = stages
+        .iter()
+        .map(|stage| {
+            usize::from(stage.context_words() > 0)
+                + usize::from(!stage.load_words().is_zero())
+                + usize::from(!stage.store_words().is_zero())
+                + sched.cluster(stage.cluster()).kernels().len()
+        })
+        .sum();
+    let mut b = OpScheduleBuilder::with_capacity(ops, ops);
     // A stage's stores are emitted inside the *next* stage's block, after
     // its loads: the DMA executes in list order, so emitting
     //   ctx(s), load(s), store(s-1), computes(s)
@@ -83,6 +96,7 @@ pub fn emit_ops(
     if let Some((s_set, words, dep)) = deferred_store.take() {
         b.store_data(s_set, words, &[dep]);
     }
+    debug_assert!(b.len() <= ops, "the stages emitted more ops than sized");
     b.build()
 }
 

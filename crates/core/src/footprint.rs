@@ -159,7 +159,49 @@ pub(crate) struct FitTable<'a> {
     model: FootprintModel,
     fbs: Words,
     ranked: Vec<&'a Candidate>,
-    max_rf: HashMap<Vec<bool>, Option<u64>>,
+    max_rf: MaxRfByMask,
+}
+
+/// A mask as a hash key: its accept bits packed into one `u128`, or
+/// into `u64` words when more than 128 candidates are ranked. All
+/// masks of one table have its length, so the two forms never meet.
+#[derive(Debug, PartialEq, Eq, Hash)]
+enum MaskKey {
+    Narrow(u128),
+    Wide(Box<[u64]>),
+}
+
+impl MaskKey {
+    fn of(mask: &[bool]) -> Self {
+        if mask.len() <= 128 {
+            MaskKey::Narrow(
+                mask.iter()
+                    .rev()
+                    .fold(0, |bits, &on| bits << 1 | u128::from(on)),
+            )
+        } else {
+            let mut words = vec![0u64; mask.len().div_ceil(64)];
+            for (i, _) in mask.iter().enumerate().filter(|&(_, &on)| on) {
+                words[i / 64] |= 1 << (i % 64);
+            }
+            MaskKey::Wide(words.into_boxed_slice())
+        }
+    }
+}
+
+/// The fit table's verdicts: each checked mask's largest fitting RF.
+#[derive(Debug, Default)]
+struct MaxRfByMask(HashMap<MaskKey, Option<u64>>);
+
+#[cfg(test)]
+impl MaxRfByMask {
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    fn contains_key(&self, mask: &[bool]) -> bool {
+        self.0.contains_key(&MaskKey::of(mask))
+    }
 }
 
 impl<'a> FitTable<'a> {
@@ -180,7 +222,7 @@ impl<'a> FitTable<'a> {
             model,
             fbs,
             ranked,
-            max_rf: HashMap::new(),
+            max_rf: MaxRfByMask::default(),
         }
     }
 
@@ -204,7 +246,8 @@ impl<'a> FitTable<'a> {
     }
 
     fn max_rf(&mut self, mask: &[bool]) -> Option<u64> {
-        if let Some(&max) = self.max_rf.get(mask) {
+        let key = MaskKey::of(mask);
+        if let Some(&max) = self.max_rf.0.get(&key) {
             return max;
         }
         let retention = self.retention(mask);
@@ -219,7 +262,7 @@ impl<'a> FitTable<'a> {
             );
             Some(rf.min(footprint.max_rf(self.fbs)?))
         });
-        self.max_rf.insert(mask.to_vec(), max);
+        self.max_rf.0.insert(key, max);
         max
     }
 
@@ -454,6 +497,28 @@ mod tests {
                 fit_table_matches_all_fit(&app, &sched, iterations);
             }
         }
+    }
+
+    /// The same oracle past 128 ranked candidates, where a mask's key
+    /// takes `u64` words: 130 inputs that cluster 0 loads and cluster 2
+    /// reads again on the same set, each a retention candidate.
+    #[test]
+    fn fit_table_matches_all_fit_past_128_candidates() {
+        let mut b = ApplicationBuilder::new("wide");
+        let shared: Vec<_> = (0..130)
+            .map(|i| b.data(format!("x{i}"), Words::new(4), DataKind::ExternalInput))
+            .collect();
+        let outs: Vec<_> = (0..3)
+            .map(|i| b.data(format!("f{i}"), Words::new(8), DataKind::FinalResult))
+            .collect();
+        let k0 = b.kernel("k0", 1, Cycles::new(10), &shared, &outs[..1]);
+        let k1 = b.kernel("k1", 1, Cycles::new(10), &[], &outs[1..2]);
+        let k2 = b.kernel("k2", 1, Cycles::new(10), &shared, &outs[2..]);
+        let app = b.iterations(2).build().expect("valid");
+        let sched = ClusterSchedule::new(&app, vec![vec![k0], vec![k1], vec![k2]]).expect("valid");
+        let lt = Lifetimes::analyze(&app, &sched);
+        assert!(find_candidates(&app, &sched, &lt).len() > 128);
+        fit_table_matches_all_fit(&app, &sched, 130);
     }
 
     proptest! {

@@ -578,8 +578,14 @@ fn eval_rung(
     analysis.ladder_eval(
         LadderKey::new(rf, retention, config, arch),
         || -> Result<LadderEval, ScheduleError> {
+            // The stage order, one round of clusters after another,
+            // written into a list sized for it.
             let rounds = app.iterations().div_ceil(rf);
-            let stage_clusters: Vec<usize> = (0..rounds).flat_map(|_| 0..sched.len()).collect();
+            let stages = usize::try_from(rounds).map_or(0, |r| r.saturating_mul(sched.len()));
+            let mut stage_clusters = Vec::with_capacity(stages);
+            for _ in 0..rounds {
+                stage_clusters.extend(0..sched.len());
+            }
             let ctx_plan = match config.context_policy {
                 ContextPolicy::ReloadPerActivation => {
                     cs.plan_reload_always(cluster_contexts, &stage_clusters)

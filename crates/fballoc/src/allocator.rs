@@ -71,7 +71,9 @@ impl Segments {
 }
 
 /// A completed allocation: one segment normally, several if the object
-/// had to be split.
+/// had to be split. The allocator keeps it in its live table and hands
+/// out its [`AllocHandle`]; read it back with
+/// [`FbAllocator::allocation`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Allocation {
     handle: AllocHandle,
@@ -80,7 +82,8 @@ pub struct Allocation {
 }
 
 impl Allocation {
-    /// The handle to later [`free`](FbAllocator::free) this allocation.
+    /// The handle that names this allocation (and
+    /// [`free`](FbAllocator::free)s it).
     #[must_use]
     pub fn handle(&self) -> AllocHandle {
         self.handle
@@ -222,7 +225,8 @@ impl FbAllocator {
         self.free.state_hash()
     }
 
-    /// Contiguous first-fit allocation in the given direction.
+    /// Contiguous first-fit allocation in the given direction. Returns
+    /// the new allocation's handle.
     ///
     /// # Errors
     ///
@@ -232,10 +236,10 @@ impl FbAllocator {
     /// [`alloc_split`](Self::alloc_split)).
     pub fn alloc(
         &mut self,
-        label: impl Into<String>,
+        label: &str,
         size: Words,
         direction: Direction,
-    ) -> Result<Allocation, AllocError> {
+    ) -> Result<AllocHandle, AllocError> {
         if size.is_zero() {
             return Err(AllocError::ZeroSize);
         }
@@ -248,7 +252,7 @@ impl FbAllocator {
             });
         };
         Ok(self.commit(
-            label.into(),
+            label.to_owned(),
             Segments::One(Segment { start, len: size }),
             Some(direction),
         ))
@@ -265,10 +269,10 @@ impl FbAllocator {
     /// range.
     pub fn alloc_at(
         &mut self,
-        label: impl Into<String>,
+        label: &str,
         start: u64,
         size: Words,
-    ) -> Result<Allocation, AllocError> {
+    ) -> Result<AllocHandle, AllocError> {
         if size.is_zero() {
             return Err(AllocError::ZeroSize);
         }
@@ -283,7 +287,7 @@ impl FbAllocator {
             return Err(AllocError::RangeNotFree { start, size });
         }
         Ok(self.commit(
-            label.into(),
+            label.to_owned(),
             Segments::One(Segment { start, len: size }),
             None,
         ))
@@ -300,10 +304,10 @@ impl FbAllocator {
     /// nothing is allocated).
     pub fn alloc_split(
         &mut self,
-        label: impl Into<String>,
+        label: &str,
         size: Words,
         direction: Direction,
-    ) -> Result<Allocation, AllocError> {
+    ) -> Result<AllocHandle, AllocError> {
         if size.is_zero() {
             return Err(AllocError::ZeroSize);
         }
@@ -318,7 +322,7 @@ impl FbAllocator {
         let from_upper = matches!(direction, Direction::FromUpper);
         if let Some(start) = self.free.take_first_fit(size, from_upper) {
             return Ok(self.commit(
-                label.into(),
+                label.to_owned(),
                 Segments::One(Segment { start, len: size }),
                 Some(direction),
             ));
@@ -352,26 +356,17 @@ impl FbAllocator {
         }
         // The request fit no single block, so it took at least two.
         segments.sort_by_key(|s| s.start);
-        Ok(self.commit(label.into(), Segments::Split(segments), Some(direction)))
+        Ok(self.commit(label.to_owned(), Segments::Split(segments), Some(direction)))
     }
 
     /// Frees an allocation, returning its space to the free list with
-    /// coalescing — the paper's `release(c,k,iter)`.
-    ///
-    /// # Errors
-    ///
-    /// [`AllocError::UnknownHandle`] if the allocation is not live.
-    pub fn free(&mut self, allocation: Allocation) -> Result<(), AllocError> {
-        self.free_handle(allocation.handle())
-    }
-
-    /// Frees by handle (useful when the `Allocation` was stored
-    /// elsewhere).
+    /// coalescing — the paper's `release(c,k,iter)`. Returns the freed
+    /// allocation, moved out of the live table.
     ///
     /// # Errors
     ///
     /// [`AllocError::UnknownHandle`] if the handle is not live.
-    pub fn free_handle(&mut self, handle: AllocHandle) -> Result<(), AllocError> {
+    pub fn free(&mut self, handle: AllocHandle) -> Result<Allocation, AllocError> {
         let Some(alloc) = self
             .live
             .get_mut(handle.slot as usize)
@@ -394,15 +389,17 @@ impl FbAllocator {
                 self.free.state_hash(),
             ));
         }
-        Ok(())
+        Ok(alloc)
     }
 
+    /// Enters an allocation whose segments the free list has already
+    /// given up into the live table, and returns its handle.
     fn commit(
         &mut self,
         label: String,
         segments: Segments,
         direction: Option<Direction>,
-    ) -> Allocation {
+    ) -> AllocHandle {
         let slot = self.vacant.pop().unwrap_or_else(|| {
             self.live.push(None);
             u32::try_from(self.live.len() - 1).expect("live allocations fit u32 slots")
@@ -430,14 +427,19 @@ impl FbAllocator {
                 self.free.state_hash(),
             ));
         }
-        self.live[slot as usize] = Some(alloc.clone());
-        alloc
+        self.live[slot as usize] = Some(alloc);
+        handle
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The live allocation `handle` names.
+    fn get(fb: &FbAllocator, handle: AllocHandle) -> &Allocation {
+        fb.allocation(handle).expect("live")
+    }
 
     #[test]
     fn two_ended_growth() {
@@ -448,8 +450,8 @@ mod tests {
         let b = fb
             .alloc("lower", Words::new(10), Direction::FromLower)
             .expect("fits");
-        assert_eq!(a.start(), 90);
-        assert_eq!(b.start(), 0);
+        assert_eq!(get(&fb, a).start(), 90);
+        assert_eq!(get(&fb, b).start(), 0);
         assert_eq!(fb.used(), Words::new(20));
         assert_eq!(fb.largest_free_block(), Words::new(80));
     }
@@ -472,10 +474,10 @@ mod tests {
         let a = fb
             .alloc("obj", Words::new(16), Direction::FromUpper)
             .expect("fits");
-        let at = a.start();
+        let at = get(&fb, a).start();
         fb.free(a).expect("live");
         let again = fb.alloc_at("obj", at, Words::new(16)).expect("free range");
-        assert_eq!(again.start(), at);
+        assert_eq!(get(&fb, again).start(), at);
         let conflict = fb.alloc_at("clash", at, Words::new(16));
         assert_eq!(
             conflict.unwrap_err(),
@@ -541,9 +543,9 @@ mod tests {
         let a = fb
             .alloc("a", Words::new(5), Direction::FromUpper)
             .expect("fits");
-        let h = a.handle();
-        fb.free(a).expect("live");
-        assert_eq!(fb.free_handle(h).unwrap_err(), AllocError::UnknownHandle);
+        let freed = fb.free(a).expect("live");
+        assert_eq!((freed.handle(), freed.label()), (a, "a"));
+        assert_eq!(fb.free(a).unwrap_err(), AllocError::UnknownHandle);
     }
 
     #[test]
@@ -552,18 +554,15 @@ mod tests {
         let a = fb
             .alloc("a", Words::new(5), Direction::FromUpper)
             .expect("fits");
-        let stale = a.handle();
+        let stale = a;
         fb.free(a).expect("live");
         let b = fb
             .alloc("b", Words::new(4), Direction::FromUpper)
             .expect("fits");
-        assert_ne!(b.handle(), stale, "serials are never reused");
+        assert_ne!(b, stale, "serials are never reused");
         assert!(fb.allocation(stale).is_none());
-        assert_eq!(
-            fb.free_handle(stale).unwrap_err(),
-            AllocError::UnknownHandle
-        );
-        assert_eq!(fb.allocation(b.handle()).map(Allocation::label), Some("b"));
+        assert_eq!(fb.free(stale).unwrap_err(), AllocError::UnknownHandle);
+        assert_eq!(fb.allocation(b).map(Allocation::label), Some("b"));
         assert_eq!(fb.live().count(), 1);
         fb.free(b).expect("still live");
         assert_eq!(fb.free_space(), Words::new(10));
@@ -574,15 +573,16 @@ mod tests {
         let mut fb = FbAllocator::new(Words::new(30));
         // Pin the middle so the two 10-word ends are separate holes.
         let pin = fb.alloc_at("pin", 10, Words::new(10)).expect("free");
-        let split = fb
+        let wide = fb
             .alloc_split("wide", Words::new(20), Direction::FromUpper)
             .expect("total free suffices");
+        let split = get(&fb, wide);
         assert!(split.is_split());
         assert_eq!(split.segments().len(), 2);
         assert_eq!(split.size(), Words::new(20));
         assert_eq!(fb.free_space(), Words::ZERO);
         assert_eq!(fb.stats().split_allocs(), 1);
-        fb.free(split).expect("live");
+        fb.free(wide).expect("live");
         fb.free(pin).expect("live");
         assert_eq!(fb.largest_free_block(), Words::new(30));
     }
@@ -593,7 +593,7 @@ mod tests {
         let a = fb
             .alloc_split("a", Words::new(25), Direction::FromUpper)
             .expect("fits");
-        assert!(!a.is_split());
+        assert!(!get(&fb, a).is_split());
         assert_eq!(fb.stats().split_allocs(), 0);
     }
 

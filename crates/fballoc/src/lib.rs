@@ -21,6 +21,11 @@
 //!   experiments needed one;
 //! * **release** — `release(c,k,iter)` in the paper returns dead space to
 //!   `FB_list` ([`FbAllocator::free`] coalesces adjacent blocks);
+//! * **handles** — every placement returns an [`AllocHandle`]; the
+//!   allocator's live table keeps each allocation's label and segments,
+//!   which a caller reads with [`FbAllocator::allocation`] only when it
+//!   shows them (an event, a trace, a placement record), and `free`
+//!   hands the released [`Allocation`] back;
 //! * **statistics and traces** — peak occupancy, fragmentation and an
 //!   event trace that renders the Figure 5 style allocation maps
 //!   ([`AllocStats`], [`render_map`]).

@@ -7,7 +7,7 @@
 
 use mcds_model::Words;
 
-use crate::{AllocError, Allocation, Direction, FbAllocator};
+use crate::{AllocError, AllocHandle, Allocation, Direction, FbAllocator};
 
 /// Remembers, per key, the address where an object was last placed, and
 /// allocates new instances there when possible.
@@ -30,11 +30,10 @@ use crate::{AllocError, Allocation, Direction, FbAllocator};
 /// let mut fb = FbAllocator::new(Words::new(64));
 /// let mut mem = PlacementMemory::new(1);
 /// let a = mem.alloc(&mut fb, R13, "r13#0", Words::new(8), Direction::FromLower)?;
-/// let at = a.start();
-/// fb.free(a)?;
+/// let at = fb.free(a)?.start();
 /// // Next iteration: lands at the same address.
 /// let b = mem.alloc(&mut fb, R13, "r13#1", Words::new(8), Direction::FromLower)?;
-/// assert_eq!(b.start(), at);
+/// assert_eq!(fb.allocation(b).map(|b| b.start()), Some(at));
 /// assert_eq!(mem.regular_hits(), 1);
 /// # Ok(())
 /// # }
@@ -60,7 +59,7 @@ impl PlacementMemory {
     /// Allocates `size` words for the object identified by `key`,
     /// preferring the address of the previous placement with that key;
     /// falls back to first-fit in `direction` (and records the new
-    /// address as the preference).
+    /// address as the preference). Returns the allocation's handle.
     ///
     /// # Errors
     ///
@@ -74,24 +73,23 @@ impl PlacementMemory {
         &mut self,
         fb: &mut FbAllocator,
         key: usize,
-        label: impl Into<String>,
+        label: &str,
         size: Words,
         direction: Direction,
-    ) -> Result<Allocation, AllocError> {
-        let label = label.into();
+    ) -> Result<AllocHandle, AllocError> {
         let preferred = self.preferred[key];
         if let Some(at) = preferred {
-            if let Ok(alloc) = fb.alloc_at(label.clone(), at, size) {
+            if let Ok(handle) = fb.alloc_at(label, at, size) {
                 self.regular_hits += 1;
-                return Ok(alloc);
+                return Ok(handle);
             }
         }
-        let alloc = fb.alloc(label, size, direction)?;
+        let handle = fb.alloc(label, size, direction)?;
         if preferred.is_some() {
             self.irregular += 1;
         }
-        self.preferred[key] = Some(alloc.start());
-        Ok(alloc)
+        self.preferred[key] = fb.allocation(handle).map(Allocation::start);
+        Ok(handle)
     }
 
     /// Number of allocations that landed on their remembered address.
@@ -117,6 +115,10 @@ impl PlacementMemory {
 mod tests {
     use super::*;
 
+    fn start(fb: &FbAllocator, handle: AllocHandle) -> u64 {
+        fb.allocation(handle).expect("live").start()
+    }
+
     #[test]
     fn regular_hit_reuses_the_remembered_address() {
         let mut fb = FbAllocator::new(Words::new(32));
@@ -124,13 +126,12 @@ mod tests {
         let a = mem
             .alloc(&mut fb, 1, "a#0", Words::new(8), Direction::FromLower)
             .expect("fits");
-        let at = a.start();
-        fb.free(a).expect("live");
+        let at = fb.free(a).expect("live").start();
         // First fit from the upper end would land elsewhere.
         let b = mem
             .alloc(&mut fb, 1, "a#1", Words::new(8), Direction::FromUpper)
             .expect("fits");
-        assert_eq!(b.start(), at);
+        assert_eq!(start(&fb, b), at);
         assert_eq!((mem.regular_hits(), mem.irregular_placements()), (1, 0));
     }
 
@@ -141,23 +142,21 @@ mod tests {
         let a = mem
             .alloc(&mut fb, 1, "a#0", Words::new(8), Direction::FromUpper)
             .expect("fits");
-        let at = a.start();
-        fb.free(a).expect("live");
+        let at = fb.free(a).expect("live").start();
         // Squat on the preferred address.
         let _squatter = fb.alloc_at("squat", at, Words::new(8)).expect("free");
         let b = mem
             .alloc(&mut fb, 1, "a#1", Words::new(8), Direction::FromUpper)
             .expect("fits elsewhere");
-        assert_ne!(b.start(), at);
+        assert_ne!(start(&fb, b), at);
         assert_eq!(mem.regular_hits(), 0);
         assert_eq!(mem.irregular_placements(), 1);
         // The new address becomes the preference.
-        let nb = b.start();
-        fb.free(b).expect("live");
+        let nb = fb.free(b).expect("live").start();
         let c = mem
             .alloc(&mut fb, 1, "a#2", Words::new(8), Direction::FromUpper)
             .expect("fits");
-        assert_eq!(c.start(), nb);
+        assert_eq!(start(&fb, c), nb);
         assert_eq!(mem.regular_hits(), 1);
     }
 
@@ -168,8 +167,7 @@ mod tests {
         let a = mem
             .alloc(&mut fb, 0, "a#0", Words::new(8), Direction::FromUpper)
             .expect("fits");
-        let at = a.start();
-        fb.free(a).expect("live");
+        let at = fb.free(a).expect("live").start();
         // Fill the buffer: neither the preference nor any block fits.
         let blocker = fb.alloc_at("block", 0, Words::new(32)).expect("free");
         let err = mem
@@ -183,7 +181,7 @@ mod tests {
         let b = mem
             .alloc(&mut fb, 0, "a#2", Words::new(8), Direction::FromLower)
             .expect("fits");
-        assert_eq!(b.start(), at);
+        assert_eq!(start(&fb, b), at);
         assert_ne!(at, 0);
         assert_eq!((mem.regular_hits(), mem.irregular_placements()), (1, 0));
     }
@@ -198,7 +196,7 @@ mod tests {
         let b = mem
             .alloc(&mut fb, 2, "b", Words::new(8), Direction::FromUpper)
             .expect("fits");
-        assert_ne!(a.start(), b.start());
+        assert_ne!(start(&fb, a), start(&fb, b));
     }
 
     #[test]

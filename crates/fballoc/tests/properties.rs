@@ -3,7 +3,7 @@
 use std::collections::HashMap;
 
 use mcds_fballoc::{
-    AllocError, Allocation, Direction, FbAllocator, FreeList, TraceEvent, TraceKind,
+    AllocError, AllocHandle, Allocation, Direction, FbAllocator, FreeList, TraceEvent, TraceKind,
 };
 use mcds_model::Words;
 use proptest::prelude::*;
@@ -29,7 +29,7 @@ fn action_strategy(cap: u64) -> impl Strategy<Value = Action> {
 }
 
 /// Applies one action to `fb`, keeping `live` in sync.
-fn apply(fb: &mut FbAllocator, live: &mut Vec<Allocation>, i: usize, action: Action) {
+fn apply(fb: &mut FbAllocator, live: &mut Vec<AllocHandle>, i: usize, action: Action) {
     match action {
         Action::Alloc { size, upper } => {
             let dir = if upper {
@@ -37,7 +37,7 @@ fn apply(fb: &mut FbAllocator, live: &mut Vec<Allocation>, i: usize, action: Act
             } else {
                 Direction::FromLower
             };
-            if let Ok(a) = fb.alloc(format!("a{i}"), Words::new(size), dir) {
+            if let Ok(a) = fb.alloc(&format!("a{i}"), Words::new(size), dir) {
                 live.push(a);
             }
         }
@@ -47,7 +47,7 @@ fn apply(fb: &mut FbAllocator, live: &mut Vec<Allocation>, i: usize, action: Act
             } else {
                 Direction::FromLower
             };
-            match fb.alloc_split(format!("s{i}"), Words::new(size), dir) {
+            match fb.alloc_split(&format!("s{i}"), Words::new(size), dir) {
                 Ok(a) => live.push(a),
                 Err(AllocError::OutOfMemory {
                     requested,
@@ -59,7 +59,7 @@ fn apply(fb: &mut FbAllocator, live: &mut Vec<Allocation>, i: usize, action: Act
             }
         }
         Action::AllocAt { start, size } => {
-            if let Ok(a) = fb.alloc_at(format!("p{i}"), start, Words::new(size)) {
+            if let Ok(a) = fb.alloc_at(&format!("p{i}"), start, Words::new(size)) {
                 live.push(a);
             }
         }
@@ -133,9 +133,14 @@ fn verify_replay(events: &[TraceEvent], capacity: Words) {
     }
 }
 
-/// Checks that no two live allocations overlap and that accounting adds
-/// up.
-fn check_invariants(fb: &FbAllocator, live: &[Allocation]) {
+/// Checks that every held handle names a live allocation, that no two
+/// of them overlap and that accounting adds up.
+fn check_invariants(fb: &FbAllocator, live: &[AllocHandle]) {
+    let live: Vec<&Allocation> = live
+        .iter()
+        .map(|&h| fb.allocation(h).expect("a held handle is live"))
+        .collect();
+    assert_eq!(fb.live().count(), live.len(), "live table holds extras");
     let mut covered: Vec<(u64, u64)> = live
         .iter()
         .flat_map(|a| a.segments().iter().map(|s| (s.start, s.end())))
@@ -144,7 +149,7 @@ fn check_invariants(fb: &FbAllocator, live: &[Allocation]) {
     for w in covered.windows(2) {
         assert!(w[0].1 <= w[1].0, "live segments overlap: {w:?}");
     }
-    let live_words: Words = live.iter().map(Allocation::size).sum();
+    let live_words: Words = live.iter().map(|a| a.size()).sum();
     assert_eq!(fb.used(), live_words, "used() disagrees with live set");
     assert!(fb.used() + fb.free_space() == fb.capacity());
     assert!(fb.stats().peak_used() <= fb.capacity());
@@ -160,7 +165,7 @@ proptest! {
         actions in prop::collection::vec(action_strategy(64), 1..60),
     ) {
         let mut fb = FbAllocator::new(Words::new(cap));
-        let mut live: Vec<Allocation> = Vec::new();
+        let mut live: Vec<AllocHandle> = Vec::new();
         for (i, action) in actions.into_iter().enumerate() {
             apply(&mut fb, &mut live, i, action);
             check_invariants(&fb, &live);
@@ -179,7 +184,7 @@ proptest! {
         actions in prop::collection::vec(action_strategy(64), 1..60),
     ) {
         let mut fb = FbAllocator::with_trace(Words::new(cap));
-        let mut live: Vec<Allocation> = Vec::new();
+        let mut live: Vec<AllocHandle> = Vec::new();
         for (i, action) in actions.into_iter().enumerate() {
             apply(&mut fb, &mut live, i, action);
         }
@@ -200,13 +205,13 @@ proptest! {
     ) {
         let mut fb = FbAllocator::new(Words::new(cap));
         for (i, (start, size)) in pins.into_iter().enumerate() {
-            let _ = fb.alloc_at(format!("pin{i}"), start % cap, Words::new(size));
+            let _ = fb.alloc_at(&format!("pin{i}"), start % cap, Words::new(size));
         }
         let free = fb.free_space();
         let result = fb.alloc_split("req", Words::new(request), Direction::FromUpper);
         if Words::new(request) <= free {
             let a = result.expect("enough total free space");
-            prop_assert_eq!(a.size(), Words::new(request));
+            prop_assert_eq!(fb.allocation(a).map(Allocation::size), Some(Words::new(request)));
         } else {
             let oom = matches!(result, Err(AllocError::OutOfMemory { .. }));
             prop_assert!(oom, "expected OutOfMemory");
@@ -222,7 +227,7 @@ proptest! {
         for (i, (size, upper)) in sizes.into_iter().enumerate() {
             let dir = if upper { Direction::FromUpper } else { Direction::FromLower };
             // Total requested < capacity, so every alloc must succeed.
-            let a = fb.alloc(format!("x{i}"), Words::new(size), dir).expect("fits");
+            let a = fb.alloc(&format!("x{i}"), Words::new(size), dir).expect("fits");
             live.push(a);
         }
         check_invariants(&fb, &live);

@@ -344,7 +344,8 @@ pub struct ScheduleSpec {
     pub fb_kw: Option<u64>,
     /// Scheduler name (`basic`, `ds`, `cds`, `search`,
     /// `search:<beam>[:<max-expansions>]`; default `cds`). The server
-    /// refuses an expansion cap of 0 (unlimited) or above 100,000.
+    /// refuses an expansion cap of 0 (unlimited) or above 100,000, and
+    /// a beam wider than 1,024.
     pub scheduler: Option<String>,
     /// Per-request deadline in milliseconds; the pipeline abandons the
     /// run at the next stage boundary once it expires.

@@ -271,6 +271,12 @@ const MAX_ITERATION_KERNELS: u64 = 1 << 20;
 /// cannot stop a search once it runs.
 const MAX_SEARCH_EXPANSIONS: u32 = 100_000;
 
+/// The widest beam a `search:<beam>:<cap>` request may ask for (1,024;
+/// the committed benches and tests use at most 32). Each expansion
+/// keeps up to `beam` nodes, so like the expansion cap this bounds the
+/// work a deadline cannot stop.
+const MAX_SEARCH_BEAM: u32 = 1024;
+
 /// One admitted computation.
 struct Job {
     resolved: Arc<Resolved>,
@@ -2138,11 +2144,20 @@ fn resolve(spec: ScheduleSpec) -> Result<Resolved, String> {
         .unwrap_or("cds")
         .parse()
         .map_err(|e: McdsError| e.to_string())?;
-    if let SchedulerKind::Search { max_expansions, .. } = kind {
+    if let SchedulerKind::Search {
+        beam_width,
+        max_expansions,
+    } = kind
+    {
         if max_expansions == 0 || max_expansions > MAX_SEARCH_EXPANSIONS {
             return Err(format!(
                 "search expansion cap {max_expansions} is outside 1..={MAX_SEARCH_EXPANSIONS} \
                  (0 is unlimited)"
+            ));
+        }
+        if beam_width > MAX_SEARCH_BEAM {
+            return Err(format!(
+                "search beam width {beam_width} is outside 0..={MAX_SEARCH_BEAM}"
             ));
         }
     }
@@ -2251,12 +2266,21 @@ mod tests {
             scheduler: Some(name.to_owned()),
             ..ScheduleSpec::workload("e1")
         };
-        for name in ["search", "search:1", "search:32:100000"] {
+        for name in [
+            "search",
+            "search:1",
+            "search:32:100000",
+            "search:1024:100000",
+        ] {
             assert!(resolve(search(name)).is_ok(), "{name}");
         }
         for name in ["search:4294967295:0", "search:8:100001"] {
             let message = resolve(search(name)).err().expect("over the limit");
             assert!(message.contains("1..=100000"), "{message}");
+        }
+        for name in ["search:4294967295:100000", "search:1025:100000"] {
+            let message = resolve(search(name)).err().expect("over the limit");
+            assert!(message.contains("0..=1024"), "{message}");
         }
     }
 

@@ -256,7 +256,8 @@ fn search_scheduler_over_the_wire() {
     assert_ne!(narrow.key, cds.key, "search never shares cds's key");
 
     // Unknown scheduler names, and searches without a bounded
-    // expansion cap, are typed bad requests, not crashes.
+    // expansion cap or with a beam wider than 1,024, are typed bad
+    // requests, not crashes.
     for (bogus, fragment) in [
         ("searchy", "unknown scheduler"),
         ("search:", "unknown scheduler"),
@@ -264,6 +265,7 @@ fn search_scheduler_over_the_wire() {
         ("quantum", "unknown scheduler"),
         ("search:4294967295:0", "1..=100000"),
         ("search:8:100001", "1..=100000"),
+        ("search:4294967295:100000", "0..=1024"),
     ] {
         let error = expect_server_error(client.schedule(&with_scheduler(bogus)));
         assert_eq!(error.code, ErrorCode::BadRequest, "{bogus}");

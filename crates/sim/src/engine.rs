@@ -1,7 +1,8 @@
 //! The discrete-event execution engine.
 
-use mcds_model::{ArchParams, Cycles, FbSet};
+use mcds_model::{ArchParams, Cycles, FbSet, Words};
 
+use crate::analysis::op_duration;
 use crate::op::{OpKind, OpSchedule};
 use crate::report::SimReport;
 use crate::timeline::{OpSpan, Timeline};
@@ -40,7 +41,9 @@ impl Simulator {
     }
 
     /// Runs `schedule` to completion and reports timing and transfer
-    /// metrics.
+    /// metrics, in one pass over its ops: each op is placed on the
+    /// timeline and counted into the busy and transfer totals as it is
+    /// issued.
     ///
     /// # Errors
     ///
@@ -65,7 +68,6 @@ impl Simulator {
         schedule: &OpSchedule,
         mut observe: impl FnMut(usize, Cycles, Cycles),
     ) -> Result<SimReport, SimError> {
-        let mut finish: Vec<Cycles> = Vec::with_capacity(schedule.len());
         let mut spans: Vec<OpSpan> = Vec::with_capacity(schedule.len());
 
         let mut dma_free = Cycles::ZERO;
@@ -76,57 +78,57 @@ impl Simulator {
 
         let mut dma_busy_total = Cycles::ZERO;
         let mut rc_busy_total = Cycles::ZERO;
+        let mut loaded = Words::ZERO;
+        let mut stored = Words::ZERO;
+        let mut context_words = 0u64;
 
         for (i, op) in schedule.ops().iter().enumerate() {
-            let mut start = schedule
+            let ready = schedule
                 .deps_of(op)
                 .iter()
-                .map(|d| finish[d.index()])
+                .map(|d| spans[d.index()].finish)
                 .max()
                 .unwrap_or(Cycles::ZERO);
+            let duration = op_duration(&self.params, op.kind());
 
-            let duration = match op.kind() {
-                OpKind::LoadData { words, .. } | OpKind::StoreData { words, .. } => {
-                    self.params.data_transfer_time(*words)
+            // Place the op on its resources and count it in the totals.
+            let (start, end) = match *op.kind() {
+                OpKind::Compute { set, .. } => {
+                    let s = set.index();
+                    let start = ready.max(rc_free).max(data_busy[s]);
+                    let end = start + duration;
+                    rc_free = end;
+                    compute_busy[s] = compute_busy[s].max(end);
+                    rc_busy_total += duration;
+                    (start, end)
                 }
-                OpKind::LoadContext { context_words } => {
-                    self.params.context_load_time(*context_words)
+                OpKind::LoadData { set, words } | OpKind::StoreData { set, words } => {
+                    let s = set.index();
+                    let start = ready.max(dma_free).max(compute_busy[s]);
+                    let end = start + duration;
+                    dma_free = end;
+                    data_busy[s] = data_busy[s].max(end);
+                    dma_busy_total += duration;
+                    if matches!(op.kind(), OpKind::LoadData { .. }) {
+                        loaded += words;
+                    } else {
+                        stored += words;
+                    }
+                    (start, end)
                 }
-                OpKind::Compute { cycles, .. } => {
-                    *cycles + Cycles::new(self.params.kernel_setup_cycles())
+                OpKind::LoadContext {
+                    context_words: words,
+                } => {
+                    let start = ready.max(dma_free);
+                    let end = start + duration;
+                    dma_free = end;
+                    dma_busy_total += duration;
+                    context_words += u64::from(words);
+                    (start, end)
                 }
             };
 
-            match op.kind() {
-                OpKind::Compute { set, .. } => {
-                    start = start.max(rc_free).max(data_busy[set.index()]);
-                }
-                OpKind::LoadData { set, .. } | OpKind::StoreData { set, .. } => {
-                    start = start.max(dma_free).max(compute_busy[set.index()]);
-                }
-                OpKind::LoadContext { .. } => {
-                    start = start.max(dma_free);
-                }
-            }
-
-            let end = start + duration;
-            match op.kind() {
-                OpKind::Compute { set, .. } => {
-                    rc_free = end;
-                    compute_busy[set.index()] = compute_busy[set.index()].max(end);
-                    rc_busy_total += duration;
-                }
-                kind => {
-                    dma_free = end;
-                    if let Some(set) = kind.fb_set() {
-                        data_busy[set.index()] = data_busy[set.index()].max(end);
-                    }
-                    dma_busy_total += duration;
-                }
-            }
-
             observe(i, start, end);
-            finish.push(end);
             let Ok(index) = u32::try_from(i) else {
                 // Unreachable for a validated schedule (build() bounds
                 // the op count), but degenerate input gets a typed
@@ -145,9 +147,9 @@ impl Simulator {
             timeline,
             dma_busy_total,
             rc_busy_total,
-            schedule.data_words_loaded(),
-            schedule.data_words_stored(),
-            schedule.context_words_loaded(),
+            loaded,
+            stored,
+            context_words,
         ))
     }
 }

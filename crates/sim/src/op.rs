@@ -220,7 +220,9 @@ impl OpSchedule {
 }
 
 /// Builds an [`OpSchedule`] op by op, wiring dependencies by the
-/// returned [`OpId`]s.
+/// returned [`OpId`]s. A builder made
+/// [`with_capacity`](Self::with_capacity) for the ops and dependencies
+/// it will hold writes them in place and never grows.
 ///
 /// # Example
 ///
@@ -254,6 +256,17 @@ impl OpScheduleBuilder {
     #[must_use]
     pub fn new() -> Self {
         OpScheduleBuilder::default()
+    }
+
+    /// An empty builder with room for `ops` ops holding `deps`
+    /// dependencies between them.
+    #[must_use]
+    pub fn with_capacity(ops: usize, deps: usize) -> Self {
+        OpScheduleBuilder {
+            ops: Vec::with_capacity(ops),
+            deps: Vec::with_capacity(deps),
+            overflowed: false,
+        }
     }
 
     fn push(&mut self, kind: OpKind, deps: &[OpId]) -> OpId {

@@ -127,8 +127,10 @@ proptest! {
         }
     }
 
+    /// The engine tallies transfers as it places ops; the schedule's
+    /// own sums over its op list are the oracle.
     #[test]
-    fn volume_accounting_matches_schedule(ops in prop::collection::vec(op_strategy(), 1..30)) {
+    fn volume_accounting_matches_schedule(ops in prop::collection::vec(op_strategy(), 0..40)) {
         let schedule = build(&ops);
         let report = Simulator::new(arch()).run(&schedule).expect("runs");
         prop_assert_eq!(report.data_words_loaded(), schedule.data_words_loaded());

@@ -4,7 +4,8 @@
 //! regularity".
 
 use mcds_core::{
-    cluster_peak, AllocationWalk, Event, FootprintModel, Lifetimes, Observer, Pipeline,
+    all_fit, cluster_peak, find_candidates_with, select_greedy, AllocationReport, AllocationWalk,
+    Event, FootprintModel, Lifetimes, MetricsRegistry, Observer, Pipeline, RetentionRanking,
     RetentionSet, SchedulerKind, VecSink,
 };
 use mcds_model::{Application, ArchParams, ClusterSchedule, Words};
@@ -340,6 +341,145 @@ proptest! {
             for kind in walk_schedulers() {
                 let what = format!("seed {seed}/{kind}@{fb_kw}K");
                 check_planned_walk(&app, &sched, arch, kind, &what);
+            }
+        }
+    }
+}
+
+/// What a walk decides: peaks, splits, regularity and allocations.
+type Decisions = ([Words; 2], u64, u64, u64, u64);
+
+fn decisions(report: &AllocationReport) -> Decisions {
+    (
+        report.peak(),
+        report.splits(),
+        report.regular_hits(),
+        report.irregular(),
+        report.allocs(),
+    )
+}
+
+/// Runs one walk four ways: plain, watched by a sink and a registry,
+/// traced, and recording its placements. All four must decide the
+/// same; the recorded placements must be the sink's `FbAlloc` sets and
+/// segments, in order; and the `fb.*` counters must equal the report
+/// and the events (up to the failure, when the walk does not fit).
+#[allow(clippy::too_many_arguments)]
+fn assert_watching_changes_nothing(
+    app: &Application,
+    sched: &ClusterSchedule,
+    lt: &Lifetimes,
+    retention: &RetentionSet,
+    rf: u64,
+    fbs: Words,
+    model: FootprintModel,
+    what: &str,
+) {
+    let walk = || AllocationWalk::new(app, sched, lt, retention, rf, fbs, model);
+    let sink = VecSink::new();
+    let metrics = MetricsRegistry::new();
+    let plain = walk().run(2, false);
+    let watched = walk()
+        .observed(Observer::new(Some(&sink), Some(&metrics)))
+        .run(2, false);
+    let traced = walk().run(2, true);
+    let placed = walk().run_with_placements(2);
+
+    let decided = plain.as_ref().map(decisions);
+    assert_eq!(watched.as_ref().map(decisions), decided, "{what}: watched");
+    assert_eq!(traced.as_ref().map(decisions), decided, "{what}: traced");
+    assert_eq!(
+        placed.as_ref().map(|(r, _)| decisions(r)),
+        decided,
+        "{what}: with placements"
+    );
+
+    let events = sink.events();
+    let allocs: Vec<(u8, Vec<(u64, u64)>)> = events
+        .iter()
+        .filter_map(|event| match event {
+            Event::FbAlloc { set, segments, .. } => Some((*set, segments.clone())),
+            _ => None,
+        })
+        .collect();
+    let frees = events
+        .iter()
+        .filter(|event| matches!(event, Event::FbFree { .. }))
+        .count() as u64;
+    if let Ok((_, placements)) = &placed {
+        let records: Vec<(u8, Vec<(u64, u64)>)> = placements
+            .iter()
+            .map(|p| {
+                let set = u8::try_from(p.set.index()).expect("two sets");
+                let segments = p.segments.iter().map(|s| (s.start, s.len.get()));
+                (set, segments.collect())
+            })
+            .collect();
+        assert_eq!(records, allocs, "{what}: placements are the FbAlloc events");
+    }
+
+    let counters = metrics.snapshot();
+    let counter = |name: &str| {
+        counters
+            .iter()
+            .find(|(n, _)| n == name)
+            .map_or(0, |&(_, v)| v)
+    };
+    assert_eq!(
+        counter("fb.allocs"),
+        allocs.len() as u64,
+        "{what}: fb.allocs"
+    );
+    assert_eq!(counter("fb.frees"), frees, "{what}: fb.frees");
+    if let Ok(report) = &watched {
+        assert_eq!(
+            counter("fb.allocs"),
+            report.allocs(),
+            "{what}: report allocs"
+        );
+        assert_eq!(
+            counter("fb.splits"),
+            report.splits(),
+            "{what}: report splits"
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// A walk answers the same whether or not anyone watches it: random
+    /// synthetic applications under both footprint models, with no
+    /// retention and with the greedy one, cross-set access off and on,
+    /// at a random RF and Frame Buffer size (some of which do not fit).
+    #[test]
+    fn a_walk_decides_the_same_watched_or_not(
+        (seed, cfg) in synthetic_strategy(),
+        rf in 1u64..6,
+        fb_size in 0usize..3,
+    ) {
+        let fb_words = [256u64, 1024, 4096][fb_size];
+        let (app, sched) = SyntheticGenerator::new(seed).generate(&cfg).expect("valid");
+        let lt = Lifetimes::analyze(&app, &sched);
+        let fbs = Words::new(fb_words);
+        for cross in [false, true] {
+            let candidates = find_candidates_with(&app, &sched, &lt, cross);
+            for model in [FootprintModel::Replacement, FootprintModel::NoReplacement] {
+                let greedy = select_greedy(
+                    &candidates,
+                    RetentionRanking::Tf,
+                    |d| app.size_of(d),
+                    |set| all_fit(&app, &sched, &lt, set, rf, model, fbs),
+                );
+                for retention in [RetentionSet::empty(), greedy] {
+                    let what = format!(
+                        "seed {seed} rf {rf} fb {fb_words} {model:?} cross {cross} retained {}",
+                        retention.candidates().len()
+                    );
+                    assert_watching_changes_nothing(
+                        &app, &sched, &lt, &retention, rf, fbs, model, &what,
+                    );
+                }
             }
         }
     }
