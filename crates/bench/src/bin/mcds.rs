@@ -1508,8 +1508,10 @@ fn paired_min_ns(
 
 /// Arch-only cache-miss latency: the same workload structure scheduled
 /// at a new Frame Buffer size, from scratch versus over an analysis
-/// warmed by the largest paper architecture (whose RF-ladder rungs are
-/// a superset of the smaller sizes').
+/// warmed by the largest paper architecture. The Table-1 workloads run
+/// 48 iterations, so `rf_max` stays at most 64 and the larger size's
+/// RF-ladder rungs are a superset of the smaller sizes'; past RF 64 the
+/// ladders stop nesting (ROADMAP.md, item 3).
 fn analysis_probe(repeats: u32, name: &str, fb_kw: u64, warm_kw: u64) -> AnalysisProbe {
     let e = mcds_workloads::table1::table1_experiments()
         .into_iter()

@@ -10,10 +10,12 @@
 //! [`cluster_peak`](crate::cluster_peak) is a closed form over one pass
 //! of a cluster's objects.
 
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use mcds_model::{Application, ArchParams, ClusterId, ClusterSchedule, DataId};
+use mcds_model::{Application, ArchParams, ClusterId, ClusterSchedule, Cycles, DataId};
 use mcds_sim::{OpSchedule, SimReport};
 
 use crate::{
@@ -21,27 +23,65 @@ use crate::{
     StagePlan,
 };
 
-/// One memoized reuse-factor evaluation: the stage plan, the emitted
-/// operation schedule, and the simulated makespan for one rung of the
-/// RF ladder that every [`SchedulerKind`](crate::SchedulerKind) climbs.
+/// One memoized rung of the RF ladder that every
+/// [`SchedulerKind`](crate::SchedulerKind) climbs: its simulated
+/// makespan, which is all the ladder compares, and a write-once slot for
+/// the rung's stage plans, operation schedule and simulation report.
 ///
-/// The triple is a pure function of the workload structure plus the
-/// inputs in its [`LadderKey`]; notably it never reads the Frame Buffer
+/// The slot is filled only once a plan chooses the rung, and from then
+/// on that plan and every later plan choosing it share the one copy. A
+/// rung no plan chose keeps its makespan alone; the first plan to choose
+/// it rebuilds its stages, ops and simulation (the context plan,
+/// [`build_stages`](crate::build_stages),
+/// [`emit_ops`](crate::emit_ops) and one simulation) and stores them.
+///
+/// Both are pure functions of the workload structure plus the inputs in
+/// the rung's [`LadderKey`]; notably they never read the Frame Buffer
 /// capacity, which is what lets arch-only variants share rungs.
 #[derive(Debug)]
-pub struct LadderEval {
-    /// Stage plans for one full execution at this reuse factor.
-    pub stages: Vec<StagePlan>,
+pub(crate) struct LadderEval {
+    total: Cycles,
+    chosen: OnceLock<RungDetail>,
+}
+
+/// A rung's stage plans, the operation schedule emitted from them and
+/// its simulation: what a chosen rung hands its plan.
+#[derive(Debug)]
+pub(crate) struct RungDetail {
+    /// Stage plans for one full execution at the rung's reuse factor.
+    pub(crate) stages: Vec<StagePlan>,
     /// The operation schedule emitted from those stages.
-    pub ops: OpSchedule,
-    /// The full simulation report of `ops` — kept whole (not just the
-    /// makespan) because the chosen rung's plan carries it as its
-    /// [`report`](crate::SchedulePlan::report).
-    pub report: SimReport,
+    pub(crate) ops: OpSchedule,
+    /// The full simulation report of `ops`.
+    pub(crate) report: SimReport,
+}
+
+impl LadderEval {
+    /// The rung's simulated makespan.
+    pub(crate) fn total(&self) -> Cycles {
+        self.total
+    }
+
+    /// The chosen rung's stages, ops and simulation, or `None` while no
+    /// plan has chosen it.
+    pub(crate) fn detail(&self) -> Option<&RungDetail> {
+        self.chosen.get()
+    }
+
+    /// Stores `detail` as the chosen rung's, unless a plan stored it
+    /// already (both are the same pure function of the key).
+    pub(crate) fn choose(&self, detail: RungDetail) {
+        debug_assert_eq!(
+            detail.report.total(),
+            self.total,
+            "a rung's detail simulates to its memoized makespan"
+        );
+        let _ = self.chosen.set(detail);
+    }
 }
 
 /// The memo key of one RF-ladder rung: exactly the inputs a rung's
-/// (stages, ops, report) triple reads beyond the (application, cluster
+/// stages, ops and simulation read beyond the (application, cluster
 /// schedule) pair its [`ScheduleAnalysis`] is built from, compared by
 /// equality.
 ///
@@ -53,8 +93,21 @@ pub struct LadderEval {
 /// stage building, op emission and the cycle simulation never read it
 /// (only the retention *selection* does, and its outcome is in the
 /// key) — which is what lets arch-only variants share rungs.
+///
+/// The key hashes its fields once, when it is built, and its [`Hash`]
+/// writes only that hash, so a memo lookup and the insert of the miss
+/// that follows it each hash one `u64`, not the skip lists. Equality
+/// still compares every field.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct LadderKey {
+    /// The hash of `inputs`, computed once.
+    hash: u64,
+    inputs: RungInputs,
+}
+
+/// The fields of a [`LadderKey`].
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct LadderKey {
+struct RungInputs {
     rf: u64,
     skipped_loads: Vec<(ClusterId, DataId)>,
     skipped_stores: Vec<(ClusterId, DataId)>,
@@ -69,14 +122,13 @@ impl LadderKey {
     /// The key of the rung at reuse factor `rf` with `retention`, under
     /// `config`'s context policy and `arch`'s Context Memory size and
     /// timing.
-    #[must_use]
-    pub fn new(
+    pub(crate) fn new(
         rf: u64,
         retention: &RetentionSet,
         config: &SchedulerConfig,
         arch: &ArchParams,
     ) -> Self {
-        LadderKey {
+        let inputs = RungInputs {
             rf,
             skipped_loads: retention.sorted_skipped_loads(),
             skipped_stores: retention.sorted_skipped_stores(),
@@ -85,7 +137,19 @@ impl LadderKey {
             data_cycles_per_word: arch.data_cycles_per_word(),
             context_cycles_per_word: arch.context_cycles_per_word(),
             kernel_setup_cycles: arch.kernel_setup_cycles(),
+        };
+        let mut hasher = DefaultHasher::new();
+        inputs.hash(&mut hasher);
+        LadderKey {
+            hash: hasher.finish(),
+            inputs,
         }
+    }
+}
+
+impl Hash for LadderKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
     }
 }
 
@@ -99,7 +163,7 @@ pub struct ScheduleAnalysis {
     lifetimes: Lifetimes,
     /// Sharing candidates, indexed by the `fb_cross_set_access` flag.
     candidates: [OnceLock<Vec<Candidate>>; 2],
-    /// RF-ladder evaluations by their exact non-structural inputs.
+    /// RF-ladder rungs by their exact non-structural inputs.
     evals: Mutex<HashMap<LadderKey, Arc<LadderEval>>>,
 }
 
@@ -115,34 +179,51 @@ impl ScheduleAnalysis {
         }
     }
 
-    /// The memoized RF-ladder evaluation under `key`, computing it via
-    /// `compute` on first request.
+    /// The memoized rung under `key`, computing it via `compute` on
+    /// first request. On that miss the computed detail comes back
+    /// beside the rung, and the memo keeps only its makespan: the
+    /// caller holds the detail while the rung may still be chosen and
+    /// hands it to [`LadderEval::choose`] if it is. A hit returns no
+    /// detail.
     ///
     /// The *caller* owns the key contract: `compute` must read nothing
     /// beyond the (application, cluster schedule) pair this analysis
     /// was built from and the inputs in `key` (see [`LadderKey`]).
     ///
     /// Concurrent first requests may both run `compute`; the results
-    /// are identical by the purity contract, so whichever insert lands
-    /// last is indistinguishable from the other.
+    /// are identical by the purity contract, and the first insert is
+    /// the memo's, so every plan shares one slot per rung.
     ///
     /// # Errors
     ///
     /// Propagates `compute`'s error; errors are never cached.
-    pub fn ladder_eval<E>(
+    pub(crate) fn ladder_eval<E>(
         &self,
         key: LadderKey,
-        compute: impl FnOnce() -> Result<LadderEval, E>,
-    ) -> Result<Arc<LadderEval>, E> {
+        compute: impl FnOnce() -> Result<RungDetail, E>,
+    ) -> Result<(Arc<LadderEval>, Option<RungDetail>), E> {
         if let Some(hit) = self.evals.lock().expect("not poisoned").get(&key) {
-            return Ok(Arc::clone(hit));
+            return Ok((Arc::clone(hit), None));
         }
-        let eval = Arc::new(compute()?);
-        self.evals
-            .lock()
-            .expect("not poisoned")
-            .insert(key, Arc::clone(&eval));
-        Ok(eval)
+        let detail = compute()?;
+        let eval = Arc::new(LadderEval {
+            total: detail.report.total(),
+            chosen: OnceLock::new(),
+        });
+        let eval = Arc::clone(
+            self.evals
+                .lock()
+                .expect("not poisoned")
+                .entry(key)
+                .or_insert(eval),
+        );
+        Ok((eval, Some(detail)))
+    }
+
+    /// A snapshot of the rung memo.
+    #[cfg(test)]
+    pub(crate) fn memo(&self) -> HashMap<LadderKey, Arc<LadderEval>> {
+        self.evals.lock().expect("not poisoned").clone()
     }
 
     /// The lifetime analysis.
@@ -219,20 +300,18 @@ mod tests {
     /// Looks `key` up in `analysis`: the memoized rung, and whether it
     /// had to be computed.
     fn lookup(analysis: &ScheduleAnalysis, key: LadderKey) -> (Arc<LadderEval>, bool) {
-        let mut computed = false;
-        let eval = analysis
-            .ladder_eval(key, || -> Result<LadderEval, mcds_sim::SimError> {
-                computed = true;
+        let (eval, computed) = analysis
+            .ladder_eval(key, || -> Result<RungDetail, mcds_sim::SimError> {
                 let ops = mcds_sim::OpScheduleBuilder::new().build()?;
                 let report = mcds_sim::Simulator::new(ArchParams::m1()).run(&ops)?;
-                Ok(LadderEval {
+                Ok(RungDetail {
                     stages: Vec::new(),
                     ops,
                     report,
                 })
             })
             .expect("computes");
-        (eval, computed)
+        (eval, computed.is_some())
     }
 
     fn missed(analysis: &ScheduleAnalysis, key: LadderKey) -> bool {
@@ -261,6 +340,36 @@ mod tests {
             &analysis,
             LadderKey::new(4, &coef_first, &config, &bigger)
         ));
+    }
+
+    #[test]
+    fn a_miss_memoizes_the_makespan_and_only_a_choice_stores_the_detail() {
+        let (app, sched) = pipeline(8);
+        let analysis = ScheduleAnalysis::new(&app, &sched);
+        let key = LadderKey::new(
+            2,
+            &RetentionSet::empty(),
+            &SchedulerConfig::default(),
+            &ArchParams::m1(),
+        );
+        let (eval, computed) = lookup(&analysis, key.clone());
+        assert!(computed);
+        assert!(eval.detail().is_none(), "the memo keeps the makespan alone");
+        let (again, computed) = lookup(&analysis, key.clone());
+        assert!(!computed && Arc::ptr_eq(&eval, &again));
+
+        let ops = mcds_sim::OpScheduleBuilder::new().build().expect("builds");
+        let report = mcds_sim::Simulator::new(ArchParams::m1())
+            .run(&ops)
+            .expect("runs");
+        eval.choose(RungDetail {
+            stages: Vec::new(),
+            ops,
+            report,
+        });
+        let memo = analysis.memo();
+        let stored = memo[&key].detail().expect("a chosen rung keeps its detail");
+        assert_eq!(stored.report.total(), eval.total());
     }
 
     #[test]

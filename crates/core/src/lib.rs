@@ -87,7 +87,8 @@ mod sharing;
 mod trace;
 
 pub use alloc_walk::{AllocationReport, AllocationWalk, PlacementRecord, PlacementRole};
-pub use analysis::{LadderEval, LadderKey, ScheduleAnalysis};
+pub use analysis::ScheduleAnalysis;
+pub(crate) use analysis::{LadderEval, LadderKey};
 pub use cancel::CancelToken;
 pub use codegen::{generate_program, CodeOp, CodeOpDisplay, TransferProgram};
 pub use emit::{emit_ops, stage_compute_cycles};

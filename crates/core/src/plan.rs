@@ -6,6 +6,7 @@ use mcds_model::{Application, ClusterId, ClusterSchedule, Words};
 use mcds_sim::{OpSchedule, SimReport};
 use serde::{Deserialize, Serialize};
 
+use crate::analysis::RungDetail;
 use crate::{AllocationReport, LadderEval, Lifetimes, RetentionSet};
 
 /// One pipeline stage: `iters` consecutive iterations of one cluster,
@@ -134,8 +135,9 @@ pub struct SchedulePlan {
     scheduler: String,
     rf: u64,
     retention: RetentionSet,
-    /// The chosen rung of the RF ladder — its stages, ops and simulation
-    /// — shared with the rung memo of the analysis that planned it.
+    /// The chosen rung of the RF ladder, shared with the rung memo of
+    /// the analysis that planned it; choosing it filled its stages, ops
+    /// and simulation, which every later plan choosing it shares too.
     rung: Arc<LadderEval>,
     allocation: AllocationReport,
 }
@@ -157,6 +159,13 @@ impl SchedulePlan {
         }
     }
 
+    /// The chosen rung's stages, ops and simulation.
+    fn detail(&self) -> &RungDetail {
+        self.rung
+            .detail()
+            .expect("a plan's rung holds its stages, ops and simulation")
+    }
+
     /// Name of the scheduler that produced the plan.
     #[must_use]
     pub fn scheduler(&self) -> &str {
@@ -172,7 +181,7 @@ impl SchedulePlan {
     /// The pipeline stages in execution order.
     #[must_use]
     pub fn stages(&self) -> &[StagePlan] {
-        &self.rung.stages
+        &self.detail().stages
     }
 
     /// The retained shared objects (empty for Basic/DS).
@@ -184,14 +193,14 @@ impl SchedulePlan {
     /// The op-level program for [`mcds_sim`].
     #[must_use]
     pub fn ops(&self) -> &OpSchedule {
-        &self.rung.ops
+        &self.detail().ops
     }
 
     /// The simulation of [`ops`](Self::ops) on the target architecture:
     /// the evaluation that chose this plan's rung.
     #[must_use]
     pub fn report(&self) -> &SimReport {
-        &self.rung.report
+        &self.detail().report
     }
 
     /// The Frame Buffer allocation outcome (§5 of the paper).

@@ -10,6 +10,7 @@ use serde::{Deserialize, Serialize};
 
 use mcds_search::{search_retention, PruneReason, SearchConfig, SearchEvent, SearchOutcome};
 
+use crate::analysis::RungDetail;
 use crate::emit::emit_ops;
 use crate::footprint::FitTable;
 use crate::plan::build_stages;
@@ -207,11 +208,14 @@ enum Retain {
 }
 
 /// One evaluated rung of the ladder.
-#[derive(Clone)]
 struct Rung {
     rf: u64,
     retention: RetentionSet,
     eval: Arc<LadderEval>,
+    /// The rung's stages, ops and simulation when this plan computed
+    /// them on a memo miss, held only while the rung may still be the
+    /// ladder's pick.
+    detail: Option<RungDetail>,
     /// Whether `retention` came from the beam search rather than the
     /// greedy walk.
     searched: bool,
@@ -223,9 +227,21 @@ impl Rung {
     /// loads for the same makespan).
     fn beats(&self, incumbent: Option<&Rung>) -> bool {
         incumbent.is_none_or(|best| {
-            let (total, best_total) = (self.eval.report.total(), best.eval.report.total());
+            let (total, best_total) = (self.eval.total(), best.eval.total());
             total < best_total || (total == best_total && self.rf > best.rf)
         })
+    }
+
+    /// The rung without its detail: a shadow that is rebuilt if it is
+    /// ever chosen.
+    fn shadow(&self) -> Rung {
+        Rung {
+            rf: self.rf,
+            retention: self.retention.clone(),
+            eval: Arc::clone(&self.eval),
+            detail: None,
+            searched: self.searched,
+        }
     }
 }
 
@@ -296,13 +312,7 @@ fn plan_ladder(
         return Err(infeasible(name, app, sched, lifetimes, model, fbs));
     };
 
-    let cluster_contexts: Vec<u32> = sched
-        .clusters()
-        .iter()
-        .map(|c| c.kernels().iter().map(|&k| app.kernel(k).contexts()).sum())
-        .collect();
-    let cs = ContextScheduler::new(arch.cm_context_words());
-    let simulator = Simulator::new(*arch);
+    let rungs = RungBuilder::new(app, sched, lifetimes, config, arch);
     // Sharing discovery does not depend on RF — resolve it once (and,
     // through the analysis, once per application across a whole sweep).
     let candidates = match ladder.retain {
@@ -324,32 +334,18 @@ fn plan_ladder(
     );
     let mut counts = LadderCounts::default();
 
-    // `best` tracks the planner's pick; under `Search`, `best_greedy`
-    // shadows what plain CDS would have picked, for the never-worse
-    // guard after the ladder.
+    // `best` tracks the planner's pick and alone holds a computed
+    // rung's detail; under `Search`, `best_greedy` shadows what plain
+    // CDS would have picked, for the never-worse guard after the ladder.
     let mut best: Option<Rung> = None;
     let mut best_greedy: Option<Rung> = None;
     let climb_rung = |rf: u64| -> Result<(), ScheduleError> {
         // Context plan, stages, ops, tentative evaluation — a pure
         // function of the workload structure plus the inputs in the
         // memo key (which the FB capacity is *not* part of), so
-        // arch-only variants replay the rung from the shared analysis
-        // instead of re-simulating it.
-        let evaluate = |retention: &RetentionSet| {
-            eval_rung(
-                app,
-                sched,
-                lifetimes,
-                analysis,
-                config,
-                arch,
-                &cluster_contexts,
-                &cs,
-                &simulator,
-                rf,
-                retention,
-            )
-        };
+        // arch-only variants replay the rung's makespan from the shared
+        // analysis instead of re-simulating it.
+        let evaluate = |retention: &RetentionSet| rungs.eval(analysis, rf, retention);
 
         // 2. Retention: the greedy TF-ordered walk keeps a candidate
         //    only if every cluster still fits at this RF (without
@@ -373,33 +369,35 @@ fn plan_ladder(
         };
 
         // 4. Evaluate greedy's rung.
-        let greedy_eval = evaluate(&greedy)?;
+        let (eval, detail) = evaluate(&greedy)?;
         let mut rung = Rung {
             rf,
             retention: greedy,
-            eval: greedy_eval,
+            eval,
+            detail,
             searched: false,
         };
         if matches!(ladder.retain, Retain::Search(_)) && rung.beats(best_greedy.as_ref()) {
-            best_greedy = Some(rung.clone());
+            best_greedy = Some(rung.shadow());
         }
         // 5. Evaluate the searched rung and adopt it only at no more
         //    cycles: time is the primary objective, and more retention
         //    can slow a schedule down (the exposed first load grows).
         if let Some(set) = searched {
             counts.rungs_improved += 1;
-            let search_eval = evaluate(&set)?;
-            if search_eval.report.total() <= rung.eval.report.total() {
+            let (eval, detail) = evaluate(&set)?;
+            if eval.total() <= rung.eval.total() {
                 rung = Rung {
                     rf,
                     retention: set,
-                    eval: search_eval,
+                    eval,
+                    detail,
                     searched: true,
                 };
             }
         }
 
-        let total = rung.eval.report.total();
+        let total = rung.eval.total();
         counts.rf_evaluated += 1;
         observer.emit(|| Event::RfEvaluated {
             scheduler: name.to_owned(),
@@ -423,7 +421,7 @@ fn plan_ladder(
         // CDS's own pick. Equal cycles and less retention is a loss —
         // fall back to the greedy plan.
         if best.searched
-            && best.eval.report.total() == greedy.eval.report.total()
+            && best.eval.total() == greedy.eval.total()
             && best.retention.avoided_per_iter() < greedy.retention.avoided_per_iter()
         {
             observer.count("search.fallback_greedy", 1);
@@ -434,13 +432,14 @@ fn plan_ladder(
         rf,
         retention,
         eval,
+        detail,
         searched,
     } = best;
     observer.observe("plan.rf", rf);
     observer.emit(|| Event::RfChosen {
         scheduler: name.to_owned(),
         rf,
-        total_cycles: eval.report.total().get(),
+        total_cycles: eval.total().get(),
     });
 
     // The chosen rung's verdicts, in ranking order. A greedy pick's are
@@ -510,6 +509,18 @@ fn plan_ladder(
         splits: allocation.splits(),
     });
 
+    // 7. Choose the rung: the plan carries its stages, ops and
+    //    simulation. A rung this ladder computed hands over the detail
+    //    it kept; one met only as a memo entry no plan chose yet is
+    //    rebuilt, once, for every later plan through the analysis.
+    if eval.detail().is_none() {
+        let detail = match detail {
+            Some(detail) => detail,
+            None => rungs.build(rf, &retention)?,
+        };
+        eval.choose(detail);
+    }
+
     Ok(SchedulePlan::new(
         name.to_owned(),
         rf,
@@ -543,12 +554,17 @@ fn rf_ladder(
     let rf_max = max_common_rf(app, sched, lifetimes, &empty, ladder.model, fbs)?;
     let rf_max = config.max_rf.map_or(rf_max, |cap| rf_max.min(cap)).max(1);
     if rf_max <= 64 {
-        // Exhaustive: candidate sets at growing memory sizes nest, so
-        // more memory can never produce a slower plan.
+        // Exhaustive: while `rf_max` stays at most 64, candidate sets at
+        // growing memory sizes nest, so more memory cannot produce a
+        // slower plan.
         return Some((1..=rf_max).collect());
     }
     // Geometric ladder plus the maximum for very deep batching
-    // (coarser, but planning stays cheap).
+    // (coarser, but planning stays cheap). It does not contain the
+    // exhaustive ladder of a smaller memory, so past RF 64 more memory
+    // can give a slower plan (ROADMAP.md, item 3): E1 at 100 iterations
+    // under DS plans RF 39 in 272,312 cycles at 37,632 words, but RF 64
+    // in 274,320 cycles at 37,888 words.
     let mut rfs: Vec<u64> = std::iter::successors(Some(1u64), |rf| rf.checked_mul(2))
         .take_while(|&rf| rf < rf_max)
         .collect();
@@ -556,52 +572,89 @@ fn rf_ladder(
     Some(rfs)
 }
 
-/// One rung of the RF ladder: context plan, stages, ops, simulated
-/// makespan — memoized on the owning [`ScheduleAnalysis`] under its
-/// [`LadderKey`], so the greedy and searched retentions of a rung (and
-/// arch-only sweep variants) share evaluations of retentions that skip
-/// the same transfers.
-#[allow(clippy::too_many_arguments)]
-fn eval_rung(
-    app: &Application,
-    sched: &ClusterSchedule,
-    lifetimes: &Lifetimes,
-    analysis: &ScheduleAnalysis,
-    config: &SchedulerConfig,
-    arch: &ArchParams,
-    cluster_contexts: &[u32],
-    cs: &ContextScheduler,
-    simulator: &Simulator,
-    rf: u64,
-    retention: &RetentionSet,
-) -> Result<Arc<LadderEval>, ScheduleError> {
-    analysis.ladder_eval(
-        LadderKey::new(rf, retention, config, arch),
-        || -> Result<LadderEval, ScheduleError> {
-            // The stage order, one round of clusters after another,
-            // written into a list sized for it.
-            let rounds = app.iterations().div_ceil(rf);
-            let stages = usize::try_from(rounds).map_or(0, |r| r.saturating_mul(sched.len()));
-            let mut stage_clusters = Vec::with_capacity(stages);
-            for _ in 0..rounds {
-                stage_clusters.extend(0..sched.len());
-            }
-            let ctx_plan = match config.context_policy {
-                ContextPolicy::ReloadPerActivation => {
-                    cs.plan_reload_always(cluster_contexts, &stage_clusters)
-                }
-                ContextPolicy::LruResidency => cs.plan(cluster_contexts, &stage_clusters),
-            };
-            let stages = build_stages(app, sched, lifetimes, retention, rf, ctx_plan.loads());
-            let ops = emit_ops(app, sched, &stages)?;
-            let report = simulator.run(&ops)?;
-            Ok(LadderEval {
-                stages,
-                ops,
-                report,
-            })
-        },
-    )
+/// What builds a rung beyond its RF and retention: the plan's
+/// workload, config and architecture, read through one context
+/// scheduler and one simulator.
+struct RungBuilder<'a> {
+    app: &'a Application,
+    sched: &'a ClusterSchedule,
+    lifetimes: &'a Lifetimes,
+    config: &'a SchedulerConfig,
+    arch: &'a ArchParams,
+    cluster_contexts: Vec<u32>,
+    cs: ContextScheduler,
+    simulator: Simulator,
+}
+
+impl<'a> RungBuilder<'a> {
+    fn new(
+        app: &'a Application,
+        sched: &'a ClusterSchedule,
+        lifetimes: &'a Lifetimes,
+        config: &'a SchedulerConfig,
+        arch: &'a ArchParams,
+    ) -> Self {
+        RungBuilder {
+            app,
+            sched,
+            lifetimes,
+            config,
+            arch,
+            cluster_contexts: sched
+                .clusters()
+                .iter()
+                .map(|c| c.kernels().iter().map(|&k| app.kernel(k).contexts()).sum())
+                .collect(),
+            cs: ContextScheduler::new(arch.cm_context_words()),
+            simulator: Simulator::new(*arch),
+        }
+    }
+
+    /// One rung of the RF ladder, memoized on the owning
+    /// [`ScheduleAnalysis`] under its [`LadderKey`], so the greedy and
+    /// searched retentions of a rung (and arch-only sweep variants)
+    /// share evaluations of retentions that skip the same transfers.
+    /// A miss builds the rung and returns its detail beside it.
+    fn eval(
+        &self,
+        analysis: &ScheduleAnalysis,
+        rf: u64,
+        retention: &RetentionSet,
+    ) -> Result<(Arc<LadderEval>, Option<RungDetail>), ScheduleError> {
+        analysis.ladder_eval(
+            LadderKey::new(rf, retention, self.config, self.arch),
+            || self.build(rf, retention),
+        )
+    }
+
+    /// The rung's context plan, stages, ops and simulation: a pure
+    /// function of the workload structure plus the inputs in its
+    /// [`LadderKey`].
+    fn build(&self, rf: u64, retention: &RetentionSet) -> Result<RungDetail, ScheduleError> {
+        let (app, sched) = (self.app, self.sched);
+        // The stage order, one round of clusters after another, written
+        // into a list sized for it.
+        let rounds = app.iterations().div_ceil(rf);
+        let stages = usize::try_from(rounds).map_or(0, |r| r.saturating_mul(sched.len()));
+        let mut stage_clusters = Vec::with_capacity(stages);
+        for _ in 0..rounds {
+            stage_clusters.extend(0..sched.len());
+        }
+        let ctx_plan = match self.config.context_policy {
+            ContextPolicy::ReloadPerActivation => self
+                .cs
+                .plan_reload_always(&self.cluster_contexts, &stage_clusters),
+            ContextPolicy::LruResidency => self.cs.plan(&self.cluster_contexts, &stage_clusters),
+        };
+        let stages = build_stages(app, sched, self.lifetimes, retention, rf, ctx_plan.loads());
+        let ops = emit_ops(app, sched, &stages)?;
+        let report = self.simulator.run(&ops)?;
+        Ok(RungDetail {
+            stages,
+            ops,
+            report,
+        })
+    }
 }
 
 /// Runs the beam search over the plan's ranked candidates, seeded with
@@ -846,6 +899,142 @@ mod tests {
                 assert_eq!(plan.report(), &simulated, "{kind}");
             }
         }
+    }
+
+    /// The stages, ops and report of a plan, with its RF and retention.
+    fn parts(
+        plan: &SchedulePlan,
+    ) -> (
+        u64,
+        Vec<Candidate>,
+        Vec<crate::StagePlan>,
+        mcds_sim::OpSchedule,
+        mcds_sim::SimReport,
+    ) {
+        (
+            plan.rf(),
+            plan.retention().candidates().to_vec(),
+            plan.stages().to_vec(),
+            plan.ops().clone(),
+            plan.report().clone(),
+        )
+    }
+
+    /// A plan whose winner the memo holds as a makespan alone (a rung an
+    /// earlier plan through the analysis evaluated but did not choose)
+    /// rebuilds the winner's stages, ops and simulation and equals a
+    /// cold plan: the analysis is warmed at 16 K words, then planned at
+    /// 2 K.
+    #[test]
+    fn a_winner_met_as_an_unchosen_rung_plans_as_a_cold_plan() {
+        let config = SchedulerConfig::default();
+        let kinds = [
+            SchedulerKind::Basic,
+            SchedulerKind::Ds,
+            SchedulerKind::Cds,
+            SchedulerKind::search_default(),
+            search(1, 10_000),
+        ];
+        let mut rebuilt = Vec::new();
+        for name in mcds_workloads::mix::CATALOG {
+            let (app, sched) = mcds_workloads::mix::by_name(name, 16).expect("catalog");
+            for cross in [false, true] {
+                let arch = |kw: u64| {
+                    ArchParams::m1_with_fb(Words::kilo(kw))
+                        .to_builder()
+                        .fb_cross_set_access(cross)
+                        .build()
+                };
+                let (roomy, tight) = (arch(16), arch(2));
+                for kind in kinds {
+                    let point = format!("{name} cross={cross} {kind}");
+                    let warm = ScheduleAnalysis::new(&app, &sched);
+                    kind.plan_observed(&app, &sched, &roomy, &config, &warm, Observer::none())
+                        .expect("fits at 16 K");
+                    let Ok(cold) = kind.plan(&app, &sched, &tight) else {
+                        continue;
+                    };
+                    let key = LadderKey::new(cold.rf(), cold.retention(), &config, &tight);
+                    if warm.memo().get(&key).is_some_and(|e| e.detail().is_none()) {
+                        rebuilt.push((kind, point.clone()));
+                    }
+                    let warmed = kind
+                        .plan_observed(&app, &sched, &tight, &config, &warm, Observer::none())
+                        .expect("fits as the cold plan does");
+                    assert_eq!(parts(&warmed), parts(&cold), "{point}");
+                    let simulated = Simulator::new(tight).run(warmed.ops()).expect("runs");
+                    assert_eq!(warmed.report(), &simulated, "{point}");
+                }
+            }
+        }
+        assert!(
+            rebuilt.iter().any(|(_, p)| p == "e1 cross=false ds"),
+            "E1's DS winner at 2 K is a rung the 16 K plan did not choose: {rebuilt:?}"
+        );
+        for kind in kinds {
+            // Basic climbs one rung, which every FB size chooses.
+            assert_eq!(
+                rebuilt.iter().any(|&(k, _)| k == kind),
+                kind != SchedulerKind::Basic,
+                "{kind}: {rebuilt:?}"
+            );
+        }
+    }
+
+    /// Over the catalog at 1, 8 and 48 iterations × 1–16 K words × the
+    /// four kinds, planned in a shuffled order through one analysis per
+    /// structure, the memo holds stages, ops and simulations for exactly
+    /// the distinct rungs some plan chose.
+    #[test]
+    fn only_chosen_rungs_keep_their_detail() {
+        let config = SchedulerConfig::default();
+        let kinds = [
+            SchedulerKind::Basic,
+            SchedulerKind::Ds,
+            SchedulerKind::Cds,
+            SchedulerKind::search_default(),
+        ];
+        let mut points = Vec::new();
+        for name in mcds_workloads::mix::CATALOG {
+            for iterations in [1, 8, 48] {
+                for kw in [1, 2, 4, 8, 16] {
+                    points.extend(kinds.map(|kind| (*name, iterations, kw, kind)));
+                }
+            }
+        }
+        let mut bits = 28;
+        for i in (1..points.len()).rev() {
+            bits = crate::splitmix64(bits);
+            points.swap(i, (bits % (i as u64 + 1)) as usize);
+        }
+        let mut structures = std::collections::HashMap::new();
+        for (name, iterations, kw, kind) in points {
+            let (app, sched, analysis, chosen) =
+                structures.entry((name, iterations)).or_insert_with(|| {
+                    let (app, sched) =
+                        mcds_workloads::mix::by_name(name, iterations).expect("catalog");
+                    let analysis = ScheduleAnalysis::new(&app, &sched);
+                    (app, sched, analysis, std::collections::HashSet::new())
+                });
+            let arch = ArchParams::m1_with_fb(Words::kilo(kw));
+            if let Ok(plan) =
+                kind.plan_observed(app, sched, &arch, &config, analysis, Observer::none())
+            {
+                chosen.insert(LadderKey::new(plan.rf(), plan.retention(), &config, &arch));
+            }
+        }
+        let mut unchosen = 0;
+        for ((name, iterations), (_, _, analysis, chosen)) in structures {
+            let memo = analysis.memo();
+            let filled: std::collections::HashSet<LadderKey> = memo
+                .iter()
+                .filter(|(_, eval)| eval.detail().is_some())
+                .map(|(key, _)| key.clone())
+                .collect();
+            assert_eq!(filled, chosen, "{name} x{iterations}");
+            unchosen += memo.len() - filled.len();
+        }
+        assert!(unchosen > 0, "some memoized rungs were never chosen");
     }
 
     /// With `sim-op-events`, an observed evaluation narrates every op:

@@ -48,6 +48,25 @@ impl Application {
         self.iterations
     }
 
+    /// The same application run for `n` streaming iterations: its
+    /// kernels and data objects are copied as they are, and only the
+    /// new count is checked, so a validated application stays valid.
+    ///
+    /// # Errors
+    ///
+    /// [`ModelError::ZeroIterations`] if `n == 0`.
+    pub fn with_iterations(&self, n: u64) -> Result<Application, ModelError> {
+        if n == 0 {
+            return Err(ModelError::ZeroIterations);
+        }
+        Ok(Application {
+            name: self.name.clone(),
+            kernels: self.kernels.clone(),
+            data: self.data.clone(),
+            iterations: n,
+        })
+    }
+
     /// Looks up a kernel by id.
     ///
     /// # Panics
@@ -437,6 +456,16 @@ mod tests {
     fn rejects_zero_iterations() {
         let b = three_stage().iterations(0);
         assert_eq!(b.build().unwrap_err(), ModelError::ZeroIterations);
+    }
+
+    #[test]
+    fn with_iterations_equals_building_at_that_count() {
+        let once = three_stage().iterations(1).build().expect("valid");
+        for n in [1, 2, 48] {
+            let built = three_stage().iterations(n).build().expect("valid");
+            assert_eq!(once.with_iterations(n), Ok(built));
+        }
+        assert_eq!(once.with_iterations(0), Err(ModelError::ZeroIterations));
     }
 
     #[test]

@@ -6,6 +6,8 @@
 //! a seeded sampler that draws names from a weighted mix so a load
 //! generator replays the *same* request sequence on every run.
 
+use std::sync::OnceLock;
+
 use mcds_model::{Application, ClusterSchedule};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -19,32 +21,47 @@ use crate::mpeg::{mpeg_app, mpeg_schedule};
 /// Every name [`by_name`] understands, in catalog order.
 pub const CATALOG: &[&str] = &["e1", "e2", "e3", "mpeg", "atr-sld", "atr-fi"];
 
+/// Each catalog entry at one iteration, built and validated once per
+/// process on its first request.
+static TEMPLATES: [OnceLock<Option<(Application, ClusterSchedule)>>; CATALOG.len()] =
+    [const { OnceLock::new() }; CATALOG.len()];
+
 /// Resolves a workload name into its application and cluster schedule.
 ///
 /// `iterations` scales the streaming depth (macroblocks for `mpeg`).
 /// The ATR names use the paper's primary partitions
 /// ([`SldSchedule::Unbalanced`], [`FiSchedule::Standard`]).
 ///
+/// Each entry is built once per process; a call copies it at the
+/// requested iteration count, which changes nothing else.
+///
 /// Returns `None` for names outside [`CATALOG`] — and for
 /// `iterations == 0`, which no workload accepts.
 #[must_use]
 pub fn by_name(name: &str, iterations: u64) -> Option<(Application, ClusterSchedule)> {
+    let index = CATALOG.iter().position(|&entry| entry == name)?;
+    let (app, sched) = TEMPLATES[index].get_or_init(|| template(name)).as_ref()?;
+    Some((app.with_iterations(iterations).ok()?, sched.clone()))
+}
+
+/// Builds the catalog entry `name` at one iteration.
+fn template(name: &str) -> Option<(Application, ClusterSchedule)> {
     match name {
-        "e1" => e1(iterations).ok(),
-        "e2" => e2(iterations).ok(),
-        "e3" => e3(iterations).ok(),
+        "e1" => e1(1).ok(),
+        "e2" => e2(1).ok(),
+        "e3" => e3(1).ok(),
         "mpeg" => {
-            let app = mpeg_app(iterations).ok()?;
+            let app = mpeg_app(1).ok()?;
             let sched = mpeg_schedule(&app).ok()?;
             Some((app, sched))
         }
         "atr-sld" => {
-            let app = atr_sld_app(iterations).ok()?;
+            let app = atr_sld_app(1).ok()?;
             let sched = atr_sld_schedule(&app, SldSchedule::Unbalanced).ok()?;
             Some((app, sched))
         }
         "atr-fi" => {
-            let app = atr_fi_app(iterations).ok()?;
+            let app = atr_fi_app(1).ok()?;
             let sched = atr_fi_schedule(&app, FiSchedule::Standard).ok()?;
             Some((app, sched))
         }
@@ -145,6 +162,43 @@ mod tests {
         }
         assert!(by_name("nope", 8).is_none());
         assert!(by_name("e1", 0).is_none(), "zero iterations rejected");
+    }
+
+    /// The oracle: each catalog entry from its own builders at the
+    /// requested count.
+    fn direct(name: &str, n: u64) -> (Application, ClusterSchedule) {
+        match name {
+            "e1" => e1(n).expect("valid"),
+            "e2" => e2(n).expect("valid"),
+            "e3" => e3(n).expect("valid"),
+            "mpeg" => {
+                let app = mpeg_app(n).expect("valid");
+                let sched = mpeg_schedule(&app).expect("valid");
+                (app, sched)
+            }
+            "atr-sld" => {
+                let app = atr_sld_app(n).expect("valid");
+                let sched = atr_sld_schedule(&app, SldSchedule::Unbalanced).expect("valid");
+                (app, sched)
+            }
+            "atr-fi" => {
+                let app = atr_fi_app(n).expect("valid");
+                let sched = atr_fi_schedule(&app, FiSchedule::Standard).expect("valid");
+                (app, sched)
+            }
+            other => panic!("{other} is not in the catalog"),
+        }
+    }
+
+    #[test]
+    fn templates_equal_the_direct_builders() {
+        for &name in CATALOG {
+            for n in 1..=48 {
+                assert_eq!(by_name(name, n), Some(direct(name, n)), "{name} x{n}");
+            }
+            assert_eq!(by_name(name, 0), None, "{name} x0");
+        }
+        assert_eq!(by_name("E1", 8), None, "names are case-sensitive");
     }
 
     #[test]
