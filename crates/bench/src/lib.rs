@@ -1,8 +1,11 @@
 //! Experiment-reproduction helpers shared by the `reproduce` binary,
-//! the `mcds` CLI and the integration tests.
+//! the `mcds` CLI and the integration tests, and the `mcds` argument
+//! parser ([`cli`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+pub mod cli;
 
 use mcds_core::{Comparison, ExperimentRow};
 use mcds_model::{Application, ArchParams, ClusterSchedule, Words};

@@ -43,23 +43,6 @@ use crate::{
     SchedulerConfig, Seam, TraceSink, VecSink,
 };
 
-/// How a pipeline consumes fault decisions: straight off the shared
-/// plan's process-wide counters, or through a per-request
-/// [`FaultScope`].
-enum FaultBinding {
-    Global(Arc<FaultPlan>),
-    Scoped(FaultScope),
-}
-
-impl FaultBinding {
-    fn decider(&self) -> &dyn FaultDecider {
-        match self {
-            FaultBinding::Global(plan) => plan.as_ref(),
-            FaultBinding::Scoped(scope) => scope,
-        }
-    }
-}
-
 /// A cluster-formation strategy: anything that can turn an application
 /// into a [`ClusterSchedule`] for a given architecture.
 ///
@@ -238,7 +221,7 @@ pub struct Pipeline {
     sink: Option<Arc<dyn TraceSink>>,
     metrics: Option<Arc<MetricsRegistry>>,
     cancel: Option<CancelToken>,
-    faults: Option<FaultBinding>,
+    faults: Option<FaultScope>,
 }
 
 impl Pipeline {
@@ -321,32 +304,29 @@ impl Pipeline {
         self
     }
 
-    /// Attaches a deterministic [`FaultPlan`]: stage boundaries and the
-    /// allocation walk consult it and inject the faults it fires
-    /// (stage delays / cancellations, transient allocation failures).
-    /// Intended for robustness testing — production pipelines simply
-    /// omit it.
+    /// Attaches a deterministic [`FaultPlan`], scoped to one request:
+    /// stage boundaries and the allocation walk consult it and inject
+    /// the faults it fires (stage delays / cancellations, transient
+    /// allocation failures). Decisions index per-request counters
+    /// salted by `(request_key, attempt)` via [`FaultPlan::scope`], so
+    /// this run's fault stream is independent of how many decisions
+    /// other requests consumed, and retries of the same key draw fresh
+    /// streams. Intended for robustness testing — the serving layer
+    /// binds every worker run this way when a plan is attached, and
+    /// production pipelines simply omit it.
     #[must_use]
-    pub fn faults(mut self, plan: Arc<FaultPlan>) -> Self {
-        self.faults = Some(FaultBinding::Global(plan));
+    pub fn faults_scoped(mut self, plan: &Arc<FaultPlan>, request_key: u64) -> Self {
+        self.faults = Some(plan.scope(request_key));
         self
     }
 
-    /// Like [`faults`](Pipeline::faults), but scoped: decisions index
-    /// per-request counters salted by `(request_key, attempt)` via
-    /// [`FaultPlan::scope`], so this run's fault stream is independent
-    /// of how many decisions other requests consumed, and retries of
-    /// the same key draw fresh streams. The serving layer binds every
-    /// worker run this way.
-    #[must_use]
-    pub fn faults_scoped(mut self, plan: &Arc<FaultPlan>, request_key: u64) -> Self {
-        self.faults = Some(FaultBinding::Scoped(plan.scope(request_key)));
-        self
+    fn fault_decider(&self) -> Option<&dyn FaultDecider> {
+        self.faults.as_ref().map(|scope| scope as &dyn FaultDecider)
     }
 
     fn observer(&self) -> Observer<'_> {
         Observer::new(self.sink.as_deref(), self.metrics.as_deref())
-            .with_faults(self.faults.as_ref().map(FaultBinding::decider))
+            .with_faults(self.fault_decider())
     }
 
     fn check_cancel(&self) -> Result<(), McdsError> {
@@ -468,8 +448,8 @@ impl Pipeline {
             local: local.clone(),
             other: self.sink.clone(),
         };
-        let observer = Observer::new(Some(&tee), self.metrics.as_deref())
-            .with_faults(self.faults.as_ref().map(FaultBinding::decider));
+        let observer =
+            Observer::new(Some(&tee), self.metrics.as_deref()).with_faults(self.fault_decider());
         let run = self.run_observed(observer)?;
         Ok((run, render_explain(&local.take())))
     }
@@ -801,13 +781,14 @@ mod tests {
         // Rate 1M at admission: the very first decision fires. Probe
         // for a seed whose flavor roll is StageCancel (not StageDelay)
         // so the run aborts instead of merely stalling.
+        const KEY: u64 = 0xC0FFEE;
         let admission_always =
             |seed| FaultConfig::new(seed).with_rate(Seam::PipelineAdmission, 1_000_000);
         let seed = (0..100)
             .find(|&s| {
-                let probe = FaultPlan::new(admission_always(s));
+                let probe = Arc::new(FaultPlan::new(admission_always(s)));
                 matches!(
-                    probe.decide(Seam::PipelineAdmission),
+                    probe.scope(KEY).decide(Seam::PipelineAdmission),
                     Some(Fault::StageCancel)
                 )
             })
@@ -815,7 +796,7 @@ mod tests {
         let plan = Arc::new(FaultPlan::new(admission_always(seed)));
         let err = Pipeline::new(app())
             .metrics(Arc::clone(&metrics))
-            .faults(Arc::clone(&plan))
+            .faults_scoped(&plan, KEY)
             .run()
             .expect_err("admission fault fires");
         assert!(matches!(err, McdsError::Cancelled(_)), "got {err}");
@@ -831,7 +812,7 @@ mod tests {
             FaultConfig::new(3).with_rate(Seam::FbAlloc, 1_000_000),
         ));
         let err = Pipeline::new(app())
-            .faults(plan)
+            .faults_scoped(&plan, 1)
             .run()
             .expect_err("every allocation faults");
         assert!(err.is_transient(), "got {err}");
@@ -843,7 +824,7 @@ mod tests {
         use crate::FaultConfig;
         let plain = Pipeline::new(app()).run().expect("runs");
         let faulted = Pipeline::new(app())
-            .faults(Arc::new(FaultPlan::new(FaultConfig::new(5))))
+            .faults_scoped(&Arc::new(FaultPlan::new(FaultConfig::new(5))), 1)
             .run()
             .expect("all rates zero");
         assert_eq!(plain.plan().rf(), faulted.plan().rf());

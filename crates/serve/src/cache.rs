@@ -262,9 +262,10 @@ impl Drop for AnalysisGuard {
     }
 }
 
-/// Default shard count — plenty for the worker/connection counts this
-/// daemon runs with, small enough that an empty cache stays cheap.
-pub const DEFAULT_SHARDS: usize = 16;
+/// Shard count — plenty for the worker/connection counts this daemon
+/// runs with, small enough that an empty cache stays cheap. A power of
+/// two: a key's top `log2(SHARDS)` bits select its shard.
+pub const SHARDS: usize = 16;
 
 /// The sharded cache. Shared across the reactor and worker threads via
 /// `Arc`.
@@ -274,53 +275,31 @@ pub struct OutcomeCache {
     /// *structure* key and holding memoized
     /// [`PreparedSchedule`]s instead of outcomes.
     analysis: Box<[AnalysisShard]>,
-    /// `log2(shards.len())` — the key's top `bits` bits select the
-    /// shard.
-    bits: u32,
     orphans: Mutex<Vec<(u64, Vec<Token>)>>,
 }
 
 impl OutcomeCache {
-    /// An empty cache with [`DEFAULT_SHARDS`] shards.
+    /// An empty cache with [`SHARDS`] shards.
     #[must_use]
     pub fn new() -> Arc<Self> {
-        OutcomeCache::with_shards(DEFAULT_SHARDS)
-    }
-
-    /// An empty cache with `n` shards, rounded up to the next power of
-    /// two and clamped to `[1, 1024]`.
-    #[must_use]
-    pub fn with_shards(n: usize) -> Arc<Self> {
-        let n = n.clamp(1, 1024).next_power_of_two();
         Arc::new(OutcomeCache {
-            shards: (0..n).map(|_| Mutex::new(HashMap::new())).collect(),
-            analysis: (0..n)
+            shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
+            analysis: (0..SHARDS)
                 .map(|_| AnalysisShard {
                     map: Mutex::new(HashMap::new()),
                     cv: Condvar::new(),
                 })
                 .collect(),
-            bits: n.trailing_zeros(),
             orphans: Mutex::new(Vec::new()),
         })
     }
 
-    /// The shard count (a power of two).
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Which shard `key` routes to: the key's high-order prefix bits.
-    /// Stable for a given key and shard count — the routing contract
-    /// the shard tests pin.
+    /// Stable for a given key — the routing contract the shard test
+    /// pins.
     #[must_use]
     pub fn shard_of(&self, key: u64) -> usize {
-        if self.bits == 0 {
-            0
-        } else {
-            (key >> (64 - self.bits)) as usize
-        }
+        (key >> (64 - SHARDS.trailing_zeros())) as usize
     }
 
     fn shard(&self, key: u64) -> &Mutex<HashMap<u64, Entry>> {
@@ -660,19 +639,12 @@ mod tests {
 
     #[test]
     fn shard_routing_is_stable_and_prefix_based() {
-        let cache = OutcomeCache::with_shards(16);
-        assert_eq!(cache.shard_count(), 16);
+        let cache = OutcomeCache::new();
+        assert_eq!(SHARDS, 16);
         for key in [0u64, 1, 0xdead_beef, u64::MAX, 42 << 60] {
             assert_eq!(cache.shard_of(key), cache.shard_of(key), "stable");
             assert_eq!(cache.shard_of(key), (key >> 60) as usize, "top bits");
         }
-        // Rounding and clamping.
-        assert_eq!(OutcomeCache::with_shards(0).shard_count(), 1);
-        assert_eq!(OutcomeCache::with_shards(3).shard_count(), 4);
-        assert_eq!(OutcomeCache::with_shards(9000).shard_count(), 1024);
-        // A single shard routes everything to 0 without shifting by 64.
-        let one = OutcomeCache::with_shards(1);
-        assert_eq!(one.shard_of(u64::MAX), 0);
     }
 
     fn prepared() -> Arc<PreparedSchedule> {

@@ -3,7 +3,7 @@
 //! Wraps the `mcds-core` [`Pipeline`](mcds_core::Pipeline) in a small
 //! std-only daemon speaking versioned newline-delimited JSON over TCP
 //! (`"v":1` envelopes, machine-readable [`ErrorCode`]s), plus a typed
-//! client and a scaled load harness. Four layers:
+//! client and a pipelined load harness. Five layers:
 //!
 //! * **Reactor** — one thread multiplexes every socket through
 //!   `poll(2)` ([`sys`](crate) shim, no external crates): nonblocking
@@ -61,7 +61,7 @@ mod sys;
 
 pub use cache::{
     degraded_key, CachedEntry, CachedError, CachedResult, FlightGuard, Lookup, OutcomeCache, Token,
-    DEFAULT_SHARDS,
+    SHARDS,
 };
 pub use client::{Client, ClientConfig, ClientError};
 pub use load::{

@@ -1,20 +1,15 @@
-//! The scaled load harness: pipelined connections over an enumerated
-//! key space, explicit cold/warm phases, and reports that **merge**
-//! across processes.
+//! The load harness: pipelined connections over an enumerated key
+//! space, each driven by its own thread, with explicit cold/warm
+//! phases.
 //!
 //! Latency is aggregated in a log-linear histogram (32 sub-buckets per
 //! octave, ≈3% relative error, percentiles reported from bucket upper
-//! bounds so they never understate), which is what makes multi-process
-//! merging exact: each driver process serializes its sparse histogram
-//! and per-key outcome digests into its [`LoadReport`], and the parent
-//! [`LoadReport::merge`]s them — percentiles over the *merged* vector,
-//! never an average of per-process percentiles.
+//! bounds so they never understate), per phase and over the whole run.
 //!
 //! Outcome consistency is checked end to end: every `ok` response's
 //! outcome is hashed (FNV-1a over its canonical JSON) under its
 //! request key; any two responses for the same key with different
-//! digests — within a process or across processes — flip
-//! `consistent_outcomes` to `false`.
+//! digests, on any connection, flip `consistent_outcomes` to `false`.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{Read, Write};
@@ -25,17 +20,16 @@ use mcds_core::{splitmix64, McdsError};
 use serde::{Deserialize, Serialize};
 
 use crate::client::Conn;
-use crate::protocol::{format_key, QosClass, ScheduleSpec, ServeRequest, ServeResponse};
+use crate::protocol::{QosClass, ScheduleSpec, ServeRequest, ServeResponse};
 
-/// Load-generator tunables (one driver process).
+/// Load-generator tunables.
 #[derive(Debug, Clone)]
 pub struct LoadConfig {
     /// Server address, e.g. `127.0.0.1:7171`.
     pub addr: String,
     /// Concurrent connections.
     pub connections: usize,
-    /// Total requests this process sends (across all connections,
-    /// both phases).
+    /// Total requests sent (across all connections, both phases).
     pub requests: usize,
     /// Distinct request keys to spread the load over (the cold phase
     /// touches each exactly once; the warm phase samples them).
@@ -190,34 +184,6 @@ impl Hist {
         self.max = self.max.max(v);
     }
 
-    fn from_sparse(buckets: &[u64], counts: &[u64], max: u64) -> Hist {
-        let mut hist = Hist::new();
-        hist.merge_sparse(buckets, counts, max);
-        hist
-    }
-
-    fn merge_sparse(&mut self, buckets: &[u64], counts: &[u64], max: u64) {
-        for (&b, &c) in buckets.iter().zip(counts) {
-            if let Some(slot) = self.counts.get_mut(b as usize) {
-                *slot += c;
-                self.total += c;
-            }
-        }
-        self.max = self.max.max(max);
-    }
-
-    fn to_sparse(&self) -> (Vec<u64>, Vec<u64>) {
-        let mut buckets = Vec::new();
-        let mut counts = Vec::new();
-        for (b, &c) in self.counts.iter().enumerate() {
-            if c > 0 {
-                buckets.push(b as u64);
-                counts.push(c);
-            }
-        }
-        (buckets, counts)
-    }
-
     /// Nearest-rank percentile (bucket upper bound, clamped to the
     /// exact observed maximum).
     fn percentile(&self, pct: u64) -> u64 {
@@ -239,7 +205,7 @@ impl Hist {
 // ---- reports -----------------------------------------------------------
 
 /// Counters and latency distribution of one load phase.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct PhaseStats {
     /// Requests completed in this phase.
     pub requests: u64,
@@ -265,12 +231,6 @@ pub struct PhaseStats {
     pub p99_us: u64,
     /// Worst-case latency (µs).
     pub max_us: u64,
-    /// Sparse latency histogram: occupied bucket indices (log-linear,
-    /// 32 sub-buckets per octave). Carried so reports merge exactly;
-    /// stripped from published bench files.
-    pub hist_buckets: Vec<u64>,
-    /// Counts matching `hist_buckets` position by position.
-    pub hist_counts: Vec<u64>,
 }
 
 impl PhaseStats {
@@ -296,46 +256,23 @@ impl PhaseStats {
                 SampleKind::Error | SampleKind::Transport => stats.errors += 1,
             }
         }
-        stats.refresh(hist);
-        stats
-    }
-
-    fn refresh(&mut self, hist: Hist) {
-        self.p50_us = hist.percentile(50);
-        self.p95_us = hist.percentile(95);
-        self.p99_us = hist.percentile(99);
-        self.max_us = hist.max;
-        (self.hist_buckets, self.hist_counts) = hist.to_sparse();
-        if self.elapsed_ms > 0 {
-            self.throughput_rps = self.requests as f64 / (self.elapsed_ms as f64 / 1000.0);
+        stats.p50_us = hist.percentile(50);
+        stats.p95_us = hist.percentile(95);
+        stats.p99_us = hist.percentile(99);
+        stats.max_us = hist.max;
+        if stats.elapsed_ms > 0 {
+            stats.throughput_rps = stats.requests as f64 / (stats.elapsed_ms as f64 / 1000.0);
         }
-    }
-
-    /// Folds another process's phase into this one: counters add,
-    /// wall-clock takes the max (the processes ran concurrently), and
-    /// percentiles are recomputed over the merged histogram.
-    pub fn merge(&mut self, other: &PhaseStats) {
-        self.requests += other.requests;
-        self.ok += other.ok;
-        self.errors += other.errors;
-        self.rejected += other.rejected;
-        self.cache_hits += other.cache_hits;
-        self.cache_misses += other.cache_misses;
-        self.elapsed_ms = self.elapsed_ms.max(other.elapsed_ms);
-        let mut hist = Hist::from_sparse(&self.hist_buckets, &self.hist_counts, self.max_us);
-        hist.merge_sparse(&other.hist_buckets, &other.hist_counts, other.max_us);
-        self.refresh(hist);
+        stats
     }
 }
 
-/// Aggregated results of one load run (or several merged ones).
-/// Serializes to the `BENCH_serve_*.json` evidence format.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// Aggregated results of one load run. Serializes to the
+/// `BENCH_serve_*.json` evidence format.
+#[derive(Debug, Clone, Serialize)]
 pub struct LoadReport {
-    /// Connections opened (across merged processes).
+    /// Connections opened.
     pub connections: u64,
-    /// Driver processes merged into this report.
-    pub processes: u64,
     /// In-flight requests per connection.
     pub pipeline: u64,
     /// Requests sent.
@@ -353,19 +290,19 @@ pub struct LoadReport {
     /// Distinct request keys observed in `ok` responses.
     pub distinct_keys: u64,
     /// `true` iff every response for the same key carried a
-    /// byte-identical outcome (checked via per-key digests, including
-    /// across merged processes).
+    /// byte-identical outcome (checked via per-key digests across all
+    /// connections).
     pub consistent_outcomes: bool,
     /// Wall-clock duration of the run in milliseconds (both phases).
     pub elapsed_ms: u64,
     /// Completed requests per second.
     pub throughput_rps: f64,
     /// Median client-observed round-trip latency (µs), over the
-    /// merged latency distribution of *all* phases and processes.
+    /// latency distribution of *both* phases.
     pub p50_us: u64,
-    /// 95th-percentile latency (µs), merged distribution.
+    /// 95th-percentile latency (µs), both phases.
     pub p95_us: u64,
-    /// 99th-percentile latency (µs), merged distribution.
+    /// 99th-percentile latency (µs), both phases.
     pub p99_us: u64,
     /// Worst-case latency (µs).
     pub max_us: u64,
@@ -380,80 +317,6 @@ pub struct LoadReport {
     /// The warm phase: the remaining requests, sampled over the key
     /// space.
     pub warm: PhaseStats,
-    /// Merged overall histogram (sparse); stripped from published
-    /// bench files.
-    pub hist_buckets: Vec<u64>,
-    /// Counts matching `hist_buckets`.
-    pub hist_counts: Vec<u64>,
-    /// `"<key-hex>:<digest-hex>"` per observed key, for cross-process
-    /// consistency checking; stripped from published bench files.
-    pub key_digests: Vec<String>,
-}
-
-impl LoadReport {
-    /// Folds another process's report into this one. Counters add,
-    /// wall-clock takes the max, percentiles are recomputed over the
-    /// merged histograms, and per-key digests are cross-checked:
-    /// any key whose outcomes differ between processes flips
-    /// `consistent_outcomes`.
-    pub fn merge(&mut self, other: &LoadReport) {
-        self.connections += other.connections;
-        self.processes += other.processes;
-        self.pipeline = self.pipeline.max(other.pipeline);
-        self.requests += other.requests;
-        self.ok += other.ok;
-        self.errors += other.errors;
-        self.rejected += other.rejected;
-        self.cache_hits += other.cache_hits;
-        self.cache_misses += other.cache_misses;
-        self.retried += other.retried;
-        self.transport_errors += other.transport_errors;
-        self.degraded += other.degraded;
-        self.elapsed_ms = self.elapsed_ms.max(other.elapsed_ms);
-        self.consistent_outcomes &= other.consistent_outcomes;
-        self.cold.merge(&other.cold);
-        self.warm.merge(&other.warm);
-        let mut digests: BTreeMap<String, String> = BTreeMap::new();
-        for entry in self.key_digests.iter().chain(&other.key_digests) {
-            if let Some((key, digest)) = entry.split_once(':') {
-                match digests.get(key) {
-                    None => {
-                        digests.insert(key.to_owned(), digest.to_owned());
-                    }
-                    Some(seen) if seen != digest => self.consistent_outcomes = false,
-                    Some(_) => {}
-                }
-            }
-        }
-        self.distinct_keys = digests.len() as u64;
-        self.key_digests = digests
-            .into_iter()
-            .map(|(k, d)| format!("{k}:{d}"))
-            .collect();
-        let mut hist = Hist::from_sparse(&self.hist_buckets, &self.hist_counts, self.max_us);
-        hist.merge_sparse(&other.hist_buckets, &other.hist_counts, other.max_us);
-        self.p50_us = hist.percentile(50);
-        self.p95_us = hist.percentile(95);
-        self.p99_us = hist.percentile(99);
-        self.max_us = hist.max;
-        (self.hist_buckets, self.hist_counts) = hist.to_sparse();
-        if self.elapsed_ms > 0 {
-            self.throughput_rps = self.requests as f64 / (self.elapsed_ms as f64 / 1000.0);
-        }
-    }
-
-    /// Drops the raw merge payloads (histograms, per-key digests)
-    /// before publishing — the derived percentiles and the
-    /// consistency verdict stay.
-    pub fn strip_raw(&mut self) {
-        self.hist_buckets = Vec::new();
-        self.hist_counts = Vec::new();
-        self.key_digests = Vec::new();
-        self.cold.hist_buckets = Vec::new();
-        self.cold.hist_counts = Vec::new();
-        self.warm.hist_buckets = Vec::new();
-        self.warm.hist_counts = Vec::new();
-    }
 }
 
 // ---- the driver --------------------------------------------------------
@@ -720,10 +583,8 @@ pub fn run_load(config: &LoadConfig) -> Result<LoadReport, McdsError> {
 
     let elapsed_ms = u64::try_from(elapsed.as_millis()).unwrap_or(u64::MAX);
     let requests = cold.requests + warm.requests;
-    let (hist_buckets, hist_counts) = hist.to_sparse();
     Ok(LoadReport {
         connections: conns as u64,
-        processes: 1,
         pipeline: config.pipeline.max(1) as u64,
         requests,
         ok: cold.ok + warm.ok,
@@ -748,12 +609,6 @@ pub fn run_load(config: &LoadConfig) -> Result<LoadReport, McdsError> {
         degraded,
         cold,
         warm,
-        hist_buckets,
-        hist_counts,
-        key_digests: digests
-            .into_iter()
-            .map(|(k, d)| format!("{}:{d:016x}", format_key(k)))
-            .collect(),
     })
 }
 
@@ -790,16 +645,19 @@ impl AbuseMode {
             AbuseMode::FrameFlood => "frame_flood",
         }
     }
+}
+
+impl std::str::FromStr for AbuseMode {
+    type Err = &'static str;
 
     /// Parses a report name back into a mode.
-    #[must_use]
-    pub fn from_name(name: &str) -> Option<AbuseMode> {
+    fn from_str(name: &str) -> Result<AbuseMode, Self::Err> {
         match name {
-            "slow_writer" => Some(AbuseMode::SlowWriter),
-            "stalled_reader" => Some(AbuseMode::StalledReader),
-            "idle_holder" => Some(AbuseMode::IdleHolder),
-            "frame_flood" => Some(AbuseMode::FrameFlood),
-            _ => None,
+            "slow_writer" => Ok(AbuseMode::SlowWriter),
+            "stalled_reader" => Ok(AbuseMode::StalledReader),
+            "idle_holder" => Ok(AbuseMode::IdleHolder),
+            "frame_flood" => Ok(AbuseMode::FrameFlood),
+            _ => Err("unknown mode"),
         }
     }
 }
@@ -994,9 +852,9 @@ mod tests {
             AbuseMode::IdleHolder,
             AbuseMode::FrameFlood,
         ] {
-            assert_eq!(AbuseMode::from_name(mode.as_str()), Some(mode));
+            assert_eq!(mode.as_str().parse(), Ok(mode));
         }
-        assert_eq!(AbuseMode::from_name("polite_client"), None);
+        assert!("polite_client".parse::<AbuseMode>().is_err());
     }
 
     #[test]
@@ -1031,68 +889,5 @@ mod tests {
         // up within its ~3% bucket, never down.
         assert!(hist.percentile(99) >= 99 && hist.percentile(99) <= 100);
         assert_eq!(hist.max, 100);
-    }
-
-    #[test]
-    fn merged_reports_recompute_percentiles_and_cross_check_digests() {
-        let mut a = report_with(vec![("00aa".into(), "11".into())], &[10, 20, 30]);
-        let b = report_with(vec![("00bb".into(), "22".into())], &[1000, 2000, 3000]);
-        a.merge(&b);
-        assert_eq!(a.requests, 6);
-        assert_eq!(a.distinct_keys, 2);
-        assert!(a.consistent_outcomes);
-        // Nearest-rank p99 of the merged [10,20,30,1000,2000,3000] is
-        // 2000 — well above either input's solo p99 scale.
-        assert!(a.p99_us >= 2000, "p99 comes from the merged vector");
-        // A conflicting digest for a shared key flips consistency.
-        let c = report_with(vec![("00aa".into(), "33".into())], &[5]);
-        a.merge(&c);
-        assert!(!a.consistent_outcomes);
-    }
-
-    fn report_with(digests: Vec<(String, String)>, lats: &[u64]) -> LoadReport {
-        let samples: Vec<Sample> = lats
-            .iter()
-            .map(|&l| Sample {
-                latency_us: l,
-                kind: SampleKind::Rejected,
-            })
-            .collect();
-        let phase = PhaseStats::from_samples(&samples, Duration::from_millis(10));
-        let mut hist = Hist::new();
-        for &l in lats {
-            hist.record(l);
-        }
-        let (hist_buckets, hist_counts) = hist.to_sparse();
-        LoadReport {
-            connections: 1,
-            processes: 1,
-            pipeline: 1,
-            requests: lats.len() as u64,
-            ok: 0,
-            errors: 0,
-            rejected: lats.len() as u64,
-            cache_hits: 0,
-            cache_misses: 0,
-            distinct_keys: digests.len() as u64,
-            consistent_outcomes: true,
-            elapsed_ms: 10,
-            throughput_rps: 0.0,
-            p50_us: hist.percentile(50),
-            p95_us: hist.percentile(95),
-            p99_us: hist.percentile(99),
-            max_us: hist.max,
-            retried: 0,
-            transport_errors: 0,
-            degraded: 0,
-            cold: phase.clone(),
-            warm: PhaseStats::default(),
-            hist_buckets,
-            hist_counts,
-            key_digests: digests
-                .into_iter()
-                .map(|(k, d)| format!("{k}:{d}"))
-                .collect(),
-        }
     }
 }

@@ -52,7 +52,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::cache::{
     degraded_key, AnalysisLookup, CachedEntry, CachedResult, FlightGuard, Lookup, OutcomeCache,
-    Token, DEFAULT_SHARDS,
+    Token,
 };
 use crate::protocol::{
     decode_request, render_scheduled, ErrorCode, FrameBuffer, FrameError, Outcome, QosClass,
@@ -73,15 +73,10 @@ pub struct ServeConfig {
     /// buffering. `0` rejects every compute (useful for overload
     /// tests).
     pub queue_depth: usize,
-    /// Upper bound on one reactor tick's `poll` timeout in
-    /// milliseconds (completions and I/O wake it earlier).
-    pub poll_ms: u64,
     /// Largest accepted request frame in bytes; a connection that
     /// buffers more without a newline gets a typed error and is
     /// dropped instead of growing memory without bound.
     pub max_frame_bytes: usize,
-    /// Outcome-cache shard count (rounded up to a power of two).
-    pub shards: usize,
     /// Deterministic fault-injection plan for robustness testing
     /// (`None` in production: zero injected faults).
     pub faults: Option<Arc<FaultPlan>>,
@@ -135,9 +130,7 @@ impl Default for ServeConfig {
                 .unwrap_or(2)
                 .clamp(1, 8),
             queue_depth: 64,
-            poll_ms: 25,
             max_frame_bytes: 256 * 1024,
-            shards: DEFAULT_SHARDS,
             faults: None,
             degrade: true,
             degrade_below_ms: 0,
@@ -257,6 +250,10 @@ enum Memo {
 
 /// Parse-memo capacity; lines beyond this are simply not memoized.
 const MEMO_CAP: usize = 16 * 1024;
+
+/// Upper bound on one reactor tick's `poll` timeout in milliseconds
+/// (completions, I/O and due timers wake it earlier).
+const POLL_MS: i64 = 25;
 
 /// The largest `iterations × kernels` a `schedule` request may ask for
 /// (2^20). Planning at RF 1 builds one stage per iteration and cluster,
@@ -597,7 +594,7 @@ impl Server {
         // accepted, so recovered keys serve as hits with zero pipeline
         // re-runs. A store open failure is fatal — the operator asked
         // for durability; running without it silently would be worse.
-        let cache = OutcomeCache::with_shards(self.config.shards);
+        let cache = OutcomeCache::new();
         let store = match &self.config.store {
             Some(config) => Some(OutcomeStore::open(
                 config,
@@ -824,7 +821,6 @@ impl Ord for TimerEntry {
 struct Reactor<'a> {
     ctx: &'a Ctx,
     listener: &'a TcpListener,
-    poll_ms: u64,
     max_frame_bytes: usize,
     idle_timeout: Duration,
     write_stall: Duration,
@@ -852,7 +848,6 @@ impl<'a> Reactor<'a> {
         Reactor {
             ctx,
             listener,
-            poll_ms: config.poll_ms.max(1),
             max_frame_bytes: config.max_frame_bytes,
             idle_timeout: Duration::from_millis(config.idle_timeout_ms),
             write_stall: Duration::from_millis(config.write_stall_ms),
@@ -965,10 +960,10 @@ impl<'a> Reactor<'a> {
         (listener_idx, waker_idx, conn_poll)
     }
 
-    /// Poll timeout in ms: the configured tick, shortened to the next
-    /// due timer.
+    /// Poll timeout in ms: [`POLL_MS`], shortened to the next due
+    /// timer.
     fn poll_timeout(&self) -> i32 {
-        let mut timeout = i64::try_from(self.poll_ms).unwrap_or(i64::MAX);
+        let mut timeout = POLL_MS;
         if let Some(Reverse(next)) = self.timers.peek() {
             let until = next
                 .at
@@ -985,7 +980,7 @@ impl<'a> Reactor<'a> {
     /// `idle_timeout` while owing the server nothing (connect-and-idle
     /// and slow-loris writers alike — `last_frame` only advances on
     /// *complete* frames). Runs at most every 100ms; the reactor loop
-    /// already ticks at least every `poll_ms`.
+    /// already ticks at least every [`POLL_MS`].
     fn reap_slow_peers(&mut self) {
         if self.idle_timeout.is_zero() && self.write_stall.is_zero() {
             return;

@@ -367,14 +367,13 @@ fn pipelined_frames_come_back_in_request_order() {
 
 #[test]
 fn sharded_cache_still_deduplicates_across_many_keys() {
-    // A 64-shard cache under a multi-connection pipelined load over
+    // The sharded cache under a multi-connection pipelined load over
     // many distinct keys: every key computes exactly once (the misses
     // equal the key count) and every repeat hits, regardless of which
     // shard it routes to.
     let (addr, handle) = start(ServeConfig {
         workers: 2,
         queue_depth: 256,
-        shards: 64,
         ..ServeConfig::default()
     });
     let report = run_load(&LoadConfig {
@@ -394,6 +393,96 @@ fn sharded_cache_still_deduplicates_across_many_keys() {
     assert!(report.consistent_outcomes);
 
     let mut control = connect(addr);
+    control.shutdown().expect("drain");
+    handle.join().expect("no panic").expect("clean drain");
+}
+
+/// Several connections pipeline the same few uncached lines, twice
+/// each, before any of them reads a reply. Each line computes once:
+/// its first arrival leads, the rest hit the cache or wait on the
+/// leader's flight. On the wire that is one `miss` per line, and every
+/// reply to a line carries the same outcome bytes.
+#[test]
+fn identical_lines_on_many_connections_compute_once() {
+    use std::io::{BufRead, BufReader, Write};
+    use std::net::TcpStream;
+
+    const CONNECTIONS: usize = 4;
+    const REPEATS: usize = 2;
+    let lines: Vec<String> = [("mpeg", 24), ("atr-sld", 24), ("e3", 24)]
+        .into_iter()
+        .map(|(workload, iterations)| {
+            mcds_serve::ServeRequest::Schedule(ScheduleSpec {
+                iterations: Some(iterations),
+                fb_kw: Some(8),
+                ..ScheduleSpec::workload(workload)
+            })
+            .encode()
+        })
+        .collect();
+    let payload = lines.iter().map(|l| format!("{l}\n")).collect::<String>();
+    let (addr, handle) = start(ServeConfig {
+        workers: 2,
+        ..ServeConfig::default()
+    });
+    let streams: Vec<TcpStream> = (0..CONNECTIONS)
+        .map(|_| TcpStream::connect(addr).expect("connect"))
+        .collect();
+    // Every connection writes all its lines before any reply is read.
+    for mut stream in &streams {
+        for _ in 0..REPEATS {
+            stream.write_all(payload.as_bytes()).expect("pipeline");
+        }
+    }
+    let replies: Vec<Vec<String>> = streams
+        .into_iter()
+        .map(|stream| {
+            let mut reader = BufReader::new(stream);
+            (0..REPEATS * lines.len())
+                .map(|_| {
+                    let mut reply = String::new();
+                    reader.read_line(&mut reply).expect("one reply per line");
+                    reply
+                })
+                .collect()
+        })
+        .collect();
+
+    let outcome = |reply: &str| -> String {
+        let from = reply.find("\"outcome\":").expect("an outcome") + "\"outcome\":".len();
+        let to = reply[from..].find(",\"code\":").expect("the code follows");
+        reply[from..from + to].to_owned()
+    };
+    for (i, line) in lines.iter().enumerate() {
+        let answers: Vec<&String> = replies
+            .iter()
+            .flat_map(|conn| conn.iter().skip(i).step_by(lines.len()))
+            .collect();
+        assert_eq!(answers.len(), CONNECTIONS * REPEATS);
+        assert!(
+            answers.iter().all(|r| r.contains("\"status\":\"ok\"")),
+            "{line}: {answers:?}"
+        );
+        let first = outcome(answers[0]);
+        assert!(
+            answers.iter().all(|r| outcome(r) == first),
+            "{line}: every reply carries the same outcome bytes"
+        );
+        let misses = answers
+            .iter()
+            .filter(|r| r.contains("\"cache\":\"miss\""))
+            .count();
+        assert_eq!(misses, 1, "{line}: exactly one reply computed");
+    }
+
+    let mut control = connect(addr);
+    let stats = control.stats().expect("stats payload");
+    let misses = stats
+        .entries
+        .iter()
+        .find(|e| e.name == "serve.cache.misses")
+        .map_or(0, |e| e.value);
+    assert_eq!(misses, lines.len() as u64, "one compute per distinct line");
     control.shutdown().expect("drain");
     handle.join().expect("no panic").expect("clean drain");
 }
