@@ -122,8 +122,8 @@ fn print_run(
         alloc.irregular()
     );
     if gantt {
-        let sim_report = Simulator::new(*arch).run(plan.ops())?;
-        println!("\n{}", render_gantt(plan.ops(), sim_report.timeline(), 100));
+        let timeline = Simulator::new(*arch).timeline(plan.ops())?;
+        println!("\n{}", render_gantt(plan.ops(), &timeline, 100));
     }
     if program {
         let prog = mcds_core::generate_program(app, run.schedule(), plan)?;

@@ -196,10 +196,10 @@ fn gantt() {
             Ok(run) => {
                 let plan = run.plan();
                 println!("-- {} (RF = {}) --", plan.scheduler(), plan.rf());
-                println!(
-                    "{}",
-                    mcds_sim::render_gantt(plan.ops(), plan.report().timeline(), 100)
-                );
+                let timeline = mcds_sim::Simulator::new(arch)
+                    .timeline(plan.ops())
+                    .expect("runs");
+                println!("{}", mcds_sim::render_gantt(plan.ops(), &timeline, 100));
             }
             Err(e) => println!("{e}"),
         }

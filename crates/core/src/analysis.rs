@@ -10,7 +10,8 @@
 //! [`cluster_peak`](crate::cluster_peak) is a closed form over one pass
 //! of a cluster's objects.
 
-use std::collections::hash_map::DefaultHasher;
+use std::borrow::Cow;
+use std::collections::hash_map::{DefaultHasher, Entry};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -24,9 +25,10 @@ use crate::{
 };
 
 /// One memoized rung of the RF ladder that every
-/// [`SchedulerKind`](crate::SchedulerKind) climbs: its simulated
-/// makespan, which is all the ladder compares, and a write-once slot for
-/// the rung's stage plans, operation schedule and simulation report.
+/// [`SchedulerKind`](crate::SchedulerKind) climbs: its key, its
+/// simulated makespan, which is all the ladder compares, and a
+/// write-once slot for the rung's stage plans, operation schedule and
+/// simulation totals.
 ///
 /// The slot is filled only once a plan chooses the rung, and from then
 /// on that plan and every later plan choosing it share the one copy. A
@@ -40,6 +42,7 @@ use crate::{
 /// capacity, which is what lets arch-only variants share rungs.
 #[derive(Debug)]
 pub(crate) struct LadderEval {
+    key: LadderKey<'static>,
     total: Cycles,
     chosen: OnceLock<RungDetail>,
 }
@@ -52,7 +55,7 @@ pub(crate) struct RungDetail {
     pub(crate) stages: Vec<StagePlan>,
     /// The operation schedule emitted from those stages.
     pub(crate) ops: OpSchedule,
-    /// The full simulation report of `ops`.
+    /// The simulation totals of `ops`.
     pub(crate) report: SimReport,
 }
 
@@ -94,23 +97,24 @@ impl LadderEval {
 /// (only the retention *selection* does, and its outcome is in the
 /// key) — which is what lets arch-only variants share rungs.
 ///
-/// The key hashes its fields once, when it is built, and its [`Hash`]
-/// writes only that hash, so a memo lookup and the insert of the miss
-/// that follows it each hash one `u64`, not the skip lists. Equality
-/// still compares every field.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct LadderKey {
+/// A key borrows the retention set's lists, so looking a rung up copies
+/// nothing; [`into_owned`](Self::into_owned) copies them when a miss
+/// stores the key in the memo. The key hashes its fields once, when it
+/// is built: the memo finds rungs by that hash and compares every field
+/// of the rungs it finds.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub(crate) struct LadderKey<'a> {
     /// The hash of `inputs`, computed once.
     hash: u64,
-    inputs: RungInputs,
+    inputs: RungInputs<'a>,
 }
 
 /// The fields of a [`LadderKey`].
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct RungInputs {
+struct RungInputs<'a> {
     rf: u64,
-    skipped_loads: Vec<(ClusterId, DataId)>,
-    skipped_stores: Vec<(ClusterId, DataId)>,
+    skipped_loads: Cow<'a, [(ClusterId, DataId)]>,
+    skipped_stores: Cow<'a, [(ClusterId, DataId)]>,
     context_policy: ContextPolicy,
     cm_context_words: u32,
     data_cycles_per_word: u64,
@@ -118,20 +122,20 @@ struct RungInputs {
     kernel_setup_cycles: u64,
 }
 
-impl LadderKey {
+impl<'a> LadderKey<'a> {
     /// The key of the rung at reuse factor `rf` with `retention`, under
     /// `config`'s context policy and `arch`'s Context Memory size and
     /// timing.
     pub(crate) fn new(
         rf: u64,
-        retention: &RetentionSet,
+        retention: &'a RetentionSet,
         config: &SchedulerConfig,
         arch: &ArchParams,
     ) -> Self {
         let inputs = RungInputs {
             rf,
-            skipped_loads: retention.sorted_skipped_loads(),
-            skipped_stores: retention.sorted_skipped_stores(),
+            skipped_loads: Cow::Borrowed(retention.skipped_loads()),
+            skipped_stores: Cow::Borrowed(retention.skipped_stores()),
             context_policy: config.context_policy,
             cm_context_words: arch.cm_context_words(),
             data_cycles_per_word: arch.data_cycles_per_word(),
@@ -145,11 +149,52 @@ impl LadderKey {
             inputs,
         }
     }
+
+    /// The key with its own copy of the skip lists.
+    pub(crate) fn into_owned(self) -> LadderKey<'static> {
+        let inputs = self.inputs;
+        LadderKey {
+            hash: self.hash,
+            inputs: RungInputs {
+                skipped_loads: Cow::Owned(inputs.skipped_loads.into_owned()),
+                skipped_stores: Cow::Owned(inputs.skipped_stores.into_owned()),
+                ..inputs
+            },
+        }
+    }
 }
 
-impl Hash for LadderKey {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        state.write_u64(self.hash);
+/// The rung memo of one analysis, by the hash of each rung's key.
+#[derive(Debug, Default)]
+struct RungMemo {
+    /// The first rung memoized under each hash.
+    by_hash: HashMap<u64, Arc<LadderEval>>,
+    /// Rungs whose key hashes as an earlier, different key does.
+    collided: Vec<Arc<LadderEval>>,
+}
+
+impl RungMemo {
+    fn get(&self, key: &LadderKey<'_>) -> Option<&Arc<LadderEval>> {
+        self.by_hash
+            .get(&key.hash)
+            .into_iter()
+            .chain(&self.collided)
+            .find(|eval| eval.key == *key)
+    }
+
+    /// The memoized rung under `eval`'s key: `eval`, unless the memo
+    /// holds one already.
+    fn insert(&mut self, eval: Arc<LadderEval>) -> Arc<LadderEval> {
+        if let Some(held) = self.get(&eval.key) {
+            return Arc::clone(held);
+        }
+        match self.by_hash.entry(eval.key.hash) {
+            Entry::Vacant(slot) => {
+                slot.insert(Arc::clone(&eval));
+            }
+            Entry::Occupied(_) => self.collided.push(Arc::clone(&eval)),
+        }
+        eval
     }
 }
 
@@ -164,7 +209,7 @@ pub struct ScheduleAnalysis {
     /// Sharing candidates, indexed by the `fb_cross_set_access` flag.
     candidates: [OnceLock<Vec<Candidate>>; 2],
     /// RF-ladder rungs by their exact non-structural inputs.
-    evals: Mutex<HashMap<LadderKey, Arc<LadderEval>>>,
+    evals: Mutex<RungMemo>,
 }
 
 impl ScheduleAnalysis {
@@ -175,31 +220,33 @@ impl ScheduleAnalysis {
         ScheduleAnalysis {
             lifetimes: Lifetimes::analyze(app, sched),
             candidates: [OnceLock::new(), OnceLock::new()],
-            evals: Mutex::new(HashMap::new()),
+            evals: Mutex::new(RungMemo::default()),
         }
     }
 
     /// The memoized rung under `key`, computing it via `compute` on
     /// first request. On that miss the computed detail comes back
-    /// beside the rung, and the memo keeps only its makespan: the
-    /// caller holds the detail while the rung may still be chosen and
-    /// hands it to [`LadderEval::choose`] if it is. A hit returns no
-    /// detail.
+    /// beside the rung, and the memo keeps only its key and makespan:
+    /// the caller holds the detail while the rung may still be chosen
+    /// and hands it to [`LadderEval::choose`] if it is. A hit copies
+    /// nothing and returns no detail.
     ///
     /// The *caller* owns the key contract: `compute` must read nothing
     /// beyond the (application, cluster schedule) pair this analysis
     /// was built from and the inputs in `key` (see [`LadderKey`]).
     ///
-    /// Concurrent first requests may both run `compute`; the results
-    /// are identical by the purity contract, and the first insert is
-    /// the memo's, so every plan shares one slot per rung.
+    /// `compute` runs outside the memo's lock, so concurrent plans
+    /// through one analysis do not wait on each other's rungs.
+    /// Concurrent first requests may both run it; the results are
+    /// identical by the purity contract, and the first insert is the
+    /// memo's, so every plan shares one slot per rung.
     ///
     /// # Errors
     ///
     /// Propagates `compute`'s error; errors are never cached.
     pub(crate) fn ladder_eval<E>(
         &self,
-        key: LadderKey,
+        key: LadderKey<'_>,
         compute: impl FnOnce() -> Result<RungDetail, E>,
     ) -> Result<(Arc<LadderEval>, Option<RungDetail>), E> {
         if let Some(hit) = self.evals.lock().expect("not poisoned").get(&key) {
@@ -207,23 +254,23 @@ impl ScheduleAnalysis {
         }
         let detail = compute()?;
         let eval = Arc::new(LadderEval {
+            key: key.into_owned(),
             total: detail.report.total(),
             chosen: OnceLock::new(),
         });
-        let eval = Arc::clone(
-            self.evals
-                .lock()
-                .expect("not poisoned")
-                .entry(key)
-                .or_insert(eval),
-        );
+        let eval = self.evals.lock().expect("not poisoned").insert(eval);
         Ok((eval, Some(detail)))
     }
 
-    /// A snapshot of the rung memo.
+    /// A snapshot of the rung memo, by key.
     #[cfg(test)]
-    pub(crate) fn memo(&self) -> HashMap<LadderKey, Arc<LadderEval>> {
-        self.evals.lock().expect("not poisoned").clone()
+    pub(crate) fn memo(&self) -> HashMap<LadderKey<'static>, Arc<LadderEval>> {
+        let memo = self.evals.lock().expect("not poisoned");
+        memo.by_hash
+            .values()
+            .chain(&memo.collided)
+            .map(|eval| (eval.key.clone(), Arc::clone(eval)))
+            .collect()
     }
 
     /// The lifetime analysis.
@@ -346,12 +393,8 @@ mod tests {
     fn a_miss_memoizes_the_makespan_and_only_a_choice_stores_the_detail() {
         let (app, sched) = pipeline(8);
         let analysis = ScheduleAnalysis::new(&app, &sched);
-        let key = LadderKey::new(
-            2,
-            &RetentionSet::empty(),
-            &SchedulerConfig::default(),
-            &ArchParams::m1(),
-        );
+        let empty = RetentionSet::empty();
+        let key = LadderKey::new(2, &empty, &SchedulerConfig::default(), &ArchParams::m1());
         let (eval, computed) = lookup(&analysis, key.clone());
         assert!(computed);
         assert!(eval.detail().is_none(), "the memo keeps the makespan alone");
@@ -368,8 +411,34 @@ mod tests {
             report,
         });
         let memo = analysis.memo();
-        let stored = memo[&key].detail().expect("a chosen rung keeps its detail");
+        let stored = memo[&key.into_owned()]
+            .detail()
+            .expect("a chosen rung keeps its detail");
         assert_eq!(stored.report.total(), eval.total());
+    }
+
+    /// Keys that hash alike but differ keep a rung each, and each
+    /// lookup finds its own.
+    #[test]
+    fn keys_that_hash_alike_keep_their_own_rungs() {
+        let (app, sched) = pipeline(8);
+        let analysis = ScheduleAnalysis::new(&app, &sched);
+        let (config, arch) = (SchedulerConfig::default(), ArchParams::m1());
+        let empty = RetentionSet::empty();
+        let forged = |rf| LadderKey {
+            hash: 7,
+            ..LadderKey::new(rf, &empty, &config, &arch)
+        };
+        let (two, computed) = lookup(&analysis, forged(2));
+        assert!(computed);
+        let (four, computed) = lookup(&analysis, forged(4));
+        assert!(computed, "another key under the same hash misses");
+        assert!(!Arc::ptr_eq(&two, &four));
+        for (rf, eval) in [(2, &two), (4, &four)] {
+            let (again, computed) = lookup(&analysis, forged(rf));
+            assert!(!computed && Arc::ptr_eq(&again, eval), "rf {rf}");
+        }
+        assert_eq!(analysis.memo().len(), 2);
     }
 
     #[test]

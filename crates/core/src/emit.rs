@@ -195,8 +195,10 @@ mod tests {
         let ret = RetentionSet::empty();
         let stages = build_stages(&app, &sched, &lt, &ret, 1, &[16u32; 8]);
         let ops = emit_ops(&app, &sched, &stages).expect("valid");
-        let report = Simulator::new(ArchParams::m1()).run(&ops).expect("runs");
-        let spans = report.timeline().spans();
+        let timeline = Simulator::new(ArchParams::m1())
+            .timeline(&ops)
+            .expect("runs");
+        let spans = timeline.spans();
         // Find the first store (cluster 0's results) and the first
         // compute of cluster 1: they must overlap in time.
         let store = ops

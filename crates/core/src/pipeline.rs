@@ -28,7 +28,6 @@
 //! fixed [`ClusterSchedule`], the default [`SingletonClusters`], or a
 //! search-based provider such as `mcds_ksched::KernelScheduler`.
 
-use std::borrow::Cow;
 use std::fmt;
 use std::str::FromStr;
 use std::sync::Arc;
@@ -419,8 +418,7 @@ impl Pipeline {
     pub fn run_prepared(&self, prepared: &PreparedSchedule) -> Result<PipelineRun, McdsError> {
         self.checkpoint(Seam::PipelineAdmission)?;
         self.checkpoint(Seam::PipelineClustering)?;
-        let schedule = Cow::Borrowed(&prepared.schedule);
-        self.plan_and_evaluate(schedule, &prepared.analysis, self.observer())
+        self.plan_and_evaluate(&prepared.schedule, &prepared.analysis, self.observer())
     }
 
     /// Runs the full chain with the selected scheduler.
@@ -461,23 +459,22 @@ impl Pipeline {
         let schedule = self.resolve_clusters()?;
         self.checkpoint(Seam::PipelineClustering)?;
         let analysis = ScheduleAnalysis::new(&self.app, &schedule);
-        self.plan_and_evaluate(Cow::Owned(schedule), &analysis, observer)
+        self.plan_and_evaluate(&schedule, &analysis, observer)
     }
 
     /// The back half every run shares: data scheduling (with its
     /// allocation walk and the simulation of its chosen rung), the
-    /// planning checkpoint, and the report of that evaluation. A
-    /// borrowed `schedule` is cloned into the run only once it
-    /// succeeds.
+    /// planning checkpoint, and the report of that evaluation. The run
+    /// shares `schedule`'s clusters.
     fn plan_and_evaluate(
         &self,
-        schedule: Cow<'_, ClusterSchedule>,
+        schedule: &ClusterSchedule,
         analysis: &ScheduleAnalysis,
         observer: Observer<'_>,
     ) -> Result<PipelineRun, McdsError> {
         let plan = self.scheduler.plan_observed(
             &self.app,
-            &schedule,
+            schedule,
             &self.arch,
             &self.config,
             analysis,
@@ -486,7 +483,7 @@ impl Pipeline {
         self.checkpoint(Seam::PipelinePlanning)?;
         evaluate_observed(&plan, &self.arch, observer)?;
         Ok(PipelineRun {
-            schedule: schedule.into_owned(),
+            schedule: schedule.clone(),
             plan,
         })
     }

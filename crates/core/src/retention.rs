@@ -135,15 +135,15 @@ impl RetentionSet {
     }
 
     /// The `(cluster, data)` loads this set skips, sorted. With
-    /// [`sorted_skipped_stores`](Self::sorted_skipped_stores), all that
+    /// [`skipped_stores`](Self::skipped_stores), all that
     /// [`build_stages`](crate::build_stages) reads of the set.
-    pub(crate) fn sorted_skipped_loads(&self) -> Vec<(ClusterId, DataId)> {
-        self.skip_load.clone()
+    pub(crate) fn skipped_loads(&self) -> &[(ClusterId, DataId)] {
+        &self.skip_load
     }
 
     /// The `(cluster, data)` stores this set skips, sorted.
-    pub(crate) fn sorted_skipped_stores(&self) -> Vec<(ClusterId, DataId)> {
-        self.skip_store.clone()
+    pub(crate) fn skipped_stores(&self) -> &[(ClusterId, DataId)] {
+        &self.skip_store
     }
 
     /// Is `d` retained on any set?
@@ -578,11 +578,8 @@ mod tests {
                 assert_eq!(set.skips_store(c, d), model.skip_store.contains(&(c, d)));
             }
         }
-        assert_eq!(set.sorted_skipped_loads(), Model::sorted(&model.skip_load));
-        assert_eq!(
-            set.sorted_skipped_stores(),
-            Model::sorted(&model.skip_store)
-        );
+        assert_eq!(set.skipped_loads(), Model::sorted(&model.skip_load));
+        assert_eq!(set.skipped_stores(), Model::sorted(&model.skip_store));
         assert_eq!(
             serde_json::to_string(set).expect("serializes"),
             serde_json::to_string(model).expect("serializes")

@@ -1020,7 +1020,8 @@ mod tests {
             if let Ok(plan) =
                 kind.plan_observed(app, sched, &arch, &config, analysis, Observer::none())
             {
-                chosen.insert(LadderKey::new(plan.rf(), plan.retention(), &config, &arch));
+                let key = LadderKey::new(plan.rf(), plan.retention(), &config, &arch);
+                chosen.insert(key.into_owned());
             }
         }
         let mut unchosen = 0;
@@ -1065,7 +1066,8 @@ mod tests {
             })
             .collect();
         let ops = plan.ops().ops();
-        let spans = plan.report().timeline().spans();
+        let timeline = Simulator::new(arch).timeline(plan.ops()).expect("runs");
+        let spans = timeline.spans();
         assert_eq!(events.len(), ops.len());
         for (i, (index, kind, start, finish)) in events.into_iter().enumerate() {
             assert_eq!(index, i);

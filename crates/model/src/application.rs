@@ -1,5 +1,8 @@
 //! Applications: dataflow DAGs of kernels executed over a data stream.
 
+use std::fmt;
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 
 use crate::graph::DataflowInfo;
@@ -15,31 +18,54 @@ use crate::{Cycles, DataId, DataKind, DataObject, Kernel, KernelId, ModelError, 
 ///
 /// Construct with [`ApplicationBuilder`]; a built application is always
 /// valid (dense ids, single producers, acyclic dataflow).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// The name, kernels and data objects sit behind one reference count,
+/// so a clone, or the same application at another iteration count,
+/// shares them instead of copying them.
+#[derive(Clone, PartialEq, Serialize, Deserialize)]
 pub struct Application {
+    #[serde(flatten)]
+    body: Arc<Body>,
+    iterations: u64,
+}
+
+/// What an application is at every iteration count.
+#[derive(PartialEq, Eq, Serialize, Deserialize)]
+struct Body {
     name: String,
     kernels: Vec<Kernel>,
     data: Vec<DataObject>,
-    iterations: u64,
+}
+
+impl fmt::Debug for Application {
+    // Hand-written so the shared body prints as the fields it holds.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Application")
+            .field("name", &self.body.name)
+            .field("kernels", &self.body.kernels)
+            .field("data", &self.body.data)
+            .field("iterations", &self.iterations)
+            .finish()
+    }
 }
 
 impl Application {
     /// The application's name.
     #[must_use]
     pub fn name(&self) -> &str {
-        &self.name
+        &self.body.name
     }
 
     /// All kernels, indexed by [`KernelId`].
     #[must_use]
     pub fn kernels(&self) -> &[Kernel] {
-        &self.kernels
+        &self.body.kernels
     }
 
     /// All data objects, indexed by [`DataId`].
     #[must_use]
     pub fn data(&self) -> &[DataObject] {
-        &self.data
+        &self.body.data
     }
 
     /// Number of streaming iterations (`n` in the paper).
@@ -48,8 +74,8 @@ impl Application {
         self.iterations
     }
 
-    /// The same application run for `n` streaming iterations: its
-    /// kernels and data objects are copied as they are, and only the
+    /// The same application run for `n` streaming iterations: it
+    /// shares this one's name, kernels and data objects, and only the
     /// new count is checked, so a validated application stays valid.
     ///
     /// # Errors
@@ -60,9 +86,7 @@ impl Application {
             return Err(ModelError::ZeroIterations);
         }
         Ok(Application {
-            name: self.name.clone(),
-            kernels: self.kernels.clone(),
-            data: self.data.clone(),
+            body: Arc::clone(&self.body),
             iterations: n,
         })
     }
@@ -77,7 +101,7 @@ impl Application {
     #[must_use]
     pub fn kernel(&self, id: KernelId) -> &Kernel {
         self.try_kernel(id)
-            .unwrap_or_else(|e| panic!("{e} (of {} kernels)", self.kernels.len()))
+            .unwrap_or_else(|e| panic!("{e} (of {} kernels)", self.kernels().len()))
     }
 
     /// Fallible kernel lookup for ids from untrusted sources.
@@ -87,7 +111,7 @@ impl Application {
     /// [`ModelError::NoSuchKernel`] if `id` does not belong to this
     /// application.
     pub fn try_kernel(&self, id: KernelId) -> Result<&Kernel, ModelError> {
-        self.kernels
+        self.kernels()
             .get(id.index())
             .ok_or(ModelError::NoSuchKernel(id))
     }
@@ -102,7 +126,7 @@ impl Application {
     #[must_use]
     pub fn data_object(&self, id: DataId) -> &DataObject {
         self.try_data_object(id)
-            .unwrap_or_else(|e| panic!("{e} (of {} data objects)", self.data.len()))
+            .unwrap_or_else(|e| panic!("{e} (of {} data objects)", self.data().len()))
     }
 
     /// Fallible data-object lookup for ids from untrusted sources.
@@ -112,7 +136,9 @@ impl Application {
     /// [`ModelError::NoSuchData`] if `id` does not belong to this
     /// application.
     pub fn try_data_object(&self, id: DataId) -> Result<&DataObject, ModelError> {
-        self.data.get(id.index()).ok_or(ModelError::NoSuchData(id))
+        self.data()
+            .get(id.index())
+            .ok_or(ModelError::NoSuchData(id))
     }
 
     /// Size of one iteration's instance of `id`.
@@ -159,13 +185,13 @@ impl Application {
     /// in Table 1 of the paper.
     #[must_use]
     pub fn total_data_per_iteration(&self) -> Words {
-        self.data.iter().map(DataObject::size).sum()
+        self.data().iter().map(DataObject::size).sum()
     }
 
     /// Sum of all kernels' context words.
     #[must_use]
     pub fn total_contexts(&self) -> u32 {
-        self.kernels.iter().map(Kernel::contexts).sum()
+        self.kernels().iter().map(Kernel::contexts).sum()
     }
 }
 
@@ -275,9 +301,11 @@ impl ApplicationBuilder {
             return Err(ModelError::IdSpaceExhausted);
         }
         let app = Application {
-            name: self.name,
-            kernels: self.kernels,
-            data: self.data,
+            body: Arc::new(Body {
+                name: self.name,
+                kernels: self.kernels,
+                data: self.data,
+            }),
             iterations: self.iterations,
         };
         validate(&app)?;
@@ -286,23 +314,23 @@ impl ApplicationBuilder {
 }
 
 fn validate(app: &Application) -> Result<(), ModelError> {
-    if app.kernels.is_empty() {
+    if app.kernels().is_empty() {
         return Err(ModelError::NoKernels);
     }
     if app.iterations == 0 {
         return Err(ModelError::ZeroIterations);
     }
-    for d in &app.data {
+    for d in app.data() {
         if d.size().is_zero() {
             return Err(ModelError::ZeroSizeData(d.id()));
         }
     }
 
-    let n_data = app.data.len();
+    let n_data = app.data().len();
     let mut producer: Vec<Option<KernelId>> = vec![None; n_data];
     let mut consumed: Vec<bool> = vec![false; n_data];
 
-    for k in &app.kernels {
+    for k in app.kernels() {
         for group in [k.inputs(), k.outputs()] {
             let mut seen = Vec::with_capacity(group.len());
             for &d in group {
@@ -325,7 +353,7 @@ fn validate(app: &Application) -> Result<(), ModelError> {
             consumed[d.index()] = true;
         }
         for &d in k.outputs() {
-            if app.data[d.index()].kind().is_external_input() {
+            if app.data()[d.index()].kind().is_external_input() {
                 return Err(ModelError::ProducedInput {
                     kernel: k.id(),
                     data: d,
@@ -344,7 +372,7 @@ fn validate(app: &Application) -> Result<(), ModelError> {
         }
     }
 
-    for d in &app.data {
+    for d in app.data() {
         match d.kind() {
             DataKind::ExternalInput => {}
             DataKind::Intermediate => {
@@ -365,10 +393,10 @@ fn validate(app: &Application) -> Result<(), ModelError> {
 
     // Cycle detection over the kernel dependency graph via Kahn's
     // algorithm.
-    let n = app.kernels.len();
+    let n = app.kernels().len();
     let mut indeg = vec![0usize; n];
     let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for k in &app.kernels {
+    for k in app.kernels() {
         for &d in k.inputs() {
             if let Some(p) = producer[d.index()] {
                 succs[p.index()].push(k.id().index());
@@ -463,9 +491,27 @@ mod tests {
         let once = three_stage().iterations(1).build().expect("valid");
         for n in [1, 2, 48] {
             let built = three_stage().iterations(n).build().expect("valid");
-            assert_eq!(once.with_iterations(n), Ok(built));
+            let shared = once.with_iterations(n).expect("n > 0");
+            assert_eq!(shared, built);
+            assert_eq!(shared.kernels().as_ptr(), once.kernels().as_ptr());
+            assert_eq!(shared.data().as_ptr(), once.data().as_ptr());
         }
         assert_eq!(once.with_iterations(0), Err(ModelError::ZeroIterations));
+    }
+
+    /// `Debug` prints the fields as a derive over them would.
+    #[test]
+    fn debug_prints_every_field() {
+        let app = three_stage().iterations(3).build().expect("valid");
+        assert_eq!(
+            format!("{app:?}"),
+            format!(
+                "Application {{ name: {:?}, kernels: {:?}, data: {:?}, iterations: 3 }}",
+                app.name(),
+                app.kernels(),
+                app.data()
+            )
+        );
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Clusters and cluster schedules: the kernel scheduler's output.
 
 use std::fmt;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -123,9 +124,11 @@ impl Cluster {
 /// # Ok(())
 /// # }
 /// ```
+///
+/// The clusters sit behind one reference count, so a clone shares them.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ClusterSchedule {
-    clusters: Vec<Cluster>,
+    clusters: Arc<[Cluster]>,
 }
 
 impl ClusterSchedule {
@@ -145,7 +148,9 @@ impl ClusterSchedule {
             };
             clusters.push(Cluster::new(ClusterId::new(index), ks));
         }
-        let schedule = ClusterSchedule { clusters };
+        let schedule = ClusterSchedule {
+            clusters: clusters.into(),
+        };
         schedule.validate(app)?;
         Ok(schedule)
     }
@@ -153,7 +158,7 @@ impl ClusterSchedule {
     fn validate(&self, app: &Application) -> Result<(), ModelError> {
         let mut seen = vec![false; app.kernels().len()];
         let mut flat = Vec::with_capacity(app.kernels().len());
-        for c in &self.clusters {
+        for c in self.clusters() {
             if c.is_empty() {
                 return Err(ModelError::EmptyCluster(c.id()));
             }

@@ -41,9 +41,11 @@ impl Simulator {
     }
 
     /// Runs `schedule` to completion and reports timing and transfer
-    /// metrics, in one pass over its ops: each op is placed on the
-    /// timeline and counted into the busy and transfer totals as it is
-    /// issued.
+    /// totals, in one pass over its ops: each op is placed and counted
+    /// into the busy and transfer totals as it is issued. The run keeps
+    /// one finish time per op while it places ops, for the ops that
+    /// depend on it, and drops them when it ends;
+    /// [`timeline`](Self::timeline) keeps the spans instead.
     ///
     /// # Errors
     ///
@@ -56,9 +58,8 @@ impl Simulator {
     }
 
     /// Like [`run`](Self::run), but calls `observe(index, start, finish)`
-    /// for every op as it is placed on the timeline — the hook the
-    /// tracing layer uses to stream per-op events without the simulator
-    /// depending on it.
+    /// for every op as it is placed — the hook the tracing layer uses
+    /// to stream per-op events without the simulator depending on it.
     ///
     /// # Errors
     ///
@@ -68,7 +69,8 @@ impl Simulator {
         schedule: &OpSchedule,
         mut observe: impl FnMut(usize, Cycles, Cycles),
     ) -> Result<SimReport, SimError> {
-        let mut spans: Vec<OpSpan> = Vec::with_capacity(schedule.len());
+        let mut finish: Vec<Cycles> = Vec::with_capacity(schedule.len());
+        let mut total = Cycles::ZERO;
 
         let mut dma_free = Cycles::ZERO;
         let mut rc_free = Cycles::ZERO;
@@ -83,10 +85,16 @@ impl Simulator {
         let mut context_words = 0u64;
 
         for (i, op) in schedule.ops().iter().enumerate() {
+            if u32::try_from(i).is_err() {
+                // Unreachable for a validated schedule (build() bounds
+                // the op count), but degenerate input gets a typed
+                // error, not a panic.
+                return Err(SimError::TooManyOps);
+            }
             let ready = schedule
                 .deps_of(op)
                 .iter()
-                .map(|d| spans[d.index()].finish)
+                .map(|d| finish[d.index()])
                 .max()
                 .unwrap_or(Cycles::ZERO);
             let duration = op_duration(&self.params, op.kind());
@@ -129,28 +137,40 @@ impl Simulator {
             };
 
             observe(i, start, end);
-            let Ok(index) = u32::try_from(i) else {
-                // Unreachable for a validated schedule (build() bounds
-                // the op count), but degenerate input gets a typed
-                // error, not a panic.
-                return Err(SimError::TooManyOps);
-            };
-            spans.push(OpSpan {
-                op: OpId::new(index),
-                start,
-                finish: end,
-            });
+            finish.push(end);
+            total = total.max(end);
         }
 
-        let timeline = Timeline::new(spans);
         Ok(SimReport::new(
-            timeline,
+            total,
             dma_busy_total,
             rc_busy_total,
             loaded,
             stored,
             context_words,
         ))
+    }
+
+    /// The per-op spans of `schedule`'s run, in op order: the spans
+    /// [`run_observed`](Self::run_observed) streams, collected for the
+    /// readers that draw or check them
+    /// ([`render_gantt`](crate::render_gantt), tests). Its makespan is
+    /// [`run`](Self::run)'s [`total`](SimReport::total).
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`run`](Self::run).
+    pub fn timeline(&self, schedule: &OpSchedule) -> Result<Timeline, SimError> {
+        let mut spans = Vec::with_capacity(schedule.len());
+        self.run_observed(schedule, |i, start, finish| {
+            let index = u32::try_from(i).expect("run_observed refuses op indices past u32");
+            spans.push(OpSpan {
+                op: OpId::new(index),
+                start,
+                finish,
+            });
+        })?;
+        Ok(Timeline::new(spans))
     }
 }
 
@@ -306,10 +326,10 @@ mod tests {
         let mut b = OpScheduleBuilder::new();
         let l = b.load_data(FbSet::Set1, Words::new(100), &[]);
         let k = b.compute(KernelId::new(0), FbSet::Set0, Cycles::new(10), &[l]);
-        let report = Simulator::new(zero_setup())
-            .run(&b.build().expect("valid"))
-            .expect("runs");
-        let span = report.timeline().span(k);
+        let schedule = b.build().expect("valid");
+        let sim = Simulator::new(zero_setup());
+        let report = sim.run(&schedule).expect("runs");
+        let span = sim.timeline(&schedule).expect("runs").span(k);
         assert_eq!(span.start, Cycles::new(100));
         assert_eq!(report.total(), Cycles::new(110));
     }

@@ -4,8 +4,9 @@
 //! The data/context schedulers of the `mcds` workspace emit an
 //! [`OpSchedule`] — an explicit, dependency-annotated list of transfers
 //! and computations — and this crate executes it against the M1 resource
-//! model, producing a cycle-accurate [`Timeline`] and a [`SimReport`]
-//! with transfer and occupancy metrics.
+//! model: [`Simulator::run`] reports its makespan, busy times and
+//! transfer volumes as a [`SimReport`], and [`Simulator::timeline`]
+//! keeps the cycle-accurate span of every op, as a [`Timeline`].
 //!
 //! An op is only its [`OpKind`] and its dependencies: ops carry no
 //! labels, because planners build thousands of them per plan and

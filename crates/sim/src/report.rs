@@ -3,12 +3,12 @@
 use mcds_model::{Cycles, Words};
 use serde::{Deserialize, Serialize};
 
-use crate::timeline::Timeline;
-
-/// Timing and transfer metrics of one executed schedule.
+/// Timing and transfer totals of one executed schedule: its makespan,
+/// busy times and transfer volumes. The per-op spans are
+/// [`Simulator::timeline`](crate::Simulator::timeline)'s.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SimReport {
-    timeline: Timeline,
+    total: Cycles,
     dma_busy: Cycles,
     rc_busy: Cycles,
     data_words_loaded: Words,
@@ -18,7 +18,7 @@ pub struct SimReport {
 
 impl SimReport {
     pub(crate) fn new(
-        timeline: Timeline,
+        total: Cycles,
         dma_busy: Cycles,
         rc_busy: Cycles,
         data_words_loaded: Words,
@@ -26,7 +26,7 @@ impl SimReport {
         context_words_loaded: u64,
     ) -> Self {
         SimReport {
-            timeline,
+            total,
             dma_busy,
             rc_busy,
             data_words_loaded,
@@ -35,16 +35,10 @@ impl SimReport {
         }
     }
 
-    /// Makespan of the schedule.
+    /// Makespan of the schedule: the finish time of its last op.
     #[must_use]
     pub fn total(&self) -> Cycles {
-        self.timeline.total()
-    }
-
-    /// The per-op execution record.
-    #[must_use]
-    pub fn timeline(&self) -> &Timeline {
-        &self.timeline
+        self.total
     }
 
     /// Cycles the DMA channel spent transferring.
@@ -120,17 +114,10 @@ fn ratio(part: Cycles, whole: Cycles) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::timeline::OpSpan;
-    use crate::OpId;
 
     fn report(total: u64, dma: u64, rc: u64) -> SimReport {
-        let timeline = Timeline::new(vec![OpSpan {
-            op: OpId::new(0),
-            start: Cycles::ZERO,
-            finish: Cycles::new(total),
-        }]);
         SimReport::new(
-            timeline,
+            Cycles::new(total),
             Cycles::new(dma),
             Cycles::new(rc),
             Words::new(10),
@@ -160,7 +147,7 @@ mod tests {
     #[test]
     fn zero_total_edge_cases() {
         let z = SimReport::new(
-            Timeline::new(Vec::new()),
+            Cycles::ZERO,
             Cycles::ZERO,
             Cycles::ZERO,
             Words::ZERO,

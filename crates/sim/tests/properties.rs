@@ -85,11 +85,31 @@ proptest! {
         prop_assert_eq!(a, b);
     }
 
+    /// The timeline is the spans a run streams, collected, and its
+    /// makespan is the run's.
+    #[test]
+    fn timeline_is_the_streamed_spans(ops in prop::collection::vec(op_strategy(), 0..40)) {
+        let schedule = build(&ops);
+        let sim = Simulator::new(arch());
+        let mut streamed = Vec::new();
+        sim.run_observed(&schedule, |i, start, finish| streamed.push((i, start, finish)))
+            .expect("runs");
+        let timeline = sim.timeline(&schedule).expect("runs");
+        let spans: Vec<_> = timeline
+            .spans()
+            .iter()
+            .map(|s| (s.op.index(), s.start, s.finish))
+            .collect();
+        prop_assert_eq!(spans, streamed);
+        let last = timeline.spans().iter().map(|s| s.finish).max().unwrap_or(Cycles::ZERO);
+        prop_assert_eq!(last, sim.run(&schedule).expect("runs").total());
+    }
+
     #[test]
     fn timeline_respects_resources(ops in prop::collection::vec(op_strategy(), 1..30)) {
         let schedule = build(&ops);
-        let report = Simulator::new(arch()).run(&schedule).expect("runs");
-        let spans = report.timeline().spans();
+        let timeline = Simulator::new(arch()).timeline(&schedule).expect("runs");
+        let spans = timeline.spans();
 
         // No two DMA ops overlap; no two computes overlap; computes and
         // data transfers on the same set never overlap; dependencies

@@ -32,8 +32,10 @@ static TEMPLATES: [OnceLock<Option<(Application, ClusterSchedule)>>; CATALOG.len
 /// The ATR names use the paper's primary partitions
 /// ([`SldSchedule::Unbalanced`], [`FiSchedule::Standard`]).
 ///
-/// Each entry is built once per process; a call copies it at the
-/// requested iteration count, which changes nothing else.
+/// Each entry is built once per process. A call shares that one body
+/// (its name, kernels, data objects and clusters) at the requested
+/// iteration count, which changes nothing else, so it costs two
+/// reference counts.
 ///
 /// Returns `None` for names outside [`CATALOG`] — and for
 /// `iterations == 0`, which no workload accepts.
@@ -199,6 +201,38 @@ mod tests {
             assert_eq!(by_name(name, 0), None, "{name} x0");
         }
         assert_eq!(by_name("E1", 8), None, "names are case-sensitive");
+    }
+
+    /// Every resolution of a catalog entry, at any count, and its
+    /// clones and a pipeline run over it, share the entry's one body.
+    #[test]
+    fn resolutions_share_one_body_per_entry() {
+        use mcds_core::{Pipeline, SchedulerKind};
+        use mcds_model::{ArchParams, Words};
+
+        for &name in CATALOG {
+            let (one, one_sched) = by_name(name, 1).expect("resolves");
+            let (deep, deep_sched) = by_name(name, 48).expect("resolves");
+            let run = Pipeline::new(deep.clone())
+                .schedule(deep_sched.clone())
+                .scheduler(SchedulerKind::Ds)
+                .arch(ArchParams::m1_with_fb(Words::kilo(16)))
+                .run()
+                .expect("fits at 16 K");
+            for app in [&deep, &one.clone(), &deep.clone()] {
+                assert_eq!(app.kernels().as_ptr(), one.kernels().as_ptr(), "{name}");
+                assert_eq!(app.data().as_ptr(), one.data().as_ptr(), "{name}");
+            }
+            for sched in [&deep_sched, &one_sched.clone(), run.schedule()] {
+                assert_eq!(
+                    sched.clusters().as_ptr(),
+                    one_sched.clusters().as_ptr(),
+                    "{name}"
+                );
+            }
+            assert_eq!(one.with_iterations(48), Ok(direct(name, 48).0), "{name}");
+            assert_eq!((deep.iterations(), one.iterations()), (48, 1));
+        }
     }
 
     #[test]

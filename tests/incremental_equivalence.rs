@@ -10,8 +10,9 @@
 
 use std::collections::HashMap;
 
-use mcds_core::{structure_key, Pipeline, SchedulerKind, VecSink};
+use mcds_core::{structure_key, Pipeline, PipelineRun, SchedulerKind, VecSink};
 use mcds_model::{ArchParams, Words};
+use mcds_sim::Simulator;
 use mcds_workloads::table1::table1_experiments;
 
 /// The architecture axis of the Table-1 sweep grid.
@@ -25,15 +26,22 @@ fn kinds() -> [SchedulerKind; 4] {
     [basic, ds, cds, SchedulerKind::search_default()]
 }
 
+/// The per-op spans of `run`'s plan (its report holds totals only).
+fn timeline(run: &PipelineRun, arch: ArchParams) -> mcds_sim::Timeline {
+    Simulator::new(arch)
+        .timeline(run.plan().ops())
+        .expect("a plan's ops simulate")
+}
+
 /// Serializes one pipeline outcome (or its error) to comparable bytes.
-fn outcome_bytes(result: Result<mcds_core::PipelineRun, mcds_core::McdsError>) -> String {
+fn outcome_bytes(result: Result<PipelineRun, mcds_core::McdsError>, arch: ArchParams) -> String {
     match result {
         // The plan is compared part-by-part through serde (not Debug):
         // the vendored serializer renders its hash sets/maps in sorted
         // order, so equal plans produce equal bytes regardless of each
         // instance's hash seeding.
         Ok(run) => format!(
-            "ok schedule={} scheduler={} rf={} stages={} retention={} ops={} alloc={} report={}",
+            "ok schedule={} scheduler={} rf={} stages={} retention={} ops={} alloc={} report={} timeline={}",
             serde_json::to_string(run.schedule()).expect("serializes"),
             run.plan().scheduler(),
             run.plan().rf(),
@@ -42,6 +50,7 @@ fn outcome_bytes(result: Result<mcds_core::PipelineRun, mcds_core::McdsError>) -
             serde_json::to_string(run.plan().ops()).expect("serializes"),
             serde_json::to_string(run.plan().allocation()).expect("serializes"),
             serde_json::to_string(run.report()).expect("serializes"),
+            serde_json::to_string(&timeline(&run, arch)).expect("serializes"),
         ),
         Err(e) => format!("err {e}"),
     }
@@ -82,8 +91,8 @@ fn prepared_replay_matches_from_scratch_over_the_table1_grid() {
                         .arch(arch)
                         .scheduler(kind)
                 };
-                let incremental = outcome_bytes(build().run_prepared(&prepared));
-                let scratch = outcome_bytes(build().run());
+                let incremental = outcome_bytes(build().run_prepared(&prepared), arch);
+                let scratch = outcome_bytes(build().run(), arch);
                 assert_eq!(
                     incremental, scratch,
                     "outcome diverged for {name}/{kind} @ {fb_kw}K"

@@ -2,14 +2,15 @@
 //! search scheduler walk exactly one path — the TF-ranked greedy walk —
 //! so `Search { beam_width: 1, .. }` must reproduce the Complete Data
 //! Scheduler **byte-for-byte** over the whole Table-1 grid: same plan
-//! (rf, stages, retention, ops, allocation), same simulated report,
-//! same trace event stream, same error on every infeasible cell. The
+//! (rf, stages, retention, ops, allocation), same simulated report and
+//! timeline, same trace event stream, same error on every infeasible cell. The
 //! only permitted difference is the scheduler's display name.
 
 use std::collections::HashMap;
 
 use mcds_core::{structure_key, Pipeline, PipelineRun, SchedulerKind, VecSink};
 use mcds_model::{ArchParams, Words};
+use mcds_sim::Simulator;
 use mcds_workloads::table1::table1_experiments;
 
 /// The architecture axis of the Table-1 sweep grid.
@@ -20,19 +21,27 @@ const BEAM_ONE: SchedulerKind = SchedulerKind::Search {
     max_expansions: 10_000,
 };
 
+/// The per-op spans of `run`'s plan (its report holds totals only).
+fn timeline(run: &PipelineRun, arch: ArchParams) -> mcds_sim::Timeline {
+    Simulator::new(arch)
+        .timeline(run.plan().ops())
+        .expect("a plan's ops simulate")
+}
+
 /// Serializes one pipeline outcome (or its error) to comparable bytes,
 /// leaving the scheduler's display name out — it is the one field the
 /// two schedulers are allowed to disagree on.
-fn outcome_bytes(result: Result<PipelineRun, mcds_core::McdsError>) -> String {
+fn outcome_bytes(result: Result<PipelineRun, mcds_core::McdsError>, arch: ArchParams) -> String {
     match result {
         Ok(run) => format!(
-            "ok rf={} stages={} retention={} ops={} alloc={} report={}",
+            "ok rf={} stages={} retention={} ops={} alloc={} report={} timeline={}",
             run.plan().rf(),
             serde_json::to_string(&run.plan().stages().to_vec()).expect("serializes"),
             serde_json::to_string(run.plan().retention()).expect("serializes"),
             serde_json::to_string(run.plan().ops()).expect("serializes"),
             serde_json::to_string(run.plan().allocation()).expect("serializes"),
             serde_json::to_string(run.report()).expect("serializes"),
+            serde_json::to_string(&timeline(&run, arch)).expect("serializes"),
         ),
         // Infeasibility errors name the reporting scheduler too.
         Err(e) => format!("err {}", e.to_string().replacen("search: ", "cds: ", 1)),
@@ -60,8 +69,8 @@ fn beam_one_outcomes_match_cds_over_the_table1_grid() {
                     .arch(arch)
                     .scheduler(kind)
             };
-            let cds = outcome_bytes(build(SchedulerKind::Cds).run());
-            let search = outcome_bytes(build(BEAM_ONE).run());
+            let cds = outcome_bytes(build(SchedulerKind::Cds).run(), arch);
+            let search = outcome_bytes(build(BEAM_ONE).run(), arch);
             assert_eq!(cds, search, "outcome diverged for {name} @ {fb_kw}K");
             cells += 1;
             if cds.starts_with("ok ") {
