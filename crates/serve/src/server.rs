@@ -35,31 +35,27 @@
 //! inputs), so a hot key's steady state costs a hash lookup and a
 //! buffer splice instead of a JSON parse and an application rebuild.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+mod lanes;
+mod reactor;
+mod resolve;
+mod worker;
 
-use mcds_core::{
-    arch_key, compose_key, structure_key, CancelToken, Counter, Fault, FaultPlan, Histogram,
-    McdsError, MetricsRegistry, Pipeline, PipelineRun, SchedulerConfig, SchedulerKind, Seam,
-};
-use mcds_model::{Application, ArchParams, ClusterSchedule, Words};
+use std::net::{SocketAddr, TcpListener};
+use std::sync::atomic::AtomicU64;
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
+
+use mcds_core::{Counter, Fault, FaultPlan, Histogram, McdsError, MetricsRegistry, Seam};
 use serde::{Deserialize, Serialize};
 
-use crate::cache::{
-    degraded_key, AnalysisLookup, CachedEntry, CachedResult, FlightGuard, Lookup, OutcomeCache,
-    Token,
-};
-use crate::protocol::{
-    decode_request, render_scheduled, ErrorCode, FrameBuffer, FrameError, Outcome, QosClass,
-    ScheduleSpec, Scheduled, ServeError, ServeRequest, ServeResponse, StatEntry, StatsReply,
-};
+use crate::cache::OutcomeCache;
+use crate::protocol::QosClass;
 use crate::store::{OutcomeStore, StoreConfig};
-use crate::sys::{PollSet, Waker};
+use crate::sys::Waker;
+
+use lanes::JobQueue;
+use reactor::Reactor;
+use worker::{worker_loop, Reply};
 
 /// Server tunables.
 #[derive(Debug, Clone)]
@@ -214,217 +210,6 @@ pub struct ServeSummary {
     /// Clean-shutdown markers written (1 after a graceful drain).
     #[serde(default)]
     pub store_clean_shutdown: u64,
-}
-
-/// A `schedule` line resolved into pipeline inputs, shared between the
-/// reactor's memo table and the worker that computes it.
-struct Resolved {
-    app: Application,
-    sched: Option<ClusterSchedule>,
-    arch: ArchParams,
-    kind: SchedulerKind,
-    /// Canonical content key of the *full-quality* request.
-    key: u64,
-    /// The workload-structure half of `key` — the analysis cache's
-    /// address, shared by every arch/scheduler variant.
-    structure_key: u64,
-    deadline_ms: Option<u64>,
-    /// Admission lane (not part of `key` — identical computations
-    /// share one cache entry whatever class requested them).
-    class: QosClass,
-}
-
-/// Memoized fate of an exact request line (bytes → outcome of the
-/// parse/resolve stage, which is a pure function of the line).
-#[derive(Clone)]
-enum Memo {
-    Good(Arc<Resolved>),
-    /// A refused line, with the verb its first reply echoed (`unknown`
-    /// for a decode failure, `schedule` for a resolve failure).
-    Bad {
-        code: ErrorCode,
-        message: Arc<str>,
-        verb: &'static str,
-    },
-}
-
-/// Parse-memo capacity; lines beyond this are simply not memoized.
-const MEMO_CAP: usize = 16 * 1024;
-
-/// Upper bound on one reactor tick's `poll` timeout in milliseconds
-/// (completions, I/O and due timers wake it earlier).
-const POLL_MS: i64 = 25;
-
-/// The largest `iterations × kernels` a `schedule` request may ask for
-/// (2^20). Planning at RF 1 builds one stage per iteration and cluster,
-/// and an application has at most one cluster per kernel, so this
-/// bounds what one request can make the planner allocate.
-const MAX_ITERATION_KERNELS: u64 = 1 << 20;
-
-/// The largest expansion cap a `search:<beam>:<cap>` request may ask for
-/// (100,000, the cap of `BENCH_search.json`'s committed grid). The
-/// search is exponential in the candidates, cap 0 means unlimited, and
-/// cancellation is polled only between pipeline stages, so a deadline
-/// cannot stop a search once it runs.
-const MAX_SEARCH_EXPANSIONS: u32 = 100_000;
-
-/// The widest beam a `search:<beam>:<cap>` request may ask for (1,024;
-/// the committed benches and tests use at most 32). Each expansion
-/// keeps up to `beam` nodes, so like the expansion cap this bounds the
-/// work a deadline cannot stop.
-const MAX_SEARCH_BEAM: u32 = 1024;
-
-/// One admitted computation.
-struct Job {
-    resolved: Arc<Resolved>,
-    /// Scheduler actually run (`Ds` when routed degraded upfront).
-    kind: SchedulerKind,
-    /// `true` when the request was routed to the degraded scheduler
-    /// upfront (tight deadline). Degraded jobs run clean and
-    /// uncancellable — they exist to return *something*.
-    degraded: bool,
-    cancel: Option<CancelToken>,
-    guard: FlightGuard,
-    /// The leader's reply token (waiter tokens live in the cache).
-    leader: Token,
-    /// Lane this job was admitted on.
-    class: QosClass,
-    /// When the job entered its lane — drives the queue-delay governor
-    /// and the dequeue-side deadline drop.
-    enqueued: Instant,
-}
-
-struct QueueState {
-    /// One FIFO per class, indexed by [`QosClass::index`] and drained
-    /// in strict priority order.
-    lanes: [VecDeque<Box<Job>>; 3],
-    closed: bool,
-}
-
-/// The bounded admission queue, split into strict-priority QoS lanes.
-struct JobQueue {
-    state: Mutex<QueueState>,
-    available: Condvar,
-    /// Per-lane capacity, indexed by [`QosClass::index`].
-    quotas: [usize; 3],
-    /// Sojourn beyond which lower lanes are shed at dequeue (`None`
-    /// disables the governor).
-    shed_after: Option<Duration>,
-}
-
-impl JobQueue {
-    fn new(quotas: [usize; 3], shed_after: Option<Duration>) -> Self {
-        JobQueue {
-            state: Mutex::new(QueueState {
-                lanes: [VecDeque::new(), VecDeque::new(), VecDeque::new()],
-                closed: false,
-            }),
-            available: Condvar::new(),
-            quotas,
-            shed_after,
-        }
-    }
-
-    /// Admits the job onto its class lane, or hands it back (with
-    /// whether the queue was closed rather than the lane full) — the
-    /// caller turns that into a typed rejection.
-    fn try_push(&self, job: Box<Job>) -> Result<(), (Box<Job>, bool)> {
-        let lane = job.class.index();
-        let mut state = self.state.lock().expect("queue lock");
-        if state.closed {
-            return Err((job, true));
-        }
-        if state.lanes[lane].len() >= self.quotas[lane] {
-            return Err((job, false));
-        }
-        state.lanes[lane].push_back(job);
-        drop(state);
-        self.available.notify_one();
-        Ok(())
-    }
-
-    /// Next job in strict priority order, blocking; `None` once the
-    /// queue is closed and drained. When the popped job itself waited
-    /// longer than `shed_after`, the queue is congested: stale heads
-    /// of every lane *below* the popped one are shed (lowest class
-    /// first) and returned for the caller to answer `overloaded` —
-    /// the priority lane can never appear below another and so is
-    /// never shed.
-    // Shed jobs stay boxed: they were boxed on the lane and the caller
-    // answers each one exactly as it would a popped job.
-    #[allow(clippy::vec_box)]
-    fn pop(&self) -> Option<(Box<Job>, Vec<Box<Job>>)> {
-        let mut state = self.state.lock().expect("queue lock");
-        loop {
-            let lane = state.lanes.iter().position(|l| !l.is_empty());
-            if let Some(lane) = lane {
-                let job = state.lanes[lane].pop_front().expect("non-empty lane");
-                let mut shed = Vec::new();
-                if let Some(limit) = self.shed_after {
-                    if job.enqueued.elapsed() > limit {
-                        for lower in ((lane + 1)..state.lanes.len()).rev() {
-                            while state.lanes[lower]
-                                .front()
-                                .is_some_and(|j| j.enqueued.elapsed() > limit)
-                            {
-                                shed.push(state.lanes[lower].pop_front().expect("checked front"));
-                            }
-                        }
-                    }
-                }
-                return Some((job, shed));
-            }
-            if state.closed {
-                return None;
-            }
-            state = self.available.wait(state).expect("queue lock");
-        }
-    }
-
-    /// Current per-lane depths `[priority, standard, batch]`.
-    fn depths(&self) -> [usize; 3] {
-        let state = self.state.lock().expect("queue lock");
-        [
-            state.lanes[0].len(),
-            state.lanes[1].len(),
-            state.lanes[2].len(),
-        ]
-    }
-
-    fn close(&self) {
-        self.state.lock().expect("queue lock").closed = true;
-        self.available.notify_all();
-    }
-}
-
-/// How a worker's completion answers one parked request.
-enum ReplyPayload {
-    /// A published cache entry: render as hit/miss (successes splice
-    /// the pre-serialized outcome; cached deterministic failures render
-    /// as typed errors).
-    Entry {
-        key: u64,
-        hit: bool,
-        entry: CachedResult,
-    },
-    /// A transient, uncached failure.
-    Error {
-        code: ErrorCode,
-        message: Arc<str>,
-        key: u64,
-        /// `true` for the leader of an abandoned run (it *was* the
-        /// cache miss); waiters count neither hit nor miss.
-        count_miss: bool,
-        /// `true` when the failure counts under `serve.errors`
-        /// (waiter-deadline expiries count only `deadline_misses`,
-        /// matching the pre-reactor server).
-        count_error: bool,
-    },
-}
-
-struct Reply {
-    token: Token,
-    payload: ReplyPayload,
 }
 
 /// Pre-resolved metric handles — the hot path never re-hashes a
@@ -691,1519 +476,17 @@ impl Server {
     }
 }
 
-/// Packs a reply token from a connection generation and request slot.
-fn pack_token(gen: u32, slot: u32) -> Token {
-    (u64::from(gen) << 32) | u64::from(slot)
-}
-
-fn token_gen(token: Token) -> u32 {
-    (token >> 32) as u32
-}
-
-fn token_slot(token: Token) -> u32 {
-    token as u32
-}
-
-fn elapsed_us(started: Instant) -> u64 {
-    u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX)
-}
-
-#[cfg(unix)]
-fn fd_of<T: std::os::fd::AsRawFd>(t: &T) -> i32 {
-    t.as_raw_fd()
-}
-
-#[cfg(not(unix))]
-fn fd_of<T>(_t: &T) -> i32 {
-    0
-}
-
-/// One parked response position in a connection's FIFO. Responses are
-/// written strictly in request order, so a pipelined client can match
-/// them positionally.
-struct PendingSlot {
-    slot: u32,
-    started: Instant,
-    state: SlotState,
-}
-
-enum SlotState {
-    /// The request is computing (leader) or parked on another flight
-    /// (waiter).
-    Waiting,
-    /// The rendered response, ready to pump once it reaches the front.
-    Done(Vec<u8>),
-}
-
-/// One nonblocking connection owned by the reactor.
-struct Conn {
-    stream: TcpStream,
-    gen: u32,
-    frames: FrameBuffer,
-    /// Rendered-but-unwritten response bytes.
-    out: Vec<u8>,
-    out_pos: usize,
-    pending: VecDeque<PendingSlot>,
-    next_slot: u32,
-    /// Remaining chunks of an injected slow-loris write, dribbled out
-    /// by timer.
-    dribble: VecDeque<Vec<u8>>,
-    /// No more bytes will be read (EOF, drain, or a fatal frame
-    /// error).
-    read_done: bool,
-    /// Close once `out` and `dribble` are fully written.
-    close_after_flush: bool,
-    /// Close immediately; discard anything unwritten.
-    broken: bool,
-    /// Last *complete* frame processed (connect time until the
-    /// first) — a peer dribbling bytes without ever finishing a frame
-    /// still reads as idle, which is the slow-loris defense.
-    last_frame: Instant,
-    /// Last time `flush` moved bytes into the socket; a stalled
-    /// reader stops making progress here.
-    last_write_progress: Instant,
-}
-
-impl Conn {
-    /// Everything this peer is making the server hold: unparsed frame
-    /// bytes, parked/rendered responses, and the unwritten tail.
-    fn buffered_bytes(&self) -> usize {
-        let pending: usize = self
-            .pending
-            .iter()
-            .map(|s| match &s.state {
-                SlotState::Done(bytes) => bytes.len(),
-                SlotState::Waiting => 0,
-            })
-            .sum();
-        let dribble: usize = self.dribble.iter().map(Vec::len).sum();
-        (self.out.len() - self.out_pos) + pending + dribble + self.frames.len()
-    }
-}
-
-enum TimerEvent {
-    /// A parked waiter's own deadline: deregister it from the flight
-    /// and answer a typed retryable `deadline` error.
-    WaiterDeadline { token: Token, key: u64 },
-    /// Next chunk of an injected slow-loris write.
-    Dribble { gen: u32 },
-}
-
-struct TimerEntry {
-    at: Instant,
-    seq: u64,
-    event: TimerEvent,
-}
-
-impl PartialEq for TimerEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-
-impl Eq for TimerEntry {}
-
-impl PartialOrd for TimerEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for TimerEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
-
-/// The single-threaded reactor: owns every socket, the timer heap, and
-/// the parse memo; workers only ever touch the cache, the queue, and
-/// the completion queue.
-struct Reactor<'a> {
-    ctx: &'a Ctx,
-    listener: &'a TcpListener,
-    max_frame_bytes: usize,
-    idle_timeout: Duration,
-    write_stall: Duration,
-    max_conn_buffer: usize,
-    conns: Vec<Option<Conn>>,
-    free: Vec<usize>,
-    by_gen: HashMap<u32, usize>,
-    next_gen: u32,
-    timers: BinaryHeap<Reverse<TimerEntry>>,
-    timer_seq: u64,
-    draining: bool,
-    drained_buffered: bool,
-    /// Set by an injected [`Seam::PollError`]: the tick loop bails out
-    /// with [`McdsError::Faulted`] at the next loop head and the
-    /// supervisor starts a fresh incarnation.
-    poll_failed: bool,
-    last_sweep: Instant,
-    memo: HashMap<Box<[u8]>, Memo>,
-    poll: PollSet,
-    chunk: Vec<u8>,
-}
-
-impl<'a> Reactor<'a> {
-    fn new(ctx: &'a Ctx, listener: &'a TcpListener, config: &ServeConfig) -> Reactor<'a> {
-        Reactor {
-            ctx,
-            listener,
-            max_frame_bytes: config.max_frame_bytes,
-            idle_timeout: Duration::from_millis(config.idle_timeout_ms),
-            write_stall: Duration::from_millis(config.write_stall_ms),
-            max_conn_buffer: config.max_conn_buffer_bytes,
-            conns: Vec::new(),
-            free: Vec::new(),
-            by_gen: HashMap::new(),
-            next_gen: 1,
-            timers: BinaryHeap::new(),
-            timer_seq: 0,
-            draining: false,
-            drained_buffered: false,
-            poll_failed: false,
-            last_sweep: Instant::now(),
-            memo: HashMap::new(),
-            poll: PollSet::new(),
-            chunk: vec![0u8; 64 * 1024],
-        }
-    }
-
-    fn run(&mut self) -> Result<(), McdsError> {
-        loop {
-            if self.poll_failed {
-                return Err(McdsError::Faulted("injected poll failure".to_owned()));
-            }
-            let replies =
-                std::mem::take(&mut *self.ctx.completions.lock().expect("completion lock"));
-            for reply in replies {
-                self.deliver(reply);
-            }
-            for (key, waiters) in self.ctx.cache.take_orphans() {
-                for token in waiters {
-                    self.deliver(Reply {
-                        token,
-                        payload: ReplyPayload::Error {
-                            code: ErrorCode::Faulted,
-                            message: Arc::from("worker died; the request is retryable"),
-                            key,
-                            count_miss: false,
-                            count_error: true,
-                        },
-                    });
-                }
-            }
-            self.fire_due_timers();
-            self.reap_slow_peers();
-            if self.draining && !self.drained_buffered {
-                self.drained_buffered = true;
-                for idx in 0..self.conns.len() {
-                    if let Some(mut conn) = self.conns[idx].take() {
-                        self.drain_frames(&mut conn);
-                        conn.read_done = true;
-                        self.finish(idx, conn);
-                    }
-                }
-            }
-            if self.draining && self.by_gen.is_empty() {
-                return Ok(());
-            }
-            let (listener_idx, waker_idx, conn_poll) = self.build_poll_set();
-            let timeout = self.poll_timeout();
-            self.poll.poll(timeout)?;
-            self.ctx.waker.drain();
-            let _ = waker_idx;
-            if listener_idx.is_some_and(|idx| self.poll.readable(idx)) {
-                self.accept_all()?;
-            }
-            for (idx, pidx) in conn_poll {
-                if self.poll.readable(pidx) {
-                    self.service_readable(idx);
-                } else if self.poll.writable(pidx) {
-                    if let Some(conn) = self.conns[idx].take() {
-                        self.finish(idx, conn);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Registers every live descriptor for the next `poll`; returns the
-    /// poll indices of the listener, the waker, and each interested
-    /// connection.
-    #[allow(clippy::type_complexity)]
-    fn build_poll_set(&mut self) -> (Option<usize>, Option<usize>, Vec<(usize, usize)>) {
-        self.poll.clear();
-        let listener_idx = if self.draining {
-            None
-        } else {
-            Some(self.poll.push(fd_of(self.listener), true, false))
-        };
-        let waker_fd = self.ctx.waker.fd();
-        let waker_idx = if waker_fd >= 0 {
-            Some(self.poll.push(waker_fd, true, false))
-        } else {
-            None
-        };
-        let mut conn_poll = Vec::new();
-        for (i, slot) in self.conns.iter().enumerate() {
-            if let Some(conn) = slot {
-                let want_read = !conn.read_done;
-                let want_write = conn.out_pos < conn.out.len();
-                if want_read || want_write {
-                    conn_poll.push((
-                        i,
-                        self.poll.push(fd_of(&conn.stream), want_read, want_write),
-                    ));
-                }
-            }
-        }
-        (listener_idx, waker_idx, conn_poll)
-    }
-
-    /// Poll timeout in ms: [`POLL_MS`], shortened to the next due
-    /// timer.
-    fn poll_timeout(&self) -> i32 {
-        let mut timeout = POLL_MS;
-        if let Some(Reverse(next)) = self.timers.peek() {
-            let until = next
-                .at
-                .saturating_duration_since(Instant::now())
-                .as_millis();
-            timeout = timeout.min(i64::try_from(until).unwrap_or(i64::MAX));
-        }
-        i32::try_from(timeout.clamp(0, 60_000)).unwrap_or(25)
-    }
-
-    /// Drops connections that stopped holding up their end: a peer
-    /// with unwritten output and no flush progress for `write_stall`
-    /// (stalled reader), or one that completed no frame for
-    /// `idle_timeout` while owing the server nothing (connect-and-idle
-    /// and slow-loris writers alike — `last_frame` only advances on
-    /// *complete* frames). Runs at most every 100ms; the reactor loop
-    /// already ticks at least every [`POLL_MS`].
-    fn reap_slow_peers(&mut self) {
-        if self.idle_timeout.is_zero() && self.write_stall.is_zero() {
-            return;
-        }
-        let now = Instant::now();
-        if now.duration_since(self.last_sweep) < Duration::from_millis(100) {
-            return;
-        }
-        self.last_sweep = now;
-        for idx in 0..self.conns.len() {
-            let stalled;
-            match &self.conns[idx] {
-                Some(conn) => {
-                    if !self.write_stall.is_zero()
-                        && conn.out_pos < conn.out.len()
-                        && now.duration_since(conn.last_write_progress) > self.write_stall
-                    {
-                        stalled = true;
-                    } else if !self.idle_timeout.is_zero()
-                        && conn.pending.is_empty()
-                        && conn.dribble.is_empty()
-                        && conn.out_pos >= conn.out.len()
-                        && now.duration_since(conn.last_frame) > self.idle_timeout
-                    {
-                        stalled = false;
-                    } else {
-                        continue;
-                    }
-                }
-                None => continue,
-            }
-            let Some(mut conn) = self.conns[idx].take() else {
-                continue;
-            };
-            if stalled {
-                self.ctx.counters.write_stalls.incr();
-            } else {
-                self.ctx.counters.idle_reaped.incr();
-            }
-            conn.broken = true;
-            self.finish(idx, conn);
-        }
-    }
-
-    fn accept_all(&mut self) -> Result<(), McdsError> {
-        loop {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    // Injected accept-path failures, decided once per
-                    // accepted socket (deterministic under chaos
-                    // lockstep): the peer's connect already succeeded
-                    // in the kernel, so dropping the stream here looks
-                    // to the client like an immediate server-side
-                    // close — exactly what a transient accept error or
-                    // fd exhaustion produces.
-                    if self.ctx.fault(Seam::AcceptFail).is_some()
-                        || self.ctx.fault(Seam::FdExhausted).is_some()
-                    {
-                        drop(stream);
-                        continue;
-                    }
-                    stream.set_nonblocking(true)?;
-                    let _ = stream.set_nodelay(true);
-                    self.add_conn(stream);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(()),
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e.into()),
-            }
-        }
-    }
-
-    fn add_conn(&mut self, stream: TcpStream) {
-        let gen = self.next_gen;
-        self.next_gen = self.next_gen.wrapping_add(1);
-        let conn = Conn {
-            stream,
-            gen,
-            frames: FrameBuffer::new(self.max_frame_bytes),
-            out: Vec::new(),
-            out_pos: 0,
-            pending: VecDeque::new(),
-            next_slot: 0,
-            dribble: VecDeque::new(),
-            read_done: false,
-            close_after_flush: false,
-            broken: false,
-            last_frame: Instant::now(),
-            last_write_progress: Instant::now(),
-        };
-        let idx = match self.free.pop() {
-            Some(idx) => {
-                self.conns[idx] = Some(conn);
-                idx
-            }
-            None => {
-                self.conns.push(Some(conn));
-                self.conns.len() - 1
-            }
-        };
-        self.by_gen.insert(gen, idx);
-    }
-
-    fn service_readable(&mut self, idx: usize) {
-        let Some(mut conn) = self.conns[idx].take() else {
-            return;
-        };
-        loop {
-            // Backpressure, not unbounded slurp: once this peer has a
-            // buffer cap's worth of unanswered input, stop reading and
-            // leave the rest in the kernel buffer — poll re-arms on the
-            // leftovers, and `enforce_buffer_cap` disconnects the peer
-            // if it is flooding rather than merely bursty.
-            if self.max_conn_buffer > 0 && conn.frames.len() >= self.max_conn_buffer {
-                break;
-            }
-            match conn.stream.read(&mut self.chunk) {
-                Ok(0) => {
-                    conn.read_done = true;
-                    break;
-                }
-                Ok(n) => conn.frames.extend(&self.chunk[..n]),
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(_) => {
-                    conn.broken = true;
-                    break;
-                }
-            }
-        }
-        self.drain_frames(&mut conn);
-        self.finish(idx, conn);
-    }
-
-    /// Answers every complete frame buffered on `conn`.
-    fn drain_frames(&mut self, conn: &mut Conn) {
-        if conn.broken || conn.close_after_flush {
-            return;
-        }
-        let mut frames = std::mem::replace(&mut conn.frames, FrameBuffer::new(1));
-        loop {
-            match frames.next_frame() {
-                Ok(Some(line)) => {
-                    let line = line.trim();
-                    if line.is_empty() {
-                        continue;
-                    }
-                    conn.last_frame = Instant::now();
-                    self.process_line(conn, line);
-                    if conn.broken || conn.close_after_flush {
-                        break;
-                    }
-                    // Small requests can render large responses: stop
-                    // answering the moment the cap is crossed so the
-                    // overshoot is bounded by one response, and let
-                    // `enforce_buffer_cap` deliver the verdict.
-                    if self.max_conn_buffer > 0 && conn.buffered_bytes() > self.max_conn_buffer {
-                        break;
-                    }
-                }
-                Ok(None) => break,
-                Err(FrameError::InvalidUtf8) => {
-                    // The bad frame was consumed — answer typed and
-                    // keep serving this connection.
-                    self.ctx.counters.errors.incr();
-                    let failed = ServeResponse::Failed(ServeError {
-                        code: ErrorCode::BadRequest,
-                        message: FrameError::InvalidUtf8.to_string(),
-                        key: None,
-                        verb: "frame".to_owned(),
-                        latency_us: 0,
-                    });
-                    self.queue_response(conn, &failed);
-                }
-                Err(err @ FrameError::Oversized { .. }) => {
-                    // The frame boundary is lost: answer typed, then
-                    // close instead of buffering forever.
-                    self.ctx.counters.errors.incr();
-                    let failed = ServeResponse::Failed(ServeError {
-                        code: ErrorCode::Oversized,
-                        message: err.to_string(),
-                        key: None,
-                        verb: "frame".to_owned(),
-                        latency_us: 0,
-                    });
-                    self.queue_response(conn, &failed);
-                    conn.read_done = true;
-                    conn.close_after_flush = true;
-                    break;
-                }
-            }
-        }
-        conn.frames = frames;
-    }
-
-    fn memo_insert(&mut self, line: &str, memo: Memo) {
-        if self.memo.len() < MEMO_CAP {
-            self.memo.insert(line.as_bytes().into(), memo);
-        }
-    }
-
-    fn process_line(&mut self, conn: &mut Conn, line: &str) {
-        // An injected pre-processing disconnect drops the request (and
-        // the connection) before it is even counted — the client must
-        // retry on a fresh connection, as with a real peer reset.
-        if matches!(self.ctx.fault(Seam::ServeRead), Some(Fault::Disconnect)) {
-            conn.broken = true;
-            return;
-        }
-        // Reactor-era seams, decided once per processed frame (never
-        // per poll tick — tick counts are wall-clock dependent and
-        // would break chaos replay). Both take down the incarnation:
-        // a tick panic unwinds into the supervisor's `catch_unwind`,
-        // an injected poll failure flags the loop to bail with
-        // `Faulted` at the next head. No lock is held at this point,
-        // so the unwind cannot poison shared state.
-        if matches!(self.ctx.fault(Seam::TickPanic), Some(Fault::TickPanic)) {
-            panic!("injected reactor tick panic");
-        }
-        if matches!(self.ctx.fault(Seam::PollError), Some(Fault::PollFail)) {
-            self.poll_failed = true;
-            conn.broken = true;
-            return;
-        }
-        let started = Instant::now();
-        self.ctx.counters.requests.incr();
-        if let Some(memo) = self.memo.get(line.as_bytes()).cloned() {
-            match memo {
-                Memo::Good(resolved) => self.handle_schedule(conn, started, &resolved),
-                Memo::Bad {
-                    code,
-                    message,
-                    verb,
-                } => {
-                    self.ctx.counters.errors.incr();
-                    self.respond_failed(conn, started, code, &message, verb, None);
-                }
-            }
-            return;
-        }
-        let request = match decode_request(line) {
-            Ok(decoded) => decoded,
-            Err(err) => {
-                self.ctx.counters.errors.incr();
-                let code = err.code();
-                let message = err.to_string();
-                self.memo_insert(
-                    line,
-                    Memo::Bad {
-                        code,
-                        message: Arc::from(message.as_str()),
-                        verb: "unknown",
-                    },
-                );
-                self.respond_failed(conn, started, code, &message, "unknown", None);
-                return;
-            }
-        };
-        match request {
-            ServeRequest::Ping => {
-                let latency_us = self.observed_latency(started);
-                self.queue_response(conn, &ServeResponse::Pong { latency_us });
-            }
-            ServeRequest::Stats => {
-                let mut entries: Vec<StatEntry> = self
-                    .ctx
-                    .metrics
-                    .snapshot()
-                    .into_iter()
-                    .map(|(name, value)| StatEntry { name, value })
-                    .collect();
-                // Live gauges (queue occupancy and in-flight work)
-                // have no counter representation — compute them at
-                // snapshot time and keep the reply sorted by name.
-                let depths = self.ctx.queue.depths();
-                entries.push(StatEntry {
-                    name: "serve.queue.depth".to_owned(),
-                    value: depths.iter().map(|&d| d as u64).sum(),
-                });
-                for (class, depth) in QosClass::ALL.iter().zip(depths) {
-                    entries.push(StatEntry {
-                        name: format!("serve.queue.depth.{class}"),
-                        value: depth as u64,
-                    });
-                }
-                entries.push(StatEntry {
-                    name: "serve.inflight".to_owned(),
-                    value: self.ctx.inflight.load(Ordering::Relaxed),
-                });
-                // Durability gauges: journal growth and snapshot epoch
-                // are live store state, not counters. (Recovery totals
-                // like `serve.store.recovered` already ride in the
-                // registry snapshot above.)
-                if let Some(store) = &self.ctx.store {
-                    entries.push(StatEntry {
-                        name: "serve.store.journal_bytes".to_owned(),
-                        value: store.journal_bytes(),
-                    });
-                    entries.push(StatEntry {
-                        name: "serve.store.snapshot_epoch".to_owned(),
-                        value: store.snapshot_epoch(),
-                    });
-                }
-                entries.sort_by(|a, b| a.name.cmp(&b.name));
-                let latency_us = self.observed_latency(started);
-                self.queue_response(
-                    conn,
-                    &ServeResponse::Stats(StatsReply {
-                        entries,
-                        latency_us,
-                    }),
-                );
-            }
-            ServeRequest::Shutdown => {
-                self.draining = true;
-                let latency_us = self.observed_latency(started);
-                self.queue_response(conn, &ServeResponse::ShuttingDown { latency_us });
-            }
-            ServeRequest::Schedule(spec) => match resolve(spec) {
-                Ok(resolved) => {
-                    let resolved = Arc::new(resolved);
-                    self.memo_insert(line, Memo::Good(Arc::clone(&resolved)));
-                    self.handle_schedule(conn, started, &resolved);
-                }
-                Err(message) => {
-                    self.ctx.counters.errors.incr();
-                    self.memo_insert(
-                        line,
-                        Memo::Bad {
-                            code: ErrorCode::BadRequest,
-                            message: Arc::from(message.as_str()),
-                            verb: "schedule",
-                        },
-                    );
-                    self.respond_failed(
-                        conn,
-                        started,
-                        ErrorCode::BadRequest,
-                        &message,
-                        "schedule",
-                        None,
-                    );
-                }
-            },
-        }
-    }
-
-    fn handle_schedule(&mut self, conn: &mut Conn, started: Instant, resolved: &Arc<Resolved>) {
-        let ctx = self.ctx;
-        let deadline = resolved
-            .deadline_ms
-            .map(|ms| started + Duration::from_millis(ms));
-        // Upfront degrade: when the deadline is too tight for the full
-        // CDS to be worth attempting, route the request straight to the
-        // cheaper within-cluster-only scheduler (its own cache key, no
-        // cancellation — it exists to succeed).
-        let degraded_upfront = ctx.degrade
-            && ctx.degrade_below_ms > 0
-            && resolved.kind == SchedulerKind::Cds
-            && resolved
-                .deadline_ms
-                .is_some_and(|ms| ms < ctx.degrade_below_ms);
-        let entry_key = if degraded_upfront {
-            degraded_key(resolved.key)
-        } else {
-            resolved.key
-        };
-        let token = pack_token(conn.gen, conn.next_slot);
-        match ctx.cache.lookup(entry_key, token) {
-            Lookup::Hit(entry) => {
-                ctx.counters.hits.incr();
-                self.respond_entry(conn, started, entry_key, true, &entry);
-            }
-            Lookup::Wait => {
-                push_waiting(conn, started);
-                if let Some(at) = deadline {
-                    self.schedule_timer(
-                        at,
-                        TimerEvent::WaiterDeadline {
-                            token,
-                            key: entry_key,
-                        },
-                    );
-                }
-            }
-            Lookup::Lead(guard) => {
-                let cancel = if degraded_upfront {
-                    None
-                } else {
-                    Some(deadline.map_or_else(CancelToken::new, CancelToken::at))
-                };
-                let class = resolved.class;
-                let job = Box::new(Job {
-                    resolved: Arc::clone(resolved),
-                    kind: if degraded_upfront {
-                        SchedulerKind::Ds
-                    } else {
-                        resolved.kind
-                    },
-                    degraded: degraded_upfront,
-                    cancel,
-                    guard,
-                    leader: token,
-                    class,
-                    enqueued: started,
-                });
-                match ctx.queue.try_push(job) {
-                    Ok(()) => {
-                        ctx.counters.qos_admitted[class.index()].incr();
-                        push_waiting(conn, started);
-                    }
-                    Err((job, closed)) => {
-                        let Job { guard, .. } = *job;
-                        let _ = guard.abandon();
-                        if closed {
-                            ctx.counters.errors.incr();
-                            self.respond_failed(
-                                conn,
-                                started,
-                                ErrorCode::Shutdown,
-                                "server is draining; no new computations admitted",
-                                "schedule",
-                                Some(entry_key),
-                            );
-                        } else {
-                            ctx.counters.rejected.incr();
-                            ctx.counters.qos_rejected[class.index()].incr();
-                            self.respond_failed(
-                                conn,
-                                started,
-                                ErrorCode::Overloaded,
-                                "overloaded: admission lane full",
-                                "schedule",
-                                Some(entry_key),
-                            );
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Observes the latency histogram and returns the value.
-    fn observed_latency(&self, started: Instant) -> u64 {
-        let latency = elapsed_us(started);
-        self.ctx.counters.latency.observe(latency);
-        latency
-    }
-
-    fn respond_failed(
-        &mut self,
-        conn: &mut Conn,
-        started: Instant,
-        code: ErrorCode,
-        message: &str,
-        verb: &str,
-        key: Option<u64>,
-    ) {
-        let latency_us = self.observed_latency(started);
-        let failed = ServeResponse::Failed(ServeError {
-            code,
-            message: message.to_owned(),
-            key,
-            verb: verb.to_owned(),
-            latency_us,
-        });
-        self.queue_response(conn, &failed);
-    }
-
-    /// Renders a cache entry (hit or leader-completed miss) for `conn`.
-    fn respond_entry(
-        &mut self,
-        conn: &mut Conn,
-        started: Instant,
-        key: u64,
-        hit: bool,
-        entry: &CachedResult,
-    ) {
-        let latency_us = self.observed_latency(started);
-        self.render_entry(conn, key, hit, entry, latency_us);
-    }
-
-    fn render_entry(
-        &mut self,
-        conn: &mut Conn,
-        key: u64,
-        hit: bool,
-        entry: &CachedResult,
-        latency_us: u64,
-    ) {
-        match (&entry.result, entry.outcome_json()) {
-            (Ok(_), Some(json)) => {
-                if self.ctx.faults.is_none() && conn.pending.is_empty() && conn.dribble.is_empty() {
-                    // Hot path: splice straight into the write buffer —
-                    // no intermediate allocation, no slot bookkeeping.
-                    render_scheduled(&mut conn.out, key, hit, json.as_bytes(), latency_us);
-                } else {
-                    let mut bytes = Vec::with_capacity(json.len() + 160);
-                    render_scheduled(&mut bytes, key, hit, json.as_bytes(), latency_us);
-                    self.queue_bytes(conn, bytes);
-                }
-            }
-            (Ok(outcome), None) => {
-                // Unreachable in practice (successes pre-serialize),
-                // but render correctly if an entry lacks its JSON.
-                let response = ServeResponse::Scheduled(Scheduled {
-                    key,
-                    cache_hit: hit,
-                    outcome: outcome.clone(),
-                    latency_us,
-                });
-                self.queue_response(conn, &response);
-            }
-            (Err(err), _) => {
-                self.ctx.counters.errors.incr();
-                let failed = ServeResponse::Failed(ServeError {
-                    code: err.code,
-                    message: err.message.clone(),
-                    key: Some(key),
-                    verb: "schedule".to_owned(),
-                    latency_us,
-                });
-                self.queue_response(conn, &failed);
-            }
-        }
-    }
-
-    fn queue_response(&mut self, conn: &mut Conn, response: &ServeResponse) {
-        let mut bytes = response.encode().into_bytes();
-        bytes.push(b'\n');
-        self.queue_bytes(conn, bytes);
-    }
-
-    /// Appends a rendered response respecting the per-connection FIFO
-    /// (and write-fault machinery when a fault plan is attached).
-    fn queue_bytes(&mut self, conn: &mut Conn, bytes: Vec<u8>) {
-        if self.ctx.faults.is_none() && conn.pending.is_empty() && conn.dribble.is_empty() {
-            conn.out.extend_from_slice(&bytes);
-            return;
-        }
-        conn.pending.push_back(PendingSlot {
-            slot: conn.next_slot,
-            started: Instant::now(),
-            state: SlotState::Done(bytes),
-        });
-        conn.next_slot = conn.next_slot.wrapping_add(1);
-        self.pump(conn);
-    }
-
-    /// Moves consecutive completed responses from the FIFO into the
-    /// write buffer, applying per-response write faults in response
-    /// order.
-    fn pump(&mut self, conn: &mut Conn) {
-        if !conn.dribble.is_empty() || conn.close_after_flush {
-            return;
-        }
-        while matches!(
-            conn.pending.front(),
-            Some(PendingSlot {
-                state: SlotState::Done(_),
-                ..
-            })
-        ) {
-            let slot = conn.pending.pop_front().expect("checked front");
-            let SlotState::Done(bytes) = slot.state else {
-                unreachable!("matched Done above");
-            };
-            match self.ctx.fault(Seam::ServeWrite) {
-                Some(Fault::TruncateWrite) => {
-                    // Mid-frame disconnect: half the frame, then the
-                    // connection closes — the client sees a short read
-                    // with no terminating newline.
-                    conn.out.extend_from_slice(&bytes[..bytes.len() / 2]);
-                    conn.pending.clear();
-                    conn.dribble.clear();
-                    conn.read_done = true;
-                    conn.close_after_flush = true;
-                    return;
-                }
-                Some(Fault::SlowWrite) => {
-                    // Slow-loris writer: dribble the frame out in eight
-                    // timer-delayed chunks. The frame still completes,
-                    // so a patient client succeeds without a retry.
-                    let piece = bytes.len().div_ceil(8).max(1);
-                    for chunk in bytes.chunks(piece) {
-                        conn.dribble.push_back(chunk.to_vec());
-                    }
-                    let at = Instant::now() + self.ctx.fault_delay;
-                    self.schedule_timer(at, TimerEvent::Dribble { gen: conn.gen });
-                    return;
-                }
-                Some(_) | None => conn.out.extend_from_slice(&bytes),
-            }
-        }
-    }
-
-    fn schedule_timer(&mut self, at: Instant, event: TimerEvent) {
-        let seq = self.timer_seq;
-        self.timer_seq += 1;
-        self.timers.push(Reverse(TimerEntry { at, seq, event }));
-    }
-
-    fn fire_due_timers(&mut self) {
-        let now = Instant::now();
-        while self
-            .timers
-            .peek()
-            .is_some_and(|Reverse(next)| next.at <= now)
-        {
-            let Reverse(entry) = self.timers.pop().expect("peeked");
-            match entry.event {
-                TimerEvent::WaiterDeadline { token, key } => {
-                    if self.ctx.cache.cancel_wait(key, token) {
-                        self.ctx.counters.deadline_misses.incr();
-                        self.deliver(Reply {
-                            token,
-                            payload: ReplyPayload::Error {
-                                code: ErrorCode::Deadline,
-                                message: Arc::from("run abandoned: deadline exceeded"),
-                                key,
-                                count_miss: false,
-                                count_error: false,
-                            },
-                        });
-                    }
-                }
-                TimerEvent::Dribble { gen } => {
-                    let Some(&idx) = self.by_gen.get(&gen) else {
-                        continue;
-                    };
-                    let Some(mut conn) = self.conns[idx].take() else {
-                        continue;
-                    };
-                    if let Some(chunk) = conn.dribble.pop_front() {
-                        conn.out.extend_from_slice(&chunk);
-                    }
-                    if conn.dribble.is_empty() {
-                        self.pump(&mut conn);
-                    } else {
-                        let at = Instant::now() + self.ctx.fault_delay;
-                        self.schedule_timer(at, TimerEvent::Dribble { gen });
-                    }
-                    self.finish(idx, conn);
-                }
-            }
-        }
-    }
-
-    /// Routes one worker completion to its parked request slot.
-    fn deliver(&mut self, reply: Reply) {
-        let gen = token_gen(reply.token);
-        let Some(&idx) = self.by_gen.get(&gen) else {
-            return; // connection already closed — drop the reply
-        };
-        let Some(mut conn) = self.conns[idx].take() else {
-            return;
-        };
-        let slot_id = token_slot(reply.token);
-        let pos = conn
-            .pending
-            .iter()
-            .position(|s| s.slot == slot_id && matches!(s.state, SlotState::Waiting));
-        if let Some(pos) = pos {
-            let started = conn.pending[pos].started;
-            let latency_us = self.observed_latency(started);
-            let mut bytes = Vec::new();
-            match reply.payload {
-                ReplyPayload::Entry { key, hit, entry } => {
-                    if hit {
-                        self.ctx.counters.hits.incr();
-                    } else {
-                        self.ctx.counters.misses.incr();
-                    }
-                    self.render_slot(&mut bytes, key, hit, &entry, latency_us);
-                }
-                ReplyPayload::Error {
-                    code,
-                    message,
-                    key,
-                    count_miss,
-                    count_error,
-                } => {
-                    if count_miss {
-                        self.ctx.counters.misses.incr();
-                    }
-                    if count_error {
-                        self.ctx.counters.errors.incr();
-                    }
-                    let failed = ServeResponse::Failed(ServeError {
-                        code,
-                        message: message.as_ref().to_owned(),
-                        key: Some(key),
-                        verb: "schedule".to_owned(),
-                        latency_us,
-                    });
-                    bytes = failed.encode().into_bytes();
-                    bytes.push(b'\n');
-                }
-            }
-            conn.pending[pos].state = SlotState::Done(bytes);
-            self.pump(&mut conn);
-        }
-        self.finish(idx, conn);
-    }
-
-    /// Renders an entry into `bytes` for a parked slot (always the
-    /// slot-buffer path — ordering is enforced by the FIFO).
-    fn render_slot(
-        &mut self,
-        bytes: &mut Vec<u8>,
-        key: u64,
-        hit: bool,
-        entry: &CachedResult,
-        latency_us: u64,
-    ) {
-        match (&entry.result, entry.outcome_json()) {
-            (Ok(_), Some(json)) => render_scheduled(bytes, key, hit, json.as_bytes(), latency_us),
-            (Ok(outcome), None) => {
-                let response = ServeResponse::Scheduled(Scheduled {
-                    key,
-                    cache_hit: hit,
-                    outcome: outcome.clone(),
-                    latency_us,
-                });
-                *bytes = response.encode().into_bytes();
-                bytes.push(b'\n');
-            }
-            (Err(err), _) => {
-                self.ctx.counters.errors.incr();
-                let failed = ServeResponse::Failed(ServeError {
-                    code: err.code,
-                    message: err.message.clone(),
-                    key: Some(key),
-                    verb: "schedule".to_owned(),
-                    latency_us,
-                });
-                *bytes = failed.encode().into_bytes();
-                bytes.push(b'\n');
-            }
-        }
-    }
-
-    /// Enforces the per-connection buffer cap: a peer making the
-    /// server hold more than `max_conn_buffer` bytes (frame flood
-    /// against a stalled reader, typically) gets one final typed
-    /// `overloaded` error and is closed after flushing — the
-    /// write-stall timeout guarantees the fd is reclaimed even if the
-    /// peer never reads.
-    fn enforce_buffer_cap(&mut self, conn: &mut Conn) {
-        let buffered = conn.buffered_bytes();
-        self.ctx.counters.buffer_bytes.observe(buffered as u64);
-        if self.max_conn_buffer == 0
-            || buffered <= self.max_conn_buffer
-            || conn.broken
-            || conn.close_after_flush
-        {
-            return;
-        }
-        self.ctx.counters.conn_overflows.incr();
-        let failed = ServeResponse::Failed(ServeError {
-            code: ErrorCode::Overloaded,
-            message: "overloaded: connection buffer cap exceeded".to_owned(),
-            key: None,
-            verb: "conn".to_owned(),
-            latency_us: 0,
-        });
-        let mut bytes = failed.encode().into_bytes();
-        bytes.push(b'\n');
-        // Bypass the pending FIFO — whatever is parked there will
-        // never be pumped once the connection is closing.
-        conn.out.extend_from_slice(&bytes);
-        conn.read_done = true;
-        conn.close_after_flush = true;
-    }
-
-    /// Flushes what the socket accepts, then either parks the
-    /// connection back in the slab or closes it.
-    fn finish(&mut self, idx: usize, mut conn: Conn) {
-        self.enforce_buffer_cap(&mut conn);
-        flush(&mut conn);
-        let flushed = conn.out_pos >= conn.out.len();
-        let done = conn.broken
-            || (flushed
-                && conn.dribble.is_empty()
-                && (conn.close_after_flush || (conn.read_done && conn.pending.is_empty())));
-        if done {
-            self.by_gen.remove(&conn.gen);
-            self.free.push(idx);
-            // Dropping `conn` closes the socket.
-        } else {
-            self.conns[idx] = Some(conn);
-        }
-    }
-}
-
-/// Parks the request's response position in the connection FIFO.
-fn push_waiting(conn: &mut Conn, started: Instant) {
-    conn.pending.push_back(PendingSlot {
-        slot: conn.next_slot,
-        started,
-        state: SlotState::Waiting,
-    });
-    conn.next_slot = conn.next_slot.wrapping_add(1);
-}
-
-/// Writes as much of the pending output as the socket accepts.
-fn flush(conn: &mut Conn) {
-    while conn.out_pos < conn.out.len() {
-        match conn.stream.write(&conn.out[conn.out_pos..]) {
-            Ok(0) => {
-                conn.broken = true;
-                return;
-            }
-            Ok(n) => {
-                conn.out_pos += n;
-                conn.last_write_progress = Instant::now();
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => {
-                conn.broken = true;
-                return;
-            }
-        }
-    }
-    conn.out.clear();
-    conn.out_pos = 0;
-}
-
-/// Condenses a pipeline run into the wire outcome.
-fn outcome_of(run: &PipelineRun, app: &str, kind: SchedulerKind, degraded: bool) -> Outcome {
-    let plan = run.plan();
-    Outcome {
-        app: app.to_owned(),
-        scheduler: kind.name().to_owned(),
-        clusters: run.schedule().len() as u64,
-        rf: plan.rf(),
-        dt_avoided_words: plan.dt_avoided_per_iter().get(),
-        data_words: plan.total_data_words().get(),
-        context_words: plan.total_context_words(),
-        total_cycles: run.report().total().get(),
-        degraded,
-    }
-}
-
-/// Runs one pipeline under the supervisor's `catch_unwind`. `faulted`
-/// attaches the server's fault plan (the degraded fallback runs clean
-/// so it is guaranteed to complete whenever scheduling is feasible).
-fn supervised_run(
-    ctx: &Ctx,
-    resolved: &Resolved,
-    kind: SchedulerKind,
-    cancel: Option<CancelToken>,
-    faulted: bool,
-) -> Result<Result<PipelineRun, McdsError>, ()> {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        if faulted && matches!(ctx.fault(Seam::WorkerRun), Some(Fault::WorkerPanic)) {
-            panic!("injected worker panic");
-        }
-        let mut pipeline = Pipeline::new(resolved.app.clone())
-            .arch(resolved.arch)
-            .scheduler(kind)
-            .metrics(Arc::clone(&ctx.metrics));
-        if let Some(token) = cancel {
-            pipeline = pipeline.cancellation(token);
-        }
-        if faulted {
-            if let Some(plan) = &ctx.faults {
-                // Scoped: this run's fault stream indexes per-request
-                // counters salted by (key, attempt), so chaos replay is
-                // a pure function of the request — independent of how
-                // many allocation calls other requests made first.
-                pipeline = pipeline.faults_scoped(plan, resolved.key);
-            }
-        }
-        if let Some(sched) = &resolved.sched {
-            pipeline = pipeline.schedule(sched.clone());
-        }
-        // Analysis memoization by structure key: arch-only variants of
-        // an already-analyzed workload skip straight to data scheduling
-        // + allocation. The single-flight guard blocks concurrent
-        // preparers of the same structure; a failed preparation drops
-        // the guard, wakes the waiters, and surfaces the (deterministic)
-        // error through the normal outcome path.
-        match ctx.cache.analysis_lookup(resolved.structure_key) {
-            AnalysisLookup::Hit(prepared) => {
-                ctx.counters.analysis_hits.incr();
-                pipeline.run_prepared(&prepared)
-            }
-            AnalysisLookup::Lead(lead) => {
-                ctx.counters.analysis_misses.incr();
-                match pipeline.prepare() {
-                    Ok(prepared) => {
-                        let prepared = Arc::new(prepared);
-                        lead.fulfill(Arc::clone(&prepared));
-                        // Analyses hold live graphs and are not
-                        // persisted; the index record accounts for
-                        // warm-start coverage.
-                        if let Some(store) = &ctx.store {
-                            store.append_analysis(resolved.structure_key);
-                        }
-                        pipeline.run_prepared(&prepared)
-                    }
-                    Err(e) => Err(e),
-                }
-            }
-        }
-    }))
-    .map_err(|_| ())
-}
-
-/// Replies answering the leader (miss) and every waiter (hit) with one
-/// shared cache entry.
-fn entry_replies(key: u64, leader: Token, waiters: Vec<Token>, entry: &CachedResult) -> Vec<Reply> {
-    let mut replies = Vec::with_capacity(1 + waiters.len());
-    replies.push(Reply {
-        token: leader,
-        payload: ReplyPayload::Entry {
-            key,
-            hit: false,
-            entry: Arc::clone(entry),
-        },
-    });
-    for token in waiters {
-        replies.push(Reply {
-            token,
-            payload: ReplyPayload::Entry {
-                key,
-                hit: true,
-                entry: Arc::clone(entry),
-            },
-        });
-    }
-    replies
-}
-
-/// Replies for a job dropped at dequeue (shed by the queue-delay
-/// governor, or already past its deadline): the run never started, so
-/// nothing counts as a miss or an error — the typed retryable code is
-/// the whole story.
-fn drop_replies(
-    key: u64,
-    leader: Token,
-    waiters: Vec<Token>,
-    code: ErrorCode,
-    message: &Arc<str>,
-) -> Vec<Reply> {
-    let mut replies = Vec::with_capacity(1 + waiters.len());
-    for token in std::iter::once(leader).chain(waiters) {
-        replies.push(Reply {
-            token,
-            payload: ReplyPayload::Error {
-                code,
-                message: Arc::clone(message),
-                key,
-                count_miss: false,
-                count_error: false,
-            },
-        });
-    }
-    replies
-}
-
-/// Replies failing the leader (counted as the miss) and every waiter
-/// with the same transient error.
-fn fail_replies(
-    key: u64,
-    leader: Token,
-    waiters: Vec<Token>,
-    code: ErrorCode,
-    message: &Arc<str>,
-) -> Vec<Reply> {
-    let mut replies = Vec::with_capacity(1 + waiters.len());
-    replies.push(Reply {
-        token: leader,
-        payload: ReplyPayload::Error {
-            code,
-            message: Arc::clone(message),
-            key,
-            count_miss: true,
-            count_error: true,
-        },
-    });
-    for token in waiters {
-        replies.push(Reply {
-            token,
-            payload: ReplyPayload::Error {
-                code,
-                message: Arc::clone(message),
-                key,
-                count_miss: false,
-                count_error: true,
-            },
-        });
-    }
-    replies
-}
-
-/// One worker under its supervisor: pops admitted jobs and computes
-/// them through the pipeline. Deterministic results (success or
-/// scheduling error) are published to the cache; abandoned and faulted
-/// runs are not. A panicking run (injected or real) is contained by
-/// `catch_unwind`: the worker recycles itself for the next job,
-/// `serve.worker_restarts` counts the recycle, and the leader plus any
-/// parked waiters get a typed retryable error instead of hanging.
-fn worker_loop(ctx: &Ctx) {
-    while let Some((job, shed)) = ctx.queue.pop() {
-        // Jobs the queue-delay governor pulled from lower lanes while
-        // congested: answer `overloaded` without running them.
-        for victim in shed {
-            ctx.counters.qos_shed[victim.class.index()].incr();
-            ctx.counters.rejected.incr();
-            let Job { guard, leader, .. } = *victim;
-            let key = guard.key();
-            let waiters = guard.abandon();
-            let message = Arc::from("overloaded: shed after queue delay exceeded");
-            ctx.complete(drop_replies(
-                key,
-                leader,
-                waiters,
-                ErrorCode::Overloaded,
-                &message,
-            ));
-        }
-        // Deadline-aware early drop: a job whose deadline passed while
-        // it queued is answered `deadline` without burning a worker on
-        // a run the client has already given up on.
-        if job.cancel.as_ref().is_some_and(CancelToken::is_expired) {
-            ctx.counters.deadline_misses.incr();
-            ctx.counters.qos_expired.incr();
-            let Job { guard, leader, .. } = *job;
-            let key = guard.key();
-            let waiters = guard.abandon();
-            let message = Arc::from("deadline expired before the run started");
-            ctx.complete(drop_replies(
-                key,
-                leader,
-                waiters,
-                ErrorCode::Deadline,
-                &message,
-            ));
-            continue;
-        }
-        let Job {
-            resolved,
-            kind,
-            degraded,
-            cancel,
-            guard,
-            leader,
-            ..
-        } = *job;
-        let flight_key = guard.key();
-        ctx.inflight.fetch_add(1, Ordering::Relaxed);
-        let caught = supervised_run(ctx, &resolved, kind, cancel, !degraded);
-        let replies = match caught {
-            Err(()) => {
-                // Poisoned worker: recycle in place, never cache.
-                ctx.counters.worker_restarts.incr();
-                let waiters = guard.abandon();
-                let message = Arc::from("worker panicked; the request is retryable");
-                fail_replies(flight_key, leader, waiters, ErrorCode::Faulted, &message)
-            }
-            Ok(Ok(run)) => {
-                if degraded {
-                    ctx.counters.degraded.incr();
-                }
-                let entry = CachedEntry::ok(outcome_of(&run, resolved.app.name(), kind, degraded));
-                let (shared, waiters) = guard.fulfill(entry);
-                // Journal after publish: the in-memory entry is the
-                // source of truth, the journal is what survives a
-                // process kill.
-                if let Some(store) = &ctx.store {
-                    store.append_entry(flight_key, &shared);
-                    store.maybe_compact(&ctx.cache);
-                }
-                entry_replies(flight_key, leader, waiters, &shared)
-            }
-            Ok(Err(McdsError::Cancelled(reason))) => {
-                // Not a pure function of the request — never cached.
-                ctx.counters.deadline_misses.incr();
-                let message: Arc<str> = Arc::from(format!("run abandoned: {reason}").as_str());
-                let fallback = if ctx.degrade && kind == SchedulerKind::Cds {
-                    // Fall back to the cheaper within-cluster-only
-                    // scheduler, clean (no faults, no deadline), and
-                    // serve + cache it under the *degraded* key. The
-                    // primary key stays uncomputed so a later request
-                    // with a generous deadline gets the full CDS.
-                    supervised_run(ctx, &resolved, SchedulerKind::Ds, None, false).ok()
-                } else {
-                    None
-                };
-                if let Some(Ok(run)) = fallback {
-                    ctx.counters.degraded.incr();
-                    let dkey = degraded_key(resolved.key);
-                    let outcome = outcome_of(&run, resolved.app.name(), SchedulerKind::Ds, true);
-                    let (shared, dwaiters) = ctx.cache.publish(dkey, CachedEntry::ok(outcome));
-                    if let Some(store) = &ctx.store {
-                        store.append_entry(dkey, &shared);
-                        store.append_degraded(resolved.key, dkey);
-                        store.maybe_compact(&ctx.cache);
-                    }
-                    let pwaiters = guard.abandon();
-                    let mut replies = entry_replies(dkey, leader, dwaiters, &shared);
-                    for token in pwaiters {
-                        replies.push(Reply {
-                            token,
-                            payload: ReplyPayload::Error {
-                                code: ErrorCode::Deadline,
-                                message: Arc::clone(&message),
-                                key: flight_key,
-                                count_miss: false,
-                                count_error: true,
-                            },
-                        });
-                    }
-                    replies
-                } else {
-                    // The fallback failed too (infeasible, disabled, or
-                    // it panicked): plain abandon.
-                    let waiters = guard.abandon();
-                    fail_replies(flight_key, leader, waiters, ErrorCode::Deadline, &message)
-                }
-            }
-            Ok(Err(e @ McdsError::Faulted(_))) => {
-                // Injected fault: transient — never cached, retryable.
-                let waiters = guard.abandon();
-                let message = Arc::from(e.to_string().as_str());
-                fail_replies(flight_key, leader, waiters, ErrorCode::Faulted, &message)
-            }
-            Ok(Err(e)) => {
-                // Scheduling errors are deterministic → cacheable (and
-                // journaled: a recovered failure is served without
-                // re-running the pipeline just like a success).
-                let entry = CachedEntry::err(ErrorCode::BadRequest, e.to_string());
-                let (shared, waiters) = guard.fulfill(entry);
-                if let Some(store) = &ctx.store {
-                    store.append_entry(flight_key, &shared);
-                    store.maybe_compact(&ctx.cache);
-                }
-                entry_replies(flight_key, leader, waiters, &shared)
-            }
-        };
-        ctx.complete(replies);
-        ctx.inflight.fetch_sub(1, Ordering::Relaxed);
-    }
-}
-
-/// Resolves a `schedule` request into pipeline inputs plus its
-/// canonical key.
-fn resolve(spec: ScheduleSpec) -> Result<Resolved, String> {
-    let class = spec.qos();
-    let kind: SchedulerKind = spec
-        .scheduler
-        .as_deref()
-        .unwrap_or("cds")
-        .parse()
-        .map_err(|e: McdsError| e.to_string())?;
-    if let SchedulerKind::Search {
-        beam_width,
-        max_expansions,
-    } = kind
-    {
-        if max_expansions == 0 || max_expansions > MAX_SEARCH_EXPANSIONS {
-            return Err(format!(
-                "search expansion cap {max_expansions} is outside 1..={MAX_SEARCH_EXPANSIONS} \
-                 (0 is unlimited)"
-            ));
-        }
-        if beam_width > MAX_SEARCH_BEAM {
-            return Err(format!(
-                "search beam width {beam_width} is outside 0..={MAX_SEARCH_BEAM}"
-            ));
-        }
-    }
-    let arch = match spec.arch {
-        Some(arch) => arch,
-        None => {
-            let kw = spec.fb_kw.unwrap_or(1).max(1);
-            let fb = Words::checked_kilo(kw)
-                .ok_or_else(|| format!("fb_kw {kw} is over the limit of {}", Words::MAX_KILO))?;
-            ArchParams::m1().to_builder().fb_set_words(fb).build()
-        }
-    };
-    let (app, sched) = match (spec.app, spec.workload.as_deref()) {
-        (Some(_), Some(_)) => return Err("`app` and `workload` are mutually exclusive".to_owned()),
-        (None, None) => return Err("schedule needs `app` or `workload`".to_owned()),
-        (Some(app), None) => {
-            app.validate().map_err(|e| format!("invalid app: {e}"))?;
-            (app, None)
-        }
-        (None, Some(name)) => {
-            let iterations = spec.iterations.unwrap_or(16);
-            let (app, sched) = mcds_workloads::mix::by_name(name, iterations)
-                .ok_or_else(|| format!("unknown workload `{name}` (and iterations must be > 0)"))?;
-            (app, Some(sched))
-        }
-    };
-    let work = app.iterations().saturating_mul(app.kernels().len() as u64);
-    if work > MAX_ITERATION_KERNELS {
-        return Err(format!(
-            "iterations × kernels is {work}, over the limit of {MAX_ITERATION_KERNELS} (2^20)"
-        ));
-    }
-    let skey = structure_key(&app, sched.as_ref());
-    let key = compose_key(skey, arch_key(&arch, kind, &SchedulerConfig::default()));
-    Ok(Resolved {
-        app,
-        sched,
-        arch,
-        kind,
-        key,
-        structure_key: skey,
-        deadline_ms: spec.deadline_ms,
-        class,
-    })
-}
-
 #[cfg(test)]
 mod tests {
+    use std::time::{Duration, Instant};
+
+    use super::lanes::{Job, JobQueue};
+    use super::resolve::resolve;
     use super::*;
     use crate::cache::Lookup;
-    use mcds_model::{ApplicationBuilder, Cycles, DataKind};
+    use crate::protocol::ScheduleSpec;
+    use mcds_core::SchedulerKind;
+    use mcds_model::{ApplicationBuilder, Cycles, DataKind, Words};
 
     /// A queued job aged `age_ms` into the past, leading a fresh flight
     /// on its own key so the guard is real (dropping it parks orphans,
