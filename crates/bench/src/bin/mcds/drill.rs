@@ -118,18 +118,7 @@ fn reference_outcome(
         .schedule(sched)
         .scheduler(kind)
         .run()?;
-    let plan = run.plan();
-    Ok(mcds_serve::Outcome {
-        app: app.name().to_owned(),
-        scheduler: kind.name().to_owned(),
-        clusters: run.schedule().len() as u64,
-        rf: plan.rf(),
-        dt_avoided_words: plan.dt_avoided_per_iter().get(),
-        data_words: plan.total_data_words().get(),
-        context_words: plan.total_context_words(),
-        total_cycles: run.report().total().get(),
-        degraded,
-    })
+    Ok(mcds_serve::Outcome::of(&run, app.name(), kind, degraded))
 }
 
 /// Deterministic fault-injection soak: for each seed, start a live

@@ -404,16 +404,6 @@ impl<'a> Observer<'a> {
         }
     }
 
-    /// An observer recording events into `sink` only.
-    #[must_use]
-    pub fn with_sink(sink: &'a dyn TraceSink) -> Self {
-        Observer {
-            sink: Some(sink),
-            metrics: None,
-            faults: None,
-        }
-    }
-
     /// Attaches a fault decider (a process-wide
     /// [`FaultPlan`](crate::FaultPlan) or a per-request
     /// [`FaultScope`](crate::FaultScope)): instrumented seams start

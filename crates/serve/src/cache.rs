@@ -48,14 +48,35 @@ pub struct CachedError {
     pub message: String,
 }
 
-/// One published cache entry: the result plus — for successes — the
-/// outcome pre-serialized once at publish time, so the reactor's hit
-/// path splices bytes instead of re-serializing per response.
+/// One published cache entry: a success with the JSON it was
+/// published with, or a deterministic failure.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CachedEntry {
     /// The published result.
-    pub result: Result<Outcome, CachedError>,
-    outcome_json: Option<String>,
+    pub result: Result<CachedOutcome, CachedError>,
+}
+
+/// A cached success: the outcome and its JSON, serialized once at
+/// publish time, so every reply and journal record splices bytes
+/// instead of re-serializing.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CachedOutcome {
+    outcome: Outcome,
+    json: String,
+}
+
+impl CachedOutcome {
+    /// The outcome.
+    #[must_use]
+    pub fn outcome(&self) -> &Outcome {
+        &self.outcome
+    }
+
+    /// The outcome's JSON, exactly as it was published.
+    #[must_use]
+    pub fn json(&self) -> &str {
+        &self.json
+    }
 }
 
 impl CachedEntry {
@@ -64,8 +85,7 @@ impl CachedEntry {
     pub fn ok(outcome: Outcome) -> CachedEntry {
         let json = serde_json::to_string(&outcome).expect("outcomes serialize");
         CachedEntry {
-            result: Ok(outcome),
-            outcome_json: Some(json),
+            result: Ok(CachedOutcome { outcome, json }),
         }
     }
 
@@ -77,7 +97,6 @@ impl CachedEntry {
                 code,
                 message: message.into(),
             }),
-            outcome_json: None,
         }
     }
 
@@ -89,15 +108,8 @@ impl CachedEntry {
     pub fn from_json(json: String) -> Result<CachedEntry, serde_json::Error> {
         let outcome: Outcome = serde_json::from_str(&json)?;
         Ok(CachedEntry {
-            result: Ok(outcome),
-            outcome_json: Some(json),
+            result: Ok(CachedOutcome { outcome, json }),
         })
-    }
-
-    /// The pre-serialized outcome JSON (`None` for failure entries).
-    #[must_use]
-    pub fn outcome_json(&self) -> Option<&str> {
-        self.outcome_json.as_deref()
     }
 }
 
@@ -517,10 +529,12 @@ mod tests {
         let Lookup::Hit(r) = cache.lookup(7, 1) else {
             panic!("published entry: second requester hits");
         };
-        assert_eq!(r.result.as_ref().expect("ok").total_cycles, 10);
+        assert_eq!(r.result.as_ref().expect("ok").outcome().total_cycles, 10);
         assert!(r
-            .outcome_json()
+            .result
+            .as_ref()
             .expect("pre-serialized")
+            .json()
             .contains("\"total_cycles\":10"));
         assert_eq!(cache.len(), 1);
         assert!(cache.get(7).is_some(), "peek sees the entry");
@@ -541,7 +555,6 @@ mod tests {
         let err = r.result.as_ref().expect_err("cached failure");
         assert_eq!(err.code, ErrorCode::BadRequest);
         assert_eq!(err.message, "infeasible");
-        assert!(r.outcome_json().is_none());
     }
 
     #[test]
@@ -556,7 +569,10 @@ mod tests {
         let (shared, mut waiters) = guard.fulfill(CachedEntry::ok(outcome(42)));
         waiters.sort_unstable();
         assert_eq!(waiters, vec![101, 102, 103]);
-        assert_eq!(shared.result.as_ref().expect("ok").total_cycles, 42);
+        assert_eq!(
+            shared.result.as_ref().expect("ok").outcome().total_cycles,
+            42
+        );
     }
 
     #[test]
@@ -621,7 +637,7 @@ mod tests {
         let Lookup::Hit(r) = cache.lookup(dkey, 1) else {
             panic!("published degraded entry hits");
         };
-        assert_eq!(r.result.as_ref().expect("ok").total_cycles, 5);
+        assert_eq!(r.result.as_ref().expect("ok").outcome().total_cycles, 5);
         let abandoned = guard.abandon();
         assert!(abandoned.is_empty());
         assert!(

@@ -21,8 +21,7 @@ use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use crate::protocol::{
-    ErrorCode, QosClass, ScheduleSpec, Scheduled, ServeError, ServeRequest, ServeResponse,
-    StatsReply,
+    ErrorCode, ScheduleSpec, Scheduled, ServeError, ServeRequest, ServeResponse, StatsReply,
 };
 
 /// Builder-style client configuration. Every `with_*` method consumes
@@ -32,13 +31,8 @@ use crate::protocol::{
 pub struct ClientConfig {
     addr: String,
     retries: u32,
-    backoff_base_ms: u64,
-    backoff_cap_ms: u64,
-    retry_budget_ms: u64,
     deadline_ms: Option<u64>,
-    class: Option<QosClass>,
     reconnect: bool,
-    seed: u64,
 }
 
 impl ClientConfig {
@@ -49,13 +43,8 @@ impl ClientConfig {
         ClientConfig {
             addr: addr.into(),
             retries: 0,
-            backoff_base_ms: 5,
-            backoff_cap_ms: 80,
-            retry_budget_ms: 2_000,
             deadline_ms: None,
-            class: None,
             reconnect: true,
-            seed: 1,
         }
     }
 
@@ -69,33 +58,11 @@ impl ClientConfig {
         self
     }
 
-    /// Backoff schedule: attempt `n` waits up to
-    /// `min(cap_ms, base_ms << n)` milliseconds with deterministic
-    /// jitter in the upper half of that window; a retry whose backoff
-    /// would overrun `budget_ms` (counted per request) is skipped and
-    /// the last observed failure stands.
-    #[must_use]
-    pub fn with_backoff(mut self, base_ms: u64, cap_ms: u64, budget_ms: u64) -> ClientConfig {
-        self.backoff_base_ms = base_ms.max(1);
-        self.backoff_cap_ms = cap_ms.max(1);
-        self.retry_budget_ms = budget_ms;
-        self
-    }
-
     /// Default per-request deadline in milliseconds, attached to every
     /// `schedule` whose spec does not carry its own.
     #[must_use]
     pub fn with_deadline(mut self, deadline_ms: u64) -> ClientConfig {
         self.deadline_ms = Some(deadline_ms);
-        self
-    }
-
-    /// Default admission class attached to every `schedule` whose spec
-    /// does not carry its own (the server treats an absent class as
-    /// `standard`).
-    #[must_use]
-    pub fn with_class(mut self, class: QosClass) -> ClientConfig {
-        self.class = Some(class);
         self
     }
 
@@ -105,13 +72,6 @@ impl ClientConfig {
     #[must_use]
     pub fn with_reconnect(mut self, reconnect: bool) -> ClientConfig {
         self.reconnect = reconnect;
-        self
-    }
-
-    /// Seed for the deterministic backoff jitter.
-    #[must_use]
-    pub fn with_seed(mut self, seed: u64) -> ClientConfig {
-        self.seed = seed;
         self
     }
 
@@ -250,15 +210,24 @@ impl Conn {
     }
 }
 
+/// Retry `n` of a request backs off for up to
+/// `min(BACKOFF_CAP_MS, BACKOFF_BASE_MS << n)` milliseconds.
+const BACKOFF_BASE_MS: u64 = 5;
+const BACKOFF_CAP_MS: u64 = 80;
+/// A retry whose backoff would overrun this budget (counted per
+/// request) is skipped, and the last observed failure stands.
+const RETRY_BUDGET_MS: u64 = 2_000;
+/// Seed of the backoff jitter.
+const BACKOFF_SEED: u64 = 1;
+
 /// The backoff before retry `attempt` (0-based): capped exponential
 /// with deterministic jitter in the upper half of the window, derived
-/// from `(seed, call, attempt)` so two runs with the same seed sleep
-/// identically.
-pub(crate) fn backoff(seed: u64, base_ms: u64, cap_ms: u64, call: u64, attempt: u32) -> Duration {
-    let ceiling = cap_ms
-        .min(base_ms.checked_shl(attempt).unwrap_or(u64::MAX))
-        .max(1);
-    let h = mcds_core::splitmix64(mcds_core::splitmix64(seed ^ (call << 16)) ^ u64::from(attempt));
+/// from `(BACKOFF_SEED, call, attempt)` so two runs sleep identically.
+fn backoff(call: u64, attempt: u32) -> Duration {
+    let ceiling = BACKOFF_CAP_MS.min(BACKOFF_BASE_MS.checked_shl(attempt).unwrap_or(u64::MAX));
+    let h = mcds_core::splitmix64(
+        mcds_core::splitmix64(BACKOFF_SEED ^ (call << 16)) ^ u64::from(attempt),
+    );
     let floor = ceiling / 2;
     Duration::from_millis(floor + h % (ceiling - floor + 1))
 }
@@ -276,8 +245,7 @@ pub struct Client {
 
 impl Client {
     /// Computes (or fetches from cache) a scheduling outcome. The
-    /// config's default deadline and admission class apply when the
-    /// spec carries none.
+    /// config's default deadline applies when the spec carries none.
     ///
     /// # Errors
     ///
@@ -288,9 +256,6 @@ impl Client {
         let mut spec = spec.clone();
         if spec.deadline_ms.is_none() {
             spec.deadline_ms = self.config.deadline_ms;
-        }
-        if spec.class.is_none() {
-            spec.class = self.config.class;
         }
         match self.request(&ServeRequest::Schedule(spec))? {
             ServeResponse::Scheduled(s) => Ok(s),
@@ -353,7 +318,7 @@ impl Client {
         let call = self.exchanges;
         self.exchanges += 1;
         let started = Instant::now();
-        let budget = Duration::from_millis(self.config.retry_budget_ms);
+        let budget = Duration::from_millis(RETRY_BUDGET_MS);
         let mut attempt = 0u32;
         loop {
             let outcome = match self.conn.as_mut() {
@@ -378,13 +343,7 @@ impl Client {
             if !retryable || attempt >= self.config.retries {
                 return result;
             }
-            let delay = backoff(
-                self.config.seed,
-                self.config.backoff_base_ms,
-                self.config.backoff_cap_ms,
-                call,
-                attempt,
-            );
+            let delay = backoff(call, attempt);
             if started.elapsed() + delay > budget {
                 // Out of budget: the last observed failure stands.
                 return result;

@@ -60,8 +60,8 @@ mod store;
 mod sys;
 
 pub use cache::{
-    degraded_key, CachedEntry, CachedError, CachedResult, FlightGuard, Lookup, OutcomeCache, Token,
-    SHARDS,
+    degraded_key, CachedEntry, CachedError, CachedOutcome, CachedResult, FlightGuard, Lookup,
+    OutcomeCache, Token, SHARDS,
 };
 pub use client::{Client, ClientConfig, ClientError};
 pub use load::{

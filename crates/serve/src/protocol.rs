@@ -33,6 +33,7 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize, Value};
 
+use mcds_core::{PipelineRun, SchedulerKind};
 use mcds_model::{Application, ArchParams};
 
 /// Why a received frame was rejected before parsing.
@@ -572,6 +573,26 @@ pub struct Outcome {
     /// under a separate key so it never masks the full-quality result.
     #[serde(default)]
     pub degraded: bool,
+}
+
+impl Outcome {
+    /// Condenses a pipeline run of `app` under `kind` into the wire
+    /// outcome.
+    #[must_use]
+    pub fn of(run: &PipelineRun, app: &str, kind: SchedulerKind, degraded: bool) -> Outcome {
+        let plan = run.plan();
+        Outcome {
+            app: app.to_owned(),
+            scheduler: kind.name().to_owned(),
+            clusters: run.schedule().len() as u64,
+            rf: plan.rf(),
+            dt_avoided_words: plan.dt_avoided_per_iter().get(),
+            data_words: plan.total_data_words().get(),
+            context_words: plan.total_context_words(),
+            total_cycles: run.report().total().get(),
+            degraded,
+        }
+    }
 }
 
 /// One `stats` counter.

@@ -13,12 +13,12 @@ use mcds_core::{CancelToken, Fault, McdsError, SchedulerKind, Seam};
 
 use super::lanes::Job;
 use super::resolve::{resolve, Resolved};
-use super::worker::{Reply, ReplyPayload};
-use super::{Ctx, ServeConfig};
-use crate::cache::{degraded_key, CachedResult, Lookup, Token};
+use super::worker::{fan_out, Reply, ReplyPayload};
+use super::{Counters, Ctx, ServeConfig};
+use crate::cache::{degraded_key, Lookup, Token};
 use crate::protocol::{
-    decode_request, render_scheduled, ErrorCode, FrameBuffer, FrameError, QosClass, Scheduled,
-    ServeError, ServeRequest, ServeResponse, StatEntry, StatsReply,
+    decode_request, render_scheduled, ErrorCode, FrameBuffer, FrameError, QosClass, ServeError,
+    ServeRequest, ServeResponse, StatEntry, StatsReply,
 };
 use crate::sys::PollSet;
 
@@ -235,17 +235,10 @@ impl<'a> Reactor<'a> {
                 self.deliver(reply);
             }
             for (key, waiters) in self.ctx.cache.take_orphans() {
-                for token in waiters {
-                    self.deliver(Reply {
-                        token,
-                        payload: ReplyPayload::Error {
-                            code: ErrorCode::Faulted,
-                            message: Arc::from("worker died; the request is retryable"),
-                            key,
-                            count_miss: false,
-                            count_error: true,
-                        },
-                    });
+                let message = "worker died; the request is retryable";
+                let died = ReplyPayload::error(ErrorCode::Faulted, message, key, true);
+                for reply in fan_out(None, waiters, died) {
+                    self.deliver(reply);
                 }
             }
             self.fire_due_timers();
@@ -498,34 +491,25 @@ impl<'a> Reactor<'a> {
                     }
                 }
                 Ok(None) => break,
-                Err(FrameError::InvalidUtf8) => {
-                    // The bad frame was consumed — answer typed and
-                    // keep serving this connection.
+                Err(err) => {
+                    // The bad frame was consumed: answer typed. An
+                    // oversized frame loses the frame boundary, so the
+                    // connection closes instead of buffering forever;
+                    // after invalid UTF-8 it keeps serving.
+                    let oversized = matches!(err, FrameError::Oversized { .. });
+                    let code = if oversized {
+                        ErrorCode::Oversized
+                    } else {
+                        ErrorCode::BadRequest
+                    };
                     self.ctx.counters.errors.incr();
-                    let failed = ServeResponse::Failed(ServeError {
-                        code: ErrorCode::BadRequest,
-                        message: FrameError::InvalidUtf8.to_string(),
-                        key: None,
-                        verb: "frame".to_owned(),
-                        latency_us: 0,
-                    });
-                    self.queue_response(conn, &failed);
-                }
-                Err(err @ FrameError::Oversized { .. }) => {
-                    // The frame boundary is lost: answer typed, then
-                    // close instead of buffering forever.
-                    self.ctx.counters.errors.incr();
-                    let failed = ServeResponse::Failed(ServeError {
-                        code: ErrorCode::Oversized,
-                        message: err.to_string(),
-                        key: None,
-                        verb: "frame".to_owned(),
-                        latency_us: 0,
-                    });
-                    self.queue_response(conn, &failed);
-                    conn.read_done = true;
-                    conn.close_after_flush = true;
-                    break;
+                    let failure = ServeError::new(code, err.to_string()).with_verb("frame");
+                    self.emit(conn, |out| render_failed(out, failure, 0));
+                    if oversized {
+                        conn.read_done = true;
+                        conn.close_after_flush = true;
+                        break;
+                    }
                 }
             }
         }
@@ -572,7 +556,8 @@ impl<'a> Reactor<'a> {
                     verb,
                 } => {
                     self.ctx.counters.errors.incr();
-                    self.respond_failed(conn, started, code, &message, verb, None);
+                    let failure = ServeError::new(code, &*message).with_verb(verb);
+                    self.respond_failed(conn, started, failure);
                 }
             }
             return;
@@ -591,14 +576,17 @@ impl<'a> Reactor<'a> {
                         verb: "unknown",
                     },
                 );
-                self.respond_failed(conn, started, code, &message, "unknown", None);
+                let failure = ServeError::new(code, message).with_verb("unknown");
+                self.respond_failed(conn, started, failure);
                 return;
             }
         };
         match request {
             ServeRequest::Ping => {
                 let latency_us = self.observed_latency(started);
-                self.queue_response(conn, &ServeResponse::Pong { latency_us });
+                self.emit(conn, |out| {
+                    render_response(out, &ServeResponse::Pong { latency_us });
+                });
             }
             ServeRequest::Stats => {
                 let mut entries: Vec<StatEntry> = self
@@ -642,18 +630,18 @@ impl<'a> Reactor<'a> {
                 }
                 entries.sort_by(|a, b| a.name.cmp(&b.name));
                 let latency_us = self.observed_latency(started);
-                self.queue_response(
-                    conn,
-                    &ServeResponse::Stats(StatsReply {
-                        entries,
-                        latency_us,
-                    }),
-                );
+                let stats = ServeResponse::Stats(StatsReply {
+                    entries,
+                    latency_us,
+                });
+                self.emit(conn, |out| render_response(out, &stats));
             }
             ServeRequest::Shutdown => {
                 self.draining = true;
                 let latency_us = self.observed_latency(started);
-                self.queue_response(conn, &ServeResponse::ShuttingDown { latency_us });
+                self.emit(conn, |out| {
+                    render_response(out, &ServeResponse::ShuttingDown { latency_us });
+                });
             }
             ServeRequest::Schedule(spec) => match resolve(spec) {
                 Ok(resolved) => {
@@ -671,14 +659,8 @@ impl<'a> Reactor<'a> {
                             verb: "schedule",
                         },
                     );
-                    self.respond_failed(
-                        conn,
-                        started,
-                        ErrorCode::BadRequest,
-                        &message,
-                        "schedule",
-                        None,
-                    );
+                    let failure = ServeError::new(ErrorCode::BadRequest, message);
+                    self.respond_failed(conn, started, failure);
                 }
             },
         }
@@ -707,8 +689,14 @@ impl<'a> Reactor<'a> {
         let token = pack_token(conn.gen, conn.next_slot);
         match ctx.cache.lookup(entry_key, token) {
             Lookup::Hit(entry) => {
-                ctx.counters.hits.incr();
-                self.respond_entry(conn, started, entry_key, true, &entry);
+                let latency_us = self.observed_latency(started);
+                let hit = ReplyPayload::Entry {
+                    key: entry_key,
+                    entry,
+                };
+                self.emit(conn, |out| {
+                    render_reply(&ctx.counters, out, false, &hit, latency_us);
+                });
             }
             Lookup::Wait => {
                 push_waiting(conn, started);
@@ -751,28 +739,19 @@ impl<'a> Reactor<'a> {
                     Err((job, closed)) => {
                         let Job { guard, .. } = *job;
                         let _ = guard.abandon();
-                        if closed {
+                        let failure = if closed {
                             ctx.counters.errors.incr();
-                            self.respond_failed(
-                                conn,
-                                started,
-                                ErrorCode::Shutdown,
-                                "server is draining; no new computations admitted",
-                                "schedule",
-                                Some(entry_key),
-                            );
+                            let message = "server is draining; no new computations admitted";
+                            ServeError::new(ErrorCode::Shutdown, message)
                         } else {
                             ctx.counters.rejected.incr();
                             ctx.counters.qos_rejected[class.index()].incr();
-                            self.respond_failed(
-                                conn,
-                                started,
+                            ServeError::new(
                                 ErrorCode::Overloaded,
                                 "overloaded: admission lane full",
-                                "schedule",
-                                Some(entry_key),
-                            );
-                        }
+                            )
+                        };
+                        self.respond_failed(conn, started, failure.with_key(entry_key));
                     }
                 }
             }
@@ -786,97 +765,23 @@ impl<'a> Reactor<'a> {
         latency
     }
 
-    fn respond_failed(
-        &mut self,
-        conn: &mut Conn,
-        started: Instant,
-        code: ErrorCode,
-        message: &str,
-        verb: &str,
-        key: Option<u64>,
-    ) {
+    /// Answers a failed request, stamped with its observed latency.
+    fn respond_failed(&mut self, conn: &mut Conn, started: Instant, failure: ServeError) {
         let latency_us = self.observed_latency(started);
-        let failed = ServeResponse::Failed(ServeError {
-            code,
-            message: message.to_owned(),
-            key,
-            verb: verb.to_owned(),
-            latency_us,
-        });
-        self.queue_response(conn, &failed);
+        self.emit(conn, |out| render_failed(out, failure, latency_us));
     }
 
-    /// Renders a cache entry (hit or leader-completed miss) for `conn`.
-    fn respond_entry(
-        &mut self,
-        conn: &mut Conn,
-        started: Instant,
-        key: u64,
-        hit: bool,
-        entry: &CachedResult,
-    ) {
-        let latency_us = self.observed_latency(started);
-        self.render_entry(conn, key, hit, entry, latency_us);
-    }
-
-    fn render_entry(
-        &mut self,
-        conn: &mut Conn,
-        key: u64,
-        hit: bool,
-        entry: &CachedResult,
-        latency_us: u64,
-    ) {
-        match (&entry.result, entry.outcome_json()) {
-            (Ok(_), Some(json)) => {
-                if self.ctx.faults.is_none() && conn.pending.is_empty() && conn.dribble.is_empty() {
-                    // Hot path: splice straight into the write buffer —
-                    // no intermediate allocation, no slot bookkeeping.
-                    render_scheduled(&mut conn.out, key, hit, json.as_bytes(), latency_us);
-                } else {
-                    let mut bytes = Vec::with_capacity(json.len() + 160);
-                    render_scheduled(&mut bytes, key, hit, json.as_bytes(), latency_us);
-                    self.queue_bytes(conn, bytes);
-                }
-            }
-            (Ok(outcome), None) => {
-                // Unreachable in practice (successes pre-serialize),
-                // but render correctly if an entry lacks its JSON.
-                let response = ServeResponse::Scheduled(Scheduled {
-                    key,
-                    cache_hit: hit,
-                    outcome: outcome.clone(),
-                    latency_us,
-                });
-                self.queue_response(conn, &response);
-            }
-            (Err(err), _) => {
-                self.ctx.counters.errors.incr();
-                let failed = ServeResponse::Failed(ServeError {
-                    code: err.code,
-                    message: err.message.clone(),
-                    key: Some(key),
-                    verb: "schedule".to_owned(),
-                    latency_us,
-                });
-                self.queue_response(conn, &failed);
-            }
-        }
-    }
-
-    fn queue_response(&mut self, conn: &mut Conn, response: &ServeResponse) {
-        let mut bytes = response.encode().into_bytes();
-        bytes.push(b'\n');
-        self.queue_bytes(conn, bytes);
-    }
-
-    /// Appends a rendered response respecting the per-connection FIFO
-    /// (and write-fault machinery when a fault plan is attached).
-    fn queue_bytes(&mut self, conn: &mut Conn, bytes: Vec<u8>) {
+    /// Writes one reply in request order: straight into `conn.out`
+    /// when no fault plan is attached and nothing is parked ahead of
+    /// it, else into a FIFO slot that [`pump`](Self::pump) releases
+    /// through the write-fault seam.
+    fn emit(&mut self, conn: &mut Conn, render: impl FnOnce(&mut Vec<u8>)) {
         if self.ctx.faults.is_none() && conn.pending.is_empty() && conn.dribble.is_empty() {
-            conn.out.extend_from_slice(&bytes);
+            render(&mut conn.out);
             return;
         }
+        let mut bytes = Vec::new();
+        render(&mut bytes);
         conn.pending.push_back(PendingSlot {
             slot: conn.next_slot,
             started: Instant::now(),
@@ -951,15 +856,11 @@ impl<'a> Reactor<'a> {
                 TimerEvent::WaiterDeadline { token, key } => {
                     if self.ctx.cache.cancel_wait(key, token) {
                         self.ctx.counters.deadline_misses.incr();
+                        let message = "run abandoned: deadline exceeded";
                         self.deliver(Reply {
                             token,
-                            payload: ReplyPayload::Error {
-                                code: ErrorCode::Deadline,
-                                message: Arc::from("run abandoned: deadline exceeded"),
-                                key,
-                                count_miss: false,
-                                count_error: false,
-                            },
+                            leads: false,
+                            payload: ReplyPayload::error(ErrorCode::Deadline, message, key, false),
                         });
                     }
                 }
@@ -1000,83 +901,19 @@ impl<'a> Reactor<'a> {
             .iter()
             .position(|s| s.slot == slot_id && matches!(s.state, SlotState::Waiting));
         if let Some(pos) = pos {
-            let started = conn.pending[pos].started;
-            let latency_us = self.observed_latency(started);
+            let latency_us = self.observed_latency(conn.pending[pos].started);
             let mut bytes = Vec::new();
-            match reply.payload {
-                ReplyPayload::Entry { key, hit, entry } => {
-                    if hit {
-                        self.ctx.counters.hits.incr();
-                    } else {
-                        self.ctx.counters.misses.incr();
-                    }
-                    self.render_slot(&mut bytes, key, hit, &entry, latency_us);
-                }
-                ReplyPayload::Error {
-                    code,
-                    message,
-                    key,
-                    count_miss,
-                    count_error,
-                } => {
-                    if count_miss {
-                        self.ctx.counters.misses.incr();
-                    }
-                    if count_error {
-                        self.ctx.counters.errors.incr();
-                    }
-                    let failed = ServeResponse::Failed(ServeError {
-                        code,
-                        message: message.as_ref().to_owned(),
-                        key: Some(key),
-                        verb: "schedule".to_owned(),
-                        latency_us,
-                    });
-                    bytes = failed.encode().into_bytes();
-                    bytes.push(b'\n');
-                }
-            }
+            render_reply(
+                &self.ctx.counters,
+                &mut bytes,
+                reply.leads,
+                &reply.payload,
+                latency_us,
+            );
             conn.pending[pos].state = SlotState::Done(bytes);
             self.pump(&mut conn);
         }
         self.finish(idx, conn);
-    }
-
-    /// Renders an entry into `bytes` for a parked slot (always the
-    /// slot-buffer path — ordering is enforced by the FIFO).
-    fn render_slot(
-        &mut self,
-        bytes: &mut Vec<u8>,
-        key: u64,
-        hit: bool,
-        entry: &CachedResult,
-        latency_us: u64,
-    ) {
-        match (&entry.result, entry.outcome_json()) {
-            (Ok(_), Some(json)) => render_scheduled(bytes, key, hit, json.as_bytes(), latency_us),
-            (Ok(outcome), None) => {
-                let response = ServeResponse::Scheduled(Scheduled {
-                    key,
-                    cache_hit: hit,
-                    outcome: outcome.clone(),
-                    latency_us,
-                });
-                *bytes = response.encode().into_bytes();
-                bytes.push(b'\n');
-            }
-            (Err(err), _) => {
-                self.ctx.counters.errors.incr();
-                let failed = ServeResponse::Failed(ServeError {
-                    code: err.code,
-                    message: err.message.clone(),
-                    key: Some(key),
-                    verb: "schedule".to_owned(),
-                    latency_us,
-                });
-                *bytes = failed.encode().into_bytes();
-                bytes.push(b'\n');
-            }
-        }
     }
 
     /// Enforces the per-connection buffer cap: a peer making the
@@ -1096,18 +933,11 @@ impl<'a> Reactor<'a> {
             return;
         }
         self.ctx.counters.conn_overflows.incr();
-        let failed = ServeResponse::Failed(ServeError {
-            code: ErrorCode::Overloaded,
-            message: "overloaded: connection buffer cap exceeded".to_owned(),
-            key: None,
-            verb: "conn".to_owned(),
-            latency_us: 0,
-        });
-        let mut bytes = failed.encode().into_bytes();
-        bytes.push(b'\n');
+        let message = "overloaded: connection buffer cap exceeded";
+        let failure = ServeError::new(ErrorCode::Overloaded, message).with_verb("conn");
         // Bypass the pending FIFO — whatever is parked there will
         // never be pumped once the connection is closing.
-        conn.out.extend_from_slice(&bytes);
+        render_failed(&mut conn.out, failure, 0);
         conn.read_done = true;
         conn.close_after_flush = true;
     }
@@ -1130,6 +960,69 @@ impl<'a> Reactor<'a> {
             self.conns[idx] = Some(conn);
         }
     }
+}
+
+/// Counts and renders one reply to a `schedule` request. A published
+/// entry is the leader's cache miss or a waiter's hit: a success
+/// splices its pre-serialized outcome, a cached failure renders typed
+/// and counts under `serve.errors`. A transient failure counts only
+/// when `counted`, then also as the leader's miss.
+fn render_reply(
+    counters: &Counters,
+    out: &mut Vec<u8>,
+    leads: bool,
+    payload: &ReplyPayload,
+    latency_us: u64,
+) {
+    match payload {
+        ReplyPayload::Entry { key, entry } => {
+            if leads {
+                counters.misses.incr();
+            } else {
+                counters.hits.incr();
+            }
+            match &entry.result {
+                Ok(ok) => {
+                    // The envelope around the outcome takes at most 180
+                    // bytes, so the line is rendered without a regrowth.
+                    out.reserve(ok.json().len() + 180);
+                    render_scheduled(out, *key, !leads, ok.json().as_bytes(), latency_us);
+                }
+                Err(err) => {
+                    counters.errors.incr();
+                    let failure = ServeError::new(err.code, err.message.as_str());
+                    render_failed(out, failure.with_key(*key), latency_us);
+                }
+            }
+        }
+        ReplyPayload::Error {
+            code,
+            message,
+            key,
+            counted,
+        } => {
+            if *counted {
+                if leads {
+                    counters.misses.incr();
+                }
+                counters.errors.incr();
+            }
+            let failure = ServeError::new(*code, &**message).with_key(*key);
+            render_failed(out, failure, latency_us);
+        }
+    }
+}
+
+/// Renders a typed failure line stamped with `latency_us`.
+fn render_failed(out: &mut Vec<u8>, mut failure: ServeError, latency_us: u64) {
+    failure.latency_us = latency_us;
+    render_response(out, &ServeResponse::Failed(failure));
+}
+
+/// Renders one response line.
+fn render_response(out: &mut Vec<u8>, response: &ServeResponse) {
+    out.extend_from_slice(response.encode().as_bytes());
+    out.push(b'\n');
 }
 
 /// Parks the request's response position in the connection FIFO.

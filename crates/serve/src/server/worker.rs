@@ -13,50 +13,62 @@ use super::Ctx;
 use crate::cache::{degraded_key, AnalysisLookup, CachedEntry, CachedResult, Token};
 use crate::protocol::{ErrorCode, Outcome};
 
-/// How a worker's completion answers one parked request.
+/// How a completion answers one parked request.
+#[derive(Clone)]
 pub(super) enum ReplyPayload {
-    /// A published cache entry: render as hit/miss (successes splice
-    /// the pre-serialized outcome; cached deterministic failures render
-    /// as typed errors).
-    Entry {
-        key: u64,
-        hit: bool,
-        entry: CachedResult,
-    },
+    /// A published cache entry: the leader's miss, a waiter's hit
+    /// (successes splice the pre-serialized outcome; cached
+    /// deterministic failures render as typed errors).
+    Entry { key: u64, entry: CachedResult },
     /// A transient, uncached failure.
     Error {
         code: ErrorCode,
         message: Arc<str>,
         key: u64,
-        /// `true` for the leader of an abandoned run (it *was* the
-        /// cache miss); waiters count neither hit nor miss.
-        count_miss: bool,
-        /// `true` when the failure counts under `serve.errors`
-        /// (waiter-deadline expiries count only `deadline_misses`,
-        /// matching the pre-reactor server).
-        count_error: bool,
+        /// `true` when the failure counts under `serve.errors`, and
+        /// the leader's reply also as its cache miss (it *was* the
+        /// miss). A job dropped at dequeue and a waiter's own deadline
+        /// count neither (the deadline counts under
+        /// `serve.deadline_misses`, matching the pre-reactor server).
+        counted: bool,
     },
+}
+
+impl ReplyPayload {
+    /// A transient failure of the flight computing `key`.
+    pub(super) fn error(code: ErrorCode, message: &str, key: u64, counted: bool) -> ReplyPayload {
+        ReplyPayload::Error {
+            code,
+            message: Arc::from(message),
+            key,
+            counted,
+        }
+    }
 }
 
 pub(super) struct Reply {
     pub(super) token: Token,
+    /// `true` for the reply to the flight's leader.
+    pub(super) leads: bool,
     pub(super) payload: ReplyPayload,
 }
 
-/// Condenses a pipeline run into the wire outcome.
-fn outcome_of(run: &PipelineRun, app: &str, kind: SchedulerKind, degraded: bool) -> Outcome {
-    let plan = run.plan();
-    Outcome {
-        app: app.to_owned(),
-        scheduler: kind.name().to_owned(),
-        clusters: run.schedule().len() as u64,
-        rf: plan.rf(),
-        dt_avoided_words: plan.dt_avoided_per_iter().get(),
-        data_words: plan.total_data_words().get(),
-        context_words: plan.total_context_words(),
-        total_cycles: run.report().total().get(),
-        degraded,
-    }
+/// One reply per requester of a flight, each carrying `payload`: the
+/// leader's first (when it has one), then every waiter's.
+pub(super) fn fan_out(
+    leader: Option<Token>,
+    waiters: Vec<Token>,
+    payload: ReplyPayload,
+) -> Vec<Reply> {
+    let tokens = leader.map(|token| (token, true)).into_iter();
+    tokens
+        .chain(waiters.into_iter().map(|token| (token, false)))
+        .map(|(token, leads)| Reply {
+            token,
+            leads,
+            payload: payload.clone(),
+        })
+        .collect()
 }
 
 /// Runs one pipeline under the supervisor's `catch_unwind`. `faulted`
@@ -125,91 +137,30 @@ fn supervised_run(
     .map_err(|_| ())
 }
 
-/// Replies answering the leader (miss) and every waiter (hit) with one
-/// shared cache entry.
-fn entry_replies(key: u64, leader: Token, waiters: Vec<Token>, entry: &CachedResult) -> Vec<Reply> {
-    let mut replies = Vec::with_capacity(1 + waiters.len());
-    replies.push(Reply {
-        token: leader,
-        payload: ReplyPayload::Entry {
-            key,
-            hit: false,
-            entry: Arc::clone(entry),
-        },
-    });
-    for token in waiters {
-        replies.push(Reply {
-            token,
-            payload: ReplyPayload::Entry {
-                key,
-                hit: true,
-                entry: Arc::clone(entry),
-            },
-        });
-    }
-    replies
+/// Answers a job dropped at dequeue (shed by the queue-delay governor,
+/// or already past its deadline): the run never started, so nothing
+/// counts as a miss or an error — the typed retryable code is the
+/// whole story.
+fn drop_job(ctx: &Ctx, job: Job, code: ErrorCode, message: &str) {
+    let Job { guard, leader, .. } = job;
+    let dropped = ReplyPayload::error(code, message, guard.key(), false);
+    ctx.complete(fan_out(Some(leader), guard.abandon(), dropped));
 }
 
-/// Replies for a job dropped at dequeue (shed by the queue-delay
-/// governor, or already past its deadline): the run never started, so
-/// nothing counts as a miss or an error — the typed retryable code is
-/// the whole story.
-fn drop_replies(
+/// Journals a published entry and answers its flight. The journal
+/// follows the publish: the in-memory entry is the source of truth,
+/// the journal is what survives a process kill.
+fn commit(
+    ctx: &Ctx,
     key: u64,
     leader: Token,
-    waiters: Vec<Token>,
-    code: ErrorCode,
-    message: &Arc<str>,
+    (entry, waiters): (CachedResult, Vec<Token>),
 ) -> Vec<Reply> {
-    let mut replies = Vec::with_capacity(1 + waiters.len());
-    for token in std::iter::once(leader).chain(waiters) {
-        replies.push(Reply {
-            token,
-            payload: ReplyPayload::Error {
-                code,
-                message: Arc::clone(message),
-                key,
-                count_miss: false,
-                count_error: false,
-            },
-        });
+    if let Some(store) = &ctx.store {
+        store.append_entry(key, &entry);
+        store.maybe_compact(&ctx.cache);
     }
-    replies
-}
-
-/// Replies failing the leader (counted as the miss) and every waiter
-/// with the same transient error.
-fn fail_replies(
-    key: u64,
-    leader: Token,
-    waiters: Vec<Token>,
-    code: ErrorCode,
-    message: &Arc<str>,
-) -> Vec<Reply> {
-    let mut replies = Vec::with_capacity(1 + waiters.len());
-    replies.push(Reply {
-        token: leader,
-        payload: ReplyPayload::Error {
-            code,
-            message: Arc::clone(message),
-            key,
-            count_miss: true,
-            count_error: true,
-        },
-    });
-    for token in waiters {
-        replies.push(Reply {
-            token,
-            payload: ReplyPayload::Error {
-                code,
-                message: Arc::clone(message),
-                key,
-                count_miss: false,
-                count_error: true,
-            },
-        });
-    }
-    replies
+    fan_out(Some(leader), waiters, ReplyPayload::Entry { key, entry })
 }
 
 /// One worker under its supervisor: pops admitted jobs and computes
@@ -226,17 +177,8 @@ pub(super) fn worker_loop(ctx: &Ctx) {
         for victim in shed {
             ctx.counters.qos_shed[victim.class.index()].incr();
             ctx.counters.rejected.incr();
-            let Job { guard, leader, .. } = *victim;
-            let key = guard.key();
-            let waiters = guard.abandon();
-            let message = Arc::from("overloaded: shed after queue delay exceeded");
-            ctx.complete(drop_replies(
-                key,
-                leader,
-                waiters,
-                ErrorCode::Overloaded,
-                &message,
-            ));
+            let message = "overloaded: shed after queue delay exceeded";
+            drop_job(ctx, *victim, ErrorCode::Overloaded, message);
         }
         // Deadline-aware early drop: a job whose deadline passed while
         // it queued is answered `deadline` without burning a worker on
@@ -244,17 +186,8 @@ pub(super) fn worker_loop(ctx: &Ctx) {
         if job.cancel.as_ref().is_some_and(CancelToken::is_expired) {
             ctx.counters.deadline_misses.incr();
             ctx.counters.qos_expired.incr();
-            let Job { guard, leader, .. } = *job;
-            let key = guard.key();
-            let waiters = guard.abandon();
-            let message = Arc::from("deadline expired before the run started");
-            ctx.complete(drop_replies(
-                key,
-                leader,
-                waiters,
-                ErrorCode::Deadline,
-                &message,
-            ));
+            let message = "deadline expired before the run started";
+            drop_job(ctx, *job, ErrorCode::Deadline, message);
             continue;
         }
         let Job {
@@ -273,29 +206,28 @@ pub(super) fn worker_loop(ctx: &Ctx) {
             Err(()) => {
                 // Poisoned worker: recycle in place, never cache.
                 ctx.counters.worker_restarts.incr();
-                let waiters = guard.abandon();
-                let message = Arc::from("worker panicked; the request is retryable");
-                fail_replies(flight_key, leader, waiters, ErrorCode::Faulted, &message)
+                let message = "worker panicked; the request is retryable";
+                let panicked = ReplyPayload::error(ErrorCode::Faulted, message, flight_key, true);
+                fan_out(Some(leader), guard.abandon(), panicked)
             }
             Ok(Ok(run)) => {
                 if degraded {
                     ctx.counters.degraded.incr();
                 }
-                let entry = CachedEntry::ok(outcome_of(&run, resolved.app.name(), kind, degraded));
-                let (shared, waiters) = guard.fulfill(entry);
-                // Journal after publish: the in-memory entry is the
-                // source of truth, the journal is what survives a
-                // process kill.
-                if let Some(store) = &ctx.store {
-                    store.append_entry(flight_key, &shared);
-                    store.maybe_compact(&ctx.cache);
-                }
-                entry_replies(flight_key, leader, waiters, &shared)
+                let outcome = Outcome::of(&run, resolved.app.name(), kind, degraded);
+                commit(
+                    ctx,
+                    flight_key,
+                    leader,
+                    guard.fulfill(CachedEntry::ok(outcome)),
+                )
             }
             Ok(Err(McdsError::Cancelled(reason))) => {
                 // Not a pure function of the request — never cached.
                 ctx.counters.deadline_misses.incr();
-                let message: Arc<str> = Arc::from(format!("run abandoned: {reason}").as_str());
+                let message = format!("run abandoned: {reason}");
+                let abandoned =
+                    ReplyPayload::error(ErrorCode::Deadline, &message, flight_key, true);
                 let fallback = if ctx.degrade && kind == SchedulerKind::Cds {
                     // Fall back to the cheaper within-cluster-only
                     // scheduler, clean (no faults, no deadline), and
@@ -309,7 +241,7 @@ pub(super) fn worker_loop(ctx: &Ctx) {
                 if let Some(Ok(run)) = fallback {
                     ctx.counters.degraded.incr();
                     let dkey = degraded_key(resolved.key);
-                    let outcome = outcome_of(&run, resolved.app.name(), SchedulerKind::Ds, true);
+                    let outcome = Outcome::of(&run, resolved.app.name(), SchedulerKind::Ds, true);
                     let (shared, dwaiters) = ctx.cache.publish(dkey, CachedEntry::ok(outcome));
                     if let Some(store) = &ctx.store {
                         store.append_entry(dkey, &shared);
@@ -317,44 +249,31 @@ pub(super) fn worker_loop(ctx: &Ctx) {
                         store.maybe_compact(&ctx.cache);
                     }
                     let pwaiters = guard.abandon();
-                    let mut replies = entry_replies(dkey, leader, dwaiters, &shared);
-                    for token in pwaiters {
-                        replies.push(Reply {
-                            token,
-                            payload: ReplyPayload::Error {
-                                code: ErrorCode::Deadline,
-                                message: Arc::clone(&message),
-                                key: flight_key,
-                                count_miss: false,
-                                count_error: true,
-                            },
-                        });
-                    }
+                    let served = ReplyPayload::Entry {
+                        key: dkey,
+                        entry: shared,
+                    };
+                    let mut replies = fan_out(Some(leader), dwaiters, served);
+                    replies.extend(fan_out(None, pwaiters, abandoned));
                     replies
                 } else {
                     // The fallback failed too (infeasible, disabled, or
                     // it panicked): plain abandon.
-                    let waiters = guard.abandon();
-                    fail_replies(flight_key, leader, waiters, ErrorCode::Deadline, &message)
+                    fan_out(Some(leader), guard.abandon(), abandoned)
                 }
             }
             Ok(Err(e @ McdsError::Faulted(_))) => {
                 // Injected fault: transient — never cached, retryable.
-                let waiters = guard.abandon();
-                let message = Arc::from(e.to_string().as_str());
-                fail_replies(flight_key, leader, waiters, ErrorCode::Faulted, &message)
+                let message = e.to_string();
+                let faulted = ReplyPayload::error(ErrorCode::Faulted, &message, flight_key, true);
+                fan_out(Some(leader), guard.abandon(), faulted)
             }
             Ok(Err(e)) => {
                 // Scheduling errors are deterministic → cacheable (and
                 // journaled: a recovered failure is served without
                 // re-running the pipeline just like a success).
                 let entry = CachedEntry::err(ErrorCode::BadRequest, e.to_string());
-                let (shared, waiters) = guard.fulfill(entry);
-                if let Some(store) = &ctx.store {
-                    store.append_entry(flight_key, &shared);
-                    store.maybe_compact(&ctx.cache);
-                }
-                entry_replies(flight_key, leader, waiters, &shared)
+                commit(ctx, flight_key, leader, guard.fulfill(entry))
             }
         };
         ctx.complete(replies);

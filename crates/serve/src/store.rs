@@ -152,6 +152,23 @@ pub enum Record {
     },
 }
 
+impl Record {
+    /// The record that journals `entry` under `key`.
+    fn entry(key: u64, entry: &CachedEntry) -> Record {
+        match &entry.result {
+            Ok(ok) => Record::Outcome {
+                key,
+                json: ok.json().to_owned(),
+            },
+            Err(e) => Record::Failure {
+                key,
+                code: e.code.as_str().to_owned(),
+                message: e.message.clone(),
+            },
+        }
+    }
+}
+
 /// Encodes one record as a framed byte string ready to append.
 #[must_use]
 pub fn encode_frame(record: &Record) -> Vec<u8> {
@@ -465,21 +482,7 @@ impl OutcomeStore {
     /// propagate to the request path: a failed append is counted
     /// (`serve.store.append_errors`) and serving continues from memory.
     pub fn append_entry(&self, key: u64, entry: &CachedEntry) {
-        let record = match &entry.result {
-            Ok(_) => match entry.outcome_json() {
-                Some(json) => Record::Outcome {
-                    key,
-                    json: json.to_owned(),
-                },
-                None => return,
-            },
-            Err(e) => Record::Failure {
-                key,
-                code: e.code.as_str().to_owned(),
-                message: e.message.clone(),
-            },
-        };
-        self.append(&record);
+        self.append(&Record::entry(key, entry));
     }
 
     /// Journals the primary→degraded key link for a fallback outcome.
@@ -584,21 +587,7 @@ impl OutcomeStore {
         let mut out = File::create(&tmp)?;
         out.write_all(&encode_frame(&Record::Epoch { epoch }))?;
         for (key, entry) in cache.entries() {
-            let record = match &entry.result {
-                Ok(_) => match entry.outcome_json() {
-                    Some(json) => Record::Outcome {
-                        key,
-                        json: json.to_owned(),
-                    },
-                    None => continue,
-                },
-                Err(e) => Record::Failure {
-                    key,
-                    code: e.code.as_str().to_owned(),
-                    message: e.message.clone(),
-                },
-            };
-            out.write_all(&encode_frame(&record))?;
+            out.write_all(&encode_frame(&Record::entry(key, &entry)))?;
         }
         out.sync_data()?;
         fs::rename(&tmp, self.dir.join(SNAPSHOT_FILE))?;
@@ -837,10 +826,10 @@ mod tests {
         assert_eq!(report.dropped_bytes, 0);
         assert!(!report.clean_shutdown);
         let hit = cache.get(5).expect("recovered outcome");
-        assert_eq!(hit.result.as_ref().expect("ok").total_cycles, 42);
+        assert_eq!(hit.result.as_ref().expect("ok").outcome().total_cycles, 42);
         assert_eq!(
-            hit.outcome_json(),
-            CachedEntry::ok(outcome(42)).outcome_json(),
+            hit.result.as_ref().expect("ok").json(),
+            CachedEntry::ok(outcome(42)).result.expect("ok").json(),
             "recovered bytes are the published bytes"
         );
         let err = cache.get(6).expect("recovered failure");

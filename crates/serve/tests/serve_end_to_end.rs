@@ -3,10 +3,12 @@
 //! caching, overload rejection, per-connection error isolation,
 //! deadlines, pipelining, protocol versioning, and graceful drain.
 
-use std::net::SocketAddr;
+use std::io::{BufRead, BufReader, Write};
+use std::net::{SocketAddr, TcpStream};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use mcds_core::McdsError;
+use mcds_core::{FaultConfig, FaultPlan, McdsError};
 use mcds_serve::{
     run_load, Client, ClientConfig, ClientError, ErrorCode, LoadConfig, ScheduleSpec, ServeConfig,
     ServeSummary, Server,
@@ -562,4 +564,71 @@ fn stats_totals_match_the_plans_served() {
 
     client.shutdown().expect("drain");
     handle.join().expect("no panic").expect("clean drain");
+}
+
+#[test]
+fn inline_and_fifo_replies_are_byte_identical() {
+    // The first burst is answered through parked slots on any server:
+    // a miss (a search long enough that its repeat, read in the same
+    // burst, parks as a waiter) and an infeasible miss. The second
+    // burst is all answered at once: a hit, the cached failure, a
+    // malformed line and a ping. With no fault plan those replies
+    // splice straight into the write buffer; with a plan attached,
+    // even one that never fires, every reply takes a FIFO slot.
+    let miss = r#"{"v":1,"verb":"schedule","workload":"mpeg","iterations":48,"scheduler":"search","fb_kw":8}"#;
+    let infeasible = r#"{"v":1,"verb":"schedule","workload":"mpeg","fb_kw":1,"scheduler":"basic"}"#;
+    let bursts: [&[&str]; 2] = [
+        &[miss, miss, infeasible],
+        &[
+            miss,
+            infeasible,
+            "this is not json",
+            r#"{"v":1,"verb":"ping"}"#,
+        ],
+    ];
+    let replies = |faults: Option<Arc<FaultPlan>>| {
+        let (addr, handle) = start(ServeConfig {
+            faults,
+            ..ServeConfig::default()
+        });
+        let stream = TcpStream::connect(addr).expect("connect");
+        let mut writer = stream.try_clone().expect("clone");
+        let mut reader = BufReader::new(stream);
+        let mut lines = Vec::new();
+        for burst in bursts {
+            let payload: String = burst.iter().map(|line| format!("{line}\n")).collect();
+            writer
+                .write_all(payload.as_bytes())
+                .expect("send the burst");
+            for _ in burst {
+                let mut line = String::new();
+                reader.read_line(&mut line).expect("one reply per line");
+                let (head, _) = line
+                    .rsplit_once("\"latency_us\":")
+                    .expect("every reply ends with its latency");
+                lines.push(format!("{head}\"latency_us\":0}}"));
+            }
+        }
+        connect(addr).shutdown().expect("drain");
+        handle.join().expect("no panic").expect("clean drain");
+        lines
+    };
+    let inline = replies(None);
+    let fifo = replies(Some(Arc::new(FaultPlan::new(FaultConfig::new(7)))));
+    assert_eq!(inline, fifo);
+
+    assert!(inline[0].contains(r#""cache":"miss""#), "{}", inline[0]);
+    assert!(inline[1].contains(r#""cache":"hit""#), "{}", inline[1]);
+    assert_eq!(inline[3], inline[1], "a hit renders as its waiter did");
+    assert!(
+        inline[2].contains(r#""code":"bad_request""#),
+        "{}",
+        inline[2]
+    );
+    assert_eq!(
+        inline[4], inline[2],
+        "the cached failure renders as its miss did"
+    );
+    assert!(inline[5].contains(r#""verb":"unknown""#), "{}", inline[5]);
+    assert!(inline[6].contains(r#""verb":"ping""#), "{}", inline[6]);
 }
