@@ -27,13 +27,10 @@ use crate::sys::PollSet;
 #[derive(Clone)]
 enum Memo {
     Good(Arc<Resolved>),
-    /// A refused line, with the verb its first reply echoed (`unknown`
-    /// for a decode failure, `schedule` for a resolve failure).
-    Bad {
-        code: ErrorCode,
-        message: Arc<str>,
-        verb: &'static str,
-    },
+    /// A refused line and the failure its first reply carried (verb
+    /// `unknown` for a decode failure, `schedule` for a resolve
+    /// failure).
+    Bad(ServeError),
 }
 
 /// Parse-memo capacity; lines beyond this are simply not memoized.
@@ -550,13 +547,8 @@ impl<'a> Reactor<'a> {
         if let Some(memo) = self.memo.get(line.as_bytes()).cloned() {
             match memo {
                 Memo::Good(resolved) => self.handle_schedule(conn, started, &resolved),
-                Memo::Bad {
-                    code,
-                    message,
-                    verb,
-                } => {
+                Memo::Bad(failure) => {
                     self.ctx.counters.errors.incr();
-                    let failure = ServeError::new(code, &*message).with_verb(verb);
                     self.respond_failed(conn, started, failure);
                 }
             }
@@ -565,19 +557,8 @@ impl<'a> Reactor<'a> {
         let request = match decode_request(line) {
             Ok(decoded) => decoded,
             Err(err) => {
-                self.ctx.counters.errors.incr();
-                let code = err.code();
-                let message = err.to_string();
-                self.memo_insert(
-                    line,
-                    Memo::Bad {
-                        code,
-                        message: Arc::from(message.as_str()),
-                        verb: "unknown",
-                    },
-                );
-                let failure = ServeError::new(code, message).with_verb("unknown");
-                self.respond_failed(conn, started, failure);
+                let failure = ServeError::new(err.code(), err.to_string()).with_verb("unknown");
+                self.refuse(conn, started, line, failure);
                 return;
             }
         };
@@ -650,17 +631,8 @@ impl<'a> Reactor<'a> {
                     self.handle_schedule(conn, started, &resolved);
                 }
                 Err(message) => {
-                    self.ctx.counters.errors.incr();
-                    self.memo_insert(
-                        line,
-                        Memo::Bad {
-                            code: ErrorCode::BadRequest,
-                            message: Arc::from(message.as_str()),
-                            verb: "schedule",
-                        },
-                    );
                     let failure = ServeError::new(ErrorCode::BadRequest, message);
-                    self.respond_failed(conn, started, failure);
+                    self.refuse(conn, started, line, failure);
                 }
             },
         }
@@ -763,6 +735,14 @@ impl<'a> Reactor<'a> {
         let latency = elapsed_us(started);
         self.ctx.counters.latency.observe(latency);
         latency
+    }
+
+    /// Answers a line that does not decode or resolve, and memoizes
+    /// the refusal: both are pure functions of the line.
+    fn refuse(&mut self, conn: &mut Conn, started: Instant, line: &str, failure: ServeError) {
+        self.ctx.counters.errors.incr();
+        self.memo_insert(line, Memo::Bad(failure.clone()));
+        self.respond_failed(conn, started, failure);
     }
 
     /// Answers a failed request, stamped with its observed latency.
